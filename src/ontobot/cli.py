@@ -25,7 +25,7 @@ from ontobot.graph import Graph, GraphError, Term, merge_graphs
 from ontobot.query import QueryParseError, UnsupportedFeatureError, evaluate, parse_query
 from ontobot.reasoner import ChainError, KnowledgeBase, UnknownEntityError
 from ontobot.schema import infer_types, validate
-from ontobot.turtle import TurtleParseError, parse_turtle, prefixed_name
+from ontobot.turtle import TurtleParseError, parse_turtle, prefixed_name, term_to_text
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -48,11 +48,9 @@ class ResultTable:
 
 
 def _cell_text(term: Term, prefixes: dict[str, str]) -> str:
-    if term.is_iri:
-        compact = prefixed_name(term.value, prefixes)
-        return compact if compact is not None else f"<{term.value}>"
-    if term.is_blank:
-        return f"_:{term.value}"
+    # Table cells print literals unquoted; IRIs and blank nodes as in Turtle.
+    if not term.is_literal:
+        return term_to_text(term, prefixes)
     text = term.value
     if term.lang is not None:
         text += f"@{term.lang}"

@@ -9,6 +9,13 @@ Anything beyond that subset (FILTER, OPTIONAL, UNION, GROUP BY, HAVING,
 ORDER BY, ...) raises :class:`UnsupportedFeatureError` naming the feature,
 distinct from plain syntax errors so callers can report it separately.
 
+Triple patterns are Turtle statements with variables, so the parser is the
+Turtle statement parser (``turtle._StatementParser``) with the lexer's
+variables switched on. It adds only variables, the unsupported keywords,
+SELECT/WHERE and the ``}``-terminated pattern. Tokens are lexed on demand,
+and tokens past an unsupported clause are never demanded, so e.g.
+``HAVING (?y > 1)`` reports HAVING rather than a lexical error on '>'.
+
 Evaluation is a left-deep nested index join: patterns are greedily
 reordered by bound-term count (preferring patterns connected to already
 bound variables), each level probing the graph's positional indexes.
@@ -20,11 +27,10 @@ is fully deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, NoReturn, Union
+from typing import Iterator, NamedTuple, Union
 
-from ontobot.graph import Graph, Term, iri, literal
-from ontobot.namespaces import RDF
-from ontobot.turtle import ParseDiagnostic, Scanner, Token, _UNSUPPORTED_PUNCT
+from ontobot.graph import Graph, Term
+from ontobot.turtle import ParseDiagnostic, Token, _StatementParser
 
 
 class QueryParseError(Exception):
@@ -95,74 +101,18 @@ _UNSUPPORTED_KEYWORDS = {
 }
 
 
-class _QueryScanner(Scanner):
-    error_class = QueryParseError
+class _QueryParser(_StatementParser):
+    error = QueryParseError
+    variables = True
+    rejected = {
+        "blank": "blank nodes are not supported in query patterns",
+        "number": "numeric literals are not supported in query patterns",
+        "boolean": "boolean literals are not supported in query patterns",
+    }
 
-
-def _next_query_token(scanner: _QueryScanner) -> Token:
-    """One token from the source; tokens past an unsupported clause are
-    never demanded, so e.g. ``HAVING (?y > 1)`` reports HAVING rather than
-    a lexical error on '>'."""
-    scanner.skip_trivia()
-    if scanner.at_end():
-        return Token("eof", None, scanner.line, scanner.column)
-    c = scanner.peek()
-    if c == "?" or c == "$":
-        line, column = scanner.line, scanner.column
-        scanner._advance(1)
-        start = scanner.pos
-        while not scanner.at_end() and (scanner.peek().isalnum() or scanner.peek() == "_"):
-            scanner._advance(1)
-        name = scanner.text[start : scanner.pos]
-        if not name:
-            scanner.fail("empty variable name", line, column)
-        return Token("var", name, line, column)
-    if c == "<":
-        return scanner.scan_iriref()
-    if c == '"':
-        return scanner.scan_string()
-    if c == "@":
-        return scanner.scan_at_directive()
-    if c == "^":
-        line, column = scanner.line, scanner.column
-        if scanner.text.startswith("^^", scanner.pos):
-            scanner._advance(2)
-            return Token("dtype_sep", "^^", line, column)
-        scanner.fail("expected '^^'", line, column)
-    if c == "_":
-        return scanner.scan_blank()
-    if c in ".;,":
-        kinds = {".": "dot", ";": "semi", ",": "comma"}
-        token = Token(kinds[c], c, scanner.line, scanner.column)
-        scanner._advance(1)
-        return token
-    if c in "{}()[]*":
-        token = Token("punct", c, scanner.line, scanner.column)
-        scanner._advance(1)
-        return token
-    if c.isdigit() or (c in "+-" and scanner.text[scanner.pos + 1 : scanner.pos + 2].isdigit()):
-        return scanner.scan_number()
-    return scanner.scan_pname_or_word()
-
-
-class _QueryParser:
     def __init__(self, text: str):
-        self.scanner = _QueryScanner(text)
-        self._buffer: list[Token] = []
-        self.prefixes: dict[str, str] = {}
-
-    def peek(self) -> Token:
-        if not self._buffer:
-            self._buffer.append(_next_query_token(self.scanner))
-        return self._buffer[0]
-
-    def next(self) -> Token:
-        if self._buffer:
-            return self._buffer.pop(0)
-        return _next_query_token(self.scanner)
-
-    def fail(self, message: str, tok: Token) -> NoReturn:
-        raise QueryParseError(ParseDiagnostic(tok.line, tok.column, message))
+        super().__init__(text)
+        self.pattern: list[TriplePattern] = []
 
     def check_unsupported(self, tok: Token) -> None:
         if tok.kind == "word" and tok.value.upper() in _UNSUPPORTED_KEYWORDS:
@@ -171,7 +121,7 @@ class _QueryParser:
                 follower = self.peek()
                 if follower.kind == "word":
                     feature = f"{feature} {follower.value.upper()}"
-            raise UnsupportedFeatureError(feature, tok.line, tok.column)
+            raise UnsupportedFeatureError(feature, *self.location(tok.pos))
 
     def keyword(self, tok: Token) -> str:
         return tok.value.upper() if tok.kind == "word" else ""
@@ -181,7 +131,7 @@ class _QueryParser:
         tok = self.next()
         self.check_unsupported(tok)
         if self.keyword(tok) != "SELECT":
-            self.fail("expected SELECT", tok)
+            self.fail("expected SELECT", tok.pos)
         distinct = False
         if self.keyword(self.peek()) == "DISTINCT":
             self.next()
@@ -190,32 +140,32 @@ class _QueryParser:
         while self.peek().kind == "var":
             var_tok = self.next()
             if var_tok.value in projection:
-                self.fail(f"duplicate variable in projection: ?{var_tok.value}", var_tok)
+                self.fail(f"duplicate variable in projection: ?{var_tok.value}", var_tok.pos)
             projection.append(var_tok.value)
         if not projection:
             tok = self.next()
             if tok.kind == "punct" and tok.value == "*":
-                self.fail("projection '*' is not supported; list the variables", tok)
+                self.fail("projection '*' is not supported; list the variables", tok.pos)
             self.check_unsupported(tok)
-            self.fail("expected at least one projected variable", tok)
+            self.fail("expected at least one projected variable", tok.pos)
         tok = self.next()
         if self.keyword(tok) == "WHERE":
             tok = self.next()
         if not (tok.kind == "punct" and tok.value == "{"):
             self.check_unsupported(tok)
-            self.fail("expected '{' opening the graph pattern", tok)
-        pattern = self.parse_group(tok)
+            self.fail("expected '{' opening the graph pattern", tok.pos)
+        self.parse_group(tok)
         tok = self.next()
         self.check_unsupported(tok)
         if tok.kind != "eof":
-            self.fail(f"unexpected content after '}}': {tok.value!r}", tok)
+            self.fail(f"unexpected content after '}}': {tok.value!r}", tok.pos)
         pattern_vars = {
-            t.name for pat in pattern for t in (pat.s, pat.p, pat.o) if isinstance(t, Var)
+            t.name for pat in self.pattern for t in (pat.s, pat.p, pat.o) if isinstance(t, Var)
         }
         for name in projection:
             if name not in pattern_vars:
-                self.fail(f"projected variable ?{name} does not occur in the pattern", tok)
-        return Query(prefixes=self.prefixes, projection=projection, distinct=distinct, pattern=pattern)
+                self.fail(f"projected variable ?{name} does not occur in the pattern", tok.pos)
+        return Query(prefixes=self.prefixes, projection=projection, distinct=distinct, pattern=self.pattern)
 
     def parse_prologue(self) -> None:
         while True:
@@ -224,107 +174,43 @@ class _QueryParser:
                 self.next()
                 name_tok = self.next()
                 if name_tok.kind != "pname" or name_tok.value[1]:
-                    self.fail("expected a prefix name ending in ':'", name_tok)
-                iri_tok = self.next()
-                if iri_tok.kind != "iriref":
-                    self.fail("expected a namespace IRI in angle brackets", iri_tok)
+                    self.fail("expected a prefix name ending in ':'", name_tok.pos)
+                iri_tok = self.expect("iriref", "a namespace IRI in angle brackets")
                 self.prefixes[name_tok.value[0]] = iri_tok.value
                 if self.peek().kind == "dot":
                     self.next()
             elif tok.kind == "base_directive":
-                self.fail("unsupported construct: @base", tok)
+                self.fail("unsupported construct: @base", tok.pos)
             else:
                 return
 
-    def parse_group(self, open_tok: Token) -> list[TriplePattern]:
-        pattern: list[TriplePattern] = []
+    def parse_group(self, open_tok: Token) -> None:
         while True:
             tok = self.peek()
             if tok.kind == "punct" and tok.value == "}":
                 self.next()
                 break
             if tok.kind == "eof":
-                self.fail("unterminated graph pattern (missing '}')", open_tok)
-            subject = self.parse_pattern_term("subject")
-            self.parse_predicate_object_list(subject, pattern)
+                self.fail("unterminated graph pattern (missing '}')", open_tok.pos)
+            subject = self.parse_term("subject")
+            self.parse_predicate_object_list(subject)
             if self.peek().kind == "dot":
                 self.next()
-        if not pattern:
-            self.fail("empty graph pattern", open_tok)
-        return pattern
+        if not self.pattern:
+            self.fail("empty graph pattern", open_tok.pos)
 
-    def parse_predicate_object_list(self, subject: PatternTerm, pattern: list[TriplePattern]) -> None:
-        while True:
-            predicate = self.parse_pattern_term("predicate")
-            while True:
-                obj = self.parse_pattern_term("object")
-                pattern.append(TriplePattern(subject, predicate, obj))
-                if self.peek().kind == "comma":
-                    self.next()
-                    continue
-                break
-            if self.peek().kind == "semi":
-                self.next()
-                while self.peek().kind == "semi":
-                    self.next()
-                nxt = self.peek()
-                if nxt.kind == "dot" or (nxt.kind == "punct" and nxt.value == "}"):
-                    return
-                continue
-            return
-
-    def parse_pattern_term(self, position: str) -> PatternTerm:
-        tok = self.next()
+    def dialect_term(self, tok: Token, position: str) -> PatternTerm:
         self.check_unsupported(tok)
         if tok.kind == "var":
             return Var(tok.value)
-        if tok.kind == "iriref":
-            return iri(tok.value)
-        if tok.kind == "pname":
-            prefix, local = tok.value
-            namespace = self.prefixes.get(prefix)
-            if namespace is None:
-                self.fail(f"undeclared prefix: {prefix!r}", tok)
-            return iri(namespace + local)
-        if tok.kind == "kw_a":
-            if position != "predicate":
-                self.fail("keyword 'a' is only valid as a predicate", tok)
-            return RDF.type
-        if tok.kind == "string":
-            if position != "object":
-                self.fail(f"literal not allowed in {position} position", tok)
-            return self.finish_literal(tok)
-        if tok.kind == "blank":
-            self.fail("blank nodes are not supported in query patterns", tok)
-        if tok.kind == "number":
-            self.fail("numeric literals are not supported in query patterns", tok)
-        if tok.kind == "boolean":
-            self.fail("boolean literals are not supported in query patterns", tok)
-        if tok.kind == "punct":
-            construct = _UNSUPPORTED_PUNCT.get(tok.value)
-            if construct:
-                self.fail(f"unsupported construct: {construct} {tok.value!r}", tok)
-            self.fail(f"unexpected {tok.value!r}", tok)
-        self.fail(f"expected a {position}, found {tok.value!r}", tok)
+        return super().dialect_term(tok, position)
 
-    def finish_literal(self, string_tok: Token) -> Term:
-        nxt = self.peek()
-        if nxt.kind == "langtag":
-            self.next()
-            return literal(string_tok.value, lang=nxt.value)
-        if nxt.kind == "dtype_sep":
-            self.next()
-            dt_tok = self.next()
-            if dt_tok.kind == "iriref":
-                return literal(string_tok.value, datatype=dt_tok.value)
-            if dt_tok.kind == "pname":
-                prefix, local = dt_tok.value
-                namespace = self.prefixes.get(prefix)
-                if namespace is None:
-                    self.fail(f"undeclared prefix: {prefix!r}", dt_tok)
-                return literal(string_tok.value, datatype=namespace + local)
-            self.fail("expected a datatype IRI after '^^'", dt_tok)
-        return literal(string_tok.value)
+    def emit(self, s: PatternTerm, p: PatternTerm, o: PatternTerm) -> None:
+        self.pattern.append(TriplePattern(s, p, o))
+
+    def at_list_end(self) -> bool:
+        tok = self.peek()
+        return tok.kind == "dot" or (tok.kind == "punct" and tok.value == "}")
 
 
 def parse_query(text: str) -> Query:

@@ -1,4 +1,4 @@
-"""Turtle reader and writer for the subset the knowledge-graph files use.
+"""Turtle reader and writer, and the grammar core the query parser shares.
 
 Supported grammar: ``@prefix`` directives, IRIs in angle brackets, prefixed
 names (including the empty prefix ``:name``), the ``a`` keyword, predicate
@@ -11,8 +11,20 @@ construct): collections ``( )``, anonymous blank nodes ``[ ]``, numeric and
 boolean literal shorthand, ``@base``, and triple-quoted strings. The
 knowledge-graph files need none of them.
 
+Query patterns are Turtle triples with variables added, so one lexer and one
+statement parser serve both languages. :meth:`_StatementParser.tokens` yields
+``Token(kind, value, pos)``; a parser class that sets ``variables`` also gets
+``?x``/``$x`` variables and ``*``, and a ``.`` before a digit then stays a
+statement dot. :class:`_StatementParser` holds the shared grammar: token
+lookahead, IRIs, prefixed names, ``a``, string literals and their suffixes,
+and the ``;``/``,`` predicate-object list. :class:`_TurtleParser` adds blank
+nodes and ``@prefix … .``; ``ontobot.query`` adds variables and SELECT/WHERE.
+
 Errors carry a :class:`ParseDiagnostic` with a 1-based line and column into
-the source text. A failed parse never returns a partial graph.
+the source text, worked out from the token's offset when the error is raised.
+A Turtle document is lexed whole before it is parsed, so a lexical error
+anywhere is reported ahead of a syntax error. A failed parse never returns a
+partial graph.
 
 Blank-node labels are document-scoped: the parser assigns fresh graph-scoped
 labels (``b0``, ``b1``, ...) in order of first appearance, so parsing is
@@ -23,7 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, NoReturn
+from typing import Iterator, Mapping, NamedTuple, NoReturn
 
 from ontobot.graph import (
     IRI,
@@ -59,8 +71,7 @@ class TurtleParseError(Exception):
 class Token(NamedTuple):
     kind: str
     value: object
-    line: int
-    column: int
+    pos: int  # offset of the token's first character in the source text
 
 
 _ESCAPES = {
@@ -74,58 +85,147 @@ _ESCAPES = {
     "\\": "\\",
 }
 
+_TRIVIA_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
+_IRI_BODY_RE = re.compile(r'[^> "<{}|^`\n]*')
+# A backslash escapes any one character here; _unescape judges the escape.
+_STRING_BODY_RE = re.compile(r'(?:[^"\\\n]+|\\[\s\S])*')
 _PNAME_RE = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_\-.]*)?")
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*")
 _BLANK_RE = re.compile(r"_:([A-Za-z0-9_][A-Za-z0-9_\-]*)")
 _LANGTAG_RE = re.compile(r"@([A-Za-z]+(?:-[A-Za-z0-9]+)*)")
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_VAR_NAME_RE = re.compile(r"\w*")  # \w: the characters str.isalnum() accepts, and '_'
+
+_DIRECTIVES = {"prefix": "prefix_directive", "base": "base_directive"}
+_SEPARATORS = {".": "dot", ";": "semi", ",": "comma"}
+_UNSUPPORTED_PUNCT = {
+    "(": "collection",
+    ")": "collection",
+    "[": "anonymous blank node",
+    "]": "anonymous blank node",
+}
 
 
-class Scanner:
-    """Shared lexical layer for the Turtle and query parsers."""
+class _StatementParser:
+    """The lexer and the statement grammar that Turtle and queries share.
 
-    error_class: type[Exception] = TurtleParseError
+    A subclass sets ``error`` (the exception a diagnostic raises),
+    ``variables`` (the query dialect's tokens) and ``rejected`` (messages for
+    term tokens its dialect refuses), and supplies ``emit`` for each parsed
+    triple and ``at_list_end`` for what may close a ``;`` list.
+    """
+
+    error: type[Exception] = TurtleParseError
+    variables = False
+    rejected: Mapping[str, str] = {}
 
     def __init__(self, text: str):
-        if text.startswith("﻿"):
+        if text.startswith("\ufeff"):
             text = text[1:]
         self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
+        self.prefixes: dict[str, str] = {}
+        self._tokens = self.tokens()
+        self._lookahead: Token | None = None
 
-    def fail(self, message: str, line: int | None = None, column: int | None = None) -> NoReturn:
-        diag = ParseDiagnostic(line or self.line, column or self.column, message)
-        raise self.error_class(diag)
+    def location(self, pos: int) -> tuple[int, int]:
+        """The 1-based line and column of an offset into the source text."""
+        return self.text.count("\n", 0, pos) + 1, pos - self.text.rfind("\n", 0, pos)
 
-    def _advance(self, n: int) -> None:
-        chunk = self.text[self.pos : self.pos + n]
-        newlines = chunk.count("\n")
-        if newlines:
-            self.line += newlines
-            self.column = n - chunk.rfind("\n")
-        else:
-            self.column += n
-        self.pos += n
+    def fail(self, message: str, pos: int) -> NoReturn:
+        raise self.error(ParseDiagnostic(*self.location(pos), message))
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
+    # -- lexer ---------------------------------------------------------------
 
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def skip_trivia(self) -> None:
-        while not self.at_end():
-            c = self.text[self.pos]
-            if c in " \t\r\n":
-                self._advance(1)
-            elif c == "#":
-                end = self.text.find("\n", self.pos)
-                self._advance((end if end != -1 else len(self.text)) - self.pos)
-            else:
+    def tokens(self) -> Iterator[Token]:
+        """Tokens of the source text, ending in one ``eof``; lexed on demand."""
+        text = self.text
+        pos = 0
+        while True:
+            pos = _TRIVIA_RE.match(text, pos).end()
+            if pos == len(text):
+                yield Token("eof", None, pos)
                 return
+            c = text[pos]
+            nxt = text[pos + 1 : pos + 2]
+            number = None
+            # '.5' is a number in Turtle; in a query the '.' ends a pattern.
+            if c.isdigit() or (nxt.isdigit() and (c in "+-" or (c == "." and not self.variables))):
+                # isdigit() also holds for characters such as '²' that the
+                # pattern refuses; they fall through to "unexpected character".
+                number = _NUMBER_RE.match(text, pos)
+            if number is not None:
+                kind, value, end = "number", number.group(), number.end()
+            elif c in "?$" and self.variables:
+                end = _VAR_NAME_RE.match(text, pos + 1).end()
+                if end == pos + 1:
+                    self.fail("empty variable name", pos)
+                kind, value = "var", text[pos + 1 : end]
+            elif c == "<":
+                kind = "iriref"
+                value, end = self.scan_iriref(pos)
+            elif c == '"':
+                kind = "string"
+                value, end = self.scan_string(pos)
+            elif c == "@":
+                m = _LANGTAG_RE.match(text, pos)
+                if m is None:
+                    self.fail("malformed '@' directive or language tag", pos)
+                value, end = m.group(1), m.end()
+                kind = _DIRECTIVES.get(value, "langtag")
+            elif c == "^":
+                if nxt != "^":
+                    self.fail("expected '^^'", pos)
+                kind, value, end = "dtype_sep", "^^", pos + 2
+            elif c == "_":
+                m = _BLANK_RE.match(text, pos)
+                if m is None:
+                    self.fail("malformed blank node label", pos)
+                kind, value, end = "blank", m.group(1), m.end()
+            elif c in ".;,":
+                kind, value, end = _SEPARATORS[c], c, pos + 1
+            elif c in "()[]{}" or (c == "*" and self.variables):
+                kind, value, end = "punct", c, pos + 1
+            else:
+                kind, value, end = self.scan_pname_or_word(pos)
+            yield Token(kind, value, pos)
+            pos = end
 
-    def _unescape(self, raw: str, line: int, column: int, iri_mode: bool) -> str:
+    def scan_iriref(self, pos: int) -> tuple[str, int]:
+        end = _IRI_BODY_RE.match(self.text, pos + 1).end()
+        if end == len(self.text):
+            self.fail("unterminated IRI", pos)
+        if self.text[end] != ">":
+            self.fail(f"invalid character in IRI: {self.text[end]!r}", pos)
+        return self._unescape(self.text[pos + 1 : end], pos, iri_mode=True), end + 1
+
+    def scan_string(self, pos: int) -> tuple[str, int]:
+        if self.text.startswith('"""', pos):
+            self.fail("unsupported construct: triple-quoted string", pos)
+        end = _STRING_BODY_RE.match(self.text, pos + 1).end()
+        if self.text[end : end + 1] != '"':
+            self.fail("unterminated string literal", pos)
+        return self._unescape(self.text[pos + 1 : end], pos, iri_mode=False), end + 1
+
+    def scan_pname_or_word(self, pos: int) -> tuple[str, object, int]:
+        """A prefixed name, the `a` keyword, or a bare word."""
+        m = _PNAME_RE.match(self.text, pos)
+        if m is not None:
+            # PN_LOCAL may contain dots but not end with one; give trailing
+            # dots back to the stream as statement terminators.
+            raw = m.group(0).rstrip(".")
+            prefix, _, local = raw.partition(":")
+            return "pname", (prefix, local), pos + len(raw)
+        m = _WORD_RE.match(self.text, pos)
+        if m is None:
+            self.fail(f"unexpected character: {self.text[pos]!r}", pos)
+        word = m.group(0)
+        if word == "a":
+            return "kw_a", word, m.end()
+        if word in ("true", "false"):
+            return "boolean", word, m.end()
+        return "word", word, m.end()
+
+    def _unescape(self, raw: str, pos: int, iri_mode: bool) -> str:
         out: list[str] = []
         i = 0
         while i < len(raw):
@@ -135,221 +235,47 @@ class Scanner:
                 i += 1
                 continue
             if i + 1 >= len(raw):
-                self.fail("dangling escape", line, column)
+                self.fail("dangling escape", pos)
             e = raw[i + 1]
             if e in ("u", "U"):
                 width = 4 if e == "u" else 8
                 hexdigits = raw[i + 2 : i + 2 + width]
                 if len(hexdigits) != width or any(h not in "0123456789abcdefABCDEF" for h in hexdigits):
-                    self.fail(f"invalid \\{e} escape", line, column)
+                    self.fail(f"invalid \\{e} escape", pos)
                 out.append(chr(int(hexdigits, 16)))
                 i += 2 + width
             elif not iri_mode and e in _ESCAPES:
                 out.append(_ESCAPES[e])
                 i += 2
             else:
-                self.fail(f"unknown escape sequence: \\{e}", line, column)
+                self.fail(f"unknown escape sequence: \\{e}", pos)
         return "".join(out)
 
-    def scan_iriref(self) -> Token:
-        line, column = self.line, self.column
-        end = self.pos + 1
-        while True:
-            if end >= len(self.text):
-                self.fail("unterminated IRI", line, column)
-            c = self.text[end]
-            if c == ">":
-                break
-            if c in ' "<{}|^`\n':
-                self.fail(f"invalid character in IRI: {c!r}", line, column)
-            end += 1
-        raw = self.text[self.pos + 1 : end]
-        self._advance(end - self.pos + 1)
-        return Token("iriref", self._unescape(raw, line, column, iri_mode=True), line, column)
-
-    def scan_string(self) -> Token:
-        line, column = self.line, self.column
-        if self.text.startswith('"""', self.pos):
-            self.fail("unsupported construct: triple-quoted string", line, column)
-        end = self.pos + 1
-        while True:
-            if end >= len(self.text) or self.text[end] == "\n":
-                self.fail("unterminated string literal", line, column)
-            c = self.text[end]
-            if c == "\\":
-                end += 2
-                continue
-            if c == '"':
-                break
-            end += 1
-        raw = self.text[self.pos + 1 : end]
-        self._advance(end - self.pos + 1)
-        return Token("string", self._unescape(raw, line, column, iri_mode=False), line, column)
-
-    def scan_blank(self) -> Token:
-        line, column = self.line, self.column
-        m = _BLANK_RE.match(self.text, self.pos)
-        if m is None:
-            self.fail("malformed blank node label", line, column)
-        self._advance(m.end() - self.pos)
-        return Token("blank", m.group(1), line, column)
-
-    def scan_pname_or_word(self) -> Token:
-        """A prefixed name, the `a` keyword, or a bare word."""
-        line, column = self.line, self.column
-        m = _PNAME_RE.match(self.text, self.pos)
-        if m is not None:
-            raw = m.group(0)
-            # PN_LOCAL may contain dots but not end with one; give trailing
-            # dots back to the stream as statement terminators.
-            while raw.endswith("."):
-                raw = raw[:-1]
-            prefix, _, local = raw.partition(":")
-            self._advance(len(raw))
-            return Token("pname", (prefix, local), line, column)
-        m = _WORD_RE.match(self.text, self.pos)
-        if m is None:
-            self.fail(f"unexpected character: {self.peek()!r}", line, column)
-        word = m.group(0)
-        self._advance(len(word))
-        if word == "a":
-            return Token("kw_a", "a", line, column)
-        if word in ("true", "false"):
-            return Token("boolean", word, line, column)
-        return Token("word", word, line, column)
-
-    def scan_at_directive(self) -> Token:
-        line, column = self.line, self.column
-        m = _LANGTAG_RE.match(self.text, self.pos)
-        if m is None:
-            self.fail("malformed '@' directive or language tag", line, column)
-        word = m.group(1)
-        self._advance(m.end() - self.pos)
-        if word == "prefix":
-            return Token("prefix_directive", word, line, column)
-        if word == "base":
-            return Token("base_directive", word, line, column)
-        return Token("langtag", word, line, column)
-
-    def scan_number(self) -> Token:
-        line, column = self.line, self.column
-        m = _NUMBER_RE.match(self.text, self.pos)
-        assert m is not None
-        self._advance(m.end() - self.pos)
-        return Token("number", m.group(0), line, column)
-
-
-def _tokenize_turtle(text: str) -> list[Token]:
-    scanner = Scanner(text)
-    tokens: list[Token] = []
-    while True:
-        scanner.skip_trivia()
-        if scanner.at_end():
-            tokens.append(Token("eof", None, scanner.line, scanner.column))
-            return tokens
-        c = scanner.peek()
-        if c == "<":
-            tokens.append(scanner.scan_iriref())
-        elif c == '"':
-            tokens.append(scanner.scan_string())
-        elif c == "@":
-            tokens.append(scanner.scan_at_directive())
-        elif c == "^":
-            line, column = scanner.line, scanner.column
-            if scanner.text.startswith("^^", scanner.pos):
-                scanner._advance(2)
-                tokens.append(Token("dtype_sep", "^^", line, column))
-            else:
-                scanner.fail("expected '^^'", line, column)
-        elif c == "_":
-            tokens.append(scanner.scan_blank())
-        elif c in ".;,":
-            nxt = scanner.text[scanner.pos + 1 : scanner.pos + 2]
-            if c == "." and nxt.isdigit():
-                tokens.append(scanner.scan_number())
-            else:
-                kinds = {".": "dot", ";": "semi", ",": "comma"}
-                tokens.append(Token(kinds[c], c, scanner.line, scanner.column))
-                scanner._advance(1)
-        elif c.isdigit() or (c in "+-" and scanner.text[scanner.pos + 1 : scanner.pos + 2].isdigit()):
-            tokens.append(scanner.scan_number())
-        elif c in "()[]{}":
-            tokens.append(Token("punct", c, scanner.line, scanner.column))
-            scanner._advance(1)
-        else:
-            tokens.append(scanner.scan_pname_or_word())
-
-
-_UNSUPPORTED_PUNCT = {
-    "(": "collection",
-    ")": "collection",
-    "[": "anonymous blank node",
-    "]": "anonymous blank node",
-}
-
-
-class _TurtleParser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize_turtle(text)
-        self.index = 0
-        self.graph = Graph()
-        self.blank_labels: dict[str, Term] = {}
+    # -- grammar -------------------------------------------------------------
 
     def peek(self) -> Token:
-        return self.tokens[self.index]
+        if self._lookahead is None:
+            self._lookahead = next(self._tokens)
+        return self._lookahead
 
     def next(self) -> Token:
-        tok = self.tokens[self.index]
+        tok = self.peek()
         if tok.kind != "eof":
-            self.index += 1
+            self._lookahead = None
         return tok
-
-    def fail(self, message: str, tok: Token) -> NoReturn:
-        raise TurtleParseError(ParseDiagnostic(tok.line, tok.column, message))
 
     def expect(self, kind: str, what: str) -> Token:
         tok = self.next()
         if tok.kind != kind:
-            self.fail(f"expected {what}", tok)
+            self.fail(f"expected {what}", tok.pos)
         return tok
-
-    def parse(self) -> Graph:
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                break
-            if tok.kind == "prefix_directive":
-                self.next()
-                self.parse_prefix()
-            elif tok.kind == "base_directive":
-                self.fail("unsupported construct: @base", tok)
-            else:
-                self.parse_statement()
-        return self.graph.freeze()
-
-    def parse_prefix(self) -> None:
-        name_tok = self.expect("pname", "a prefix name ending in ':'")
-        prefix, local = name_tok.value
-        if local:
-            self.fail("prefix declaration must end in ':'", name_tok)
-        iri_tok = self.expect("iriref", "a namespace IRI in angle brackets")
-        self.expect("dot", "'.' after prefix declaration")
-        self.graph.add_prefix(prefix, iri_tok.value)
 
     def resolve_pname(self, tok: Token) -> Term:
         prefix, local = tok.value
-        namespace = self.graph.prefixes.get(prefix)
+        namespace = self.prefixes.get(prefix)
         if namespace is None:
-            self.fail(f"undeclared prefix: {prefix!r}", tok)
+            self.fail(f"undeclared prefix: {prefix!r}", tok.pos)
         return iri(namespace + local)
-
-    def resolve_blank(self, tok: Token) -> Term:
-        label = tok.value
-        term = self.blank_labels.get(label)
-        if term is None:
-            term = blank(f"b{len(self.blank_labels)}")
-            self.blank_labels[label] = term
-        return term
 
     def parse_term(self, position: str) -> Term:
         tok = self.next()
@@ -357,28 +283,26 @@ class _TurtleParser:
             return iri(tok.value)
         if tok.kind == "pname":
             return self.resolve_pname(tok)
-        if tok.kind == "blank":
-            if position == "predicate":
-                self.fail("blank node not allowed in predicate position", tok)
-            return self.resolve_blank(tok)
         if tok.kind == "kw_a":
             if position != "predicate":
-                self.fail("keyword 'a' is only valid as a predicate", tok)
+                self.fail("keyword 'a' is only valid as a predicate", tok.pos)
             return RDF.type
         if tok.kind == "string":
             if position != "object":
-                self.fail(f"literal not allowed in {position} position", tok)
+                self.fail(f"literal not allowed in {position} position", tok.pos)
             return self.finish_literal(tok)
-        if tok.kind == "number":
-            self.fail("unsupported construct: numeric literal", tok)
-        if tok.kind == "boolean":
-            self.fail("unsupported construct: boolean literal", tok)
+        if tok.kind in self.rejected:
+            self.fail(self.rejected[tok.kind], tok.pos)
         if tok.kind == "punct":
             construct = _UNSUPPORTED_PUNCT.get(tok.value)
             if construct:
-                self.fail(f"unsupported construct: {construct} {tok.value!r}", tok)
-            self.fail(f"unexpected {tok.value!r}", tok)
-        self.fail(f"expected a {position}, found {tok.value!r}", tok)
+                self.fail(f"unsupported construct: {construct} {tok.value!r}", tok.pos)
+            self.fail(f"unexpected {tok.value!r}", tok.pos)
+        return self.dialect_term(tok, position)
+
+    def dialect_term(self, tok: Token, position: str) -> Term:
+        """A term of a kind only one dialect has; the base class has none."""
+        self.fail(f"expected a {position}, found {tok.value!r}", tok.pos)
 
     def finish_literal(self, string_tok: Token) -> Term:
         nxt = self.peek()
@@ -392,33 +316,94 @@ class _TurtleParser:
                 return literal(string_tok.value, datatype=dt_tok.value)
             if dt_tok.kind == "pname":
                 return literal(string_tok.value, datatype=self.resolve_pname(dt_tok).value)
-            self.fail("expected a datatype IRI after '^^'", dt_tok)
+            self.fail("expected a datatype IRI after '^^'", dt_tok.pos)
         return literal(string_tok.value)
-
-    def parse_statement(self) -> None:
-        subject = self.parse_term("subject")
-        self.parse_predicate_object_list(subject)
-        self.expect("dot", "'.' at end of statement")
 
     def parse_predicate_object_list(self, subject: Term) -> None:
         while True:
             predicate = self.parse_term("predicate")
             while True:
-                obj = self.parse_term("object")
-                self.graph.insert(Triple(subject, predicate, obj))
+                self.emit(subject, predicate, self.parse_term("object"))
                 if self.peek().kind == "comma":
                     self.next()
                     continue
                 break
             if self.peek().kind == "semi":
                 self.next()
-                # Tolerate trailing ';' before the closing '.'
+                # Tolerate trailing ';' before the end of the statement
                 while self.peek().kind == "semi":
                     self.next()
-                if self.peek().kind in ("dot", "eof"):
+                if self.at_list_end():
                     return
                 continue
             return
+
+    def emit(self, s: Term, p: Term, o: Term) -> None:
+        raise NotImplementedError
+
+    def at_list_end(self) -> bool:
+        raise NotImplementedError
+
+
+class _TurtleParser(_StatementParser):
+    rejected = {
+        "number": "unsupported construct: numeric literal",
+        "boolean": "unsupported construct: boolean literal",
+    }
+
+    def __init__(self, text: str):
+        super().__init__(text)
+        # Lex the whole document first, so that a lexical error anywhere is
+        # reported ahead of any syntax error.
+        self._tokens = iter(list(self._tokens))
+        self.graph = Graph()
+        self.prefixes = self.graph.prefixes
+        self.blank_labels: dict[str, Term] = {}
+
+    def parse(self) -> Graph:
+        while True:
+            tok = self.peek()
+            if tok.kind == "eof":
+                break
+            if tok.kind == "prefix_directive":
+                self.next()
+                self.parse_prefix()
+            elif tok.kind == "base_directive":
+                self.fail("unsupported construct: @base", tok.pos)
+            else:
+                self.parse_statement()
+        return self.graph.freeze()
+
+    def parse_prefix(self) -> None:
+        name_tok = self.expect("pname", "a prefix name ending in ':'")
+        prefix, local = name_tok.value
+        if local:
+            self.fail("prefix declaration must end in ':'", name_tok.pos)
+        iri_tok = self.expect("iriref", "a namespace IRI in angle brackets")
+        self.expect("dot", "'.' after prefix declaration")
+        self.graph.add_prefix(prefix, iri_tok.value)
+
+    def parse_statement(self) -> None:
+        subject = self.parse_term("subject")
+        self.parse_predicate_object_list(subject)
+        self.expect("dot", "'.' at end of statement")
+
+    def dialect_term(self, tok: Token, position: str) -> Term:
+        if tok.kind == "blank":
+            if position == "predicate":
+                self.fail("blank node not allowed in predicate position", tok.pos)
+            term = self.blank_labels.get(tok.value)
+            if term is None:
+                term = blank(f"b{len(self.blank_labels)}")
+                self.blank_labels[tok.value] = term
+            return term
+        return super().dialect_term(tok, position)
+
+    def emit(self, s: Term, p: Term, o: Term) -> None:
+        self.graph.insert(Triple(s, p, o))
+
+    def at_list_end(self) -> bool:
+        return self.peek().kind in ("dot", "eof")
 
 
 def parse_turtle(text: str) -> Graph:

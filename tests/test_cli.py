@@ -73,6 +73,16 @@ def test_validate_parse_error_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_validate_unicode_digit_exits_2_with_one_line_message(capsys, tmp_path):
+    # '²' passes str.isdigit() but starts no numeric literal.
+    odd = tmp_path / "odd.ttl"
+    odd.write_text("@prefix : <https://e.org/> .\n:a :b ² .\n", encoding="utf-8")
+    code, out, err = run(capsys, "validate", str(odd))
+    assert code == 2
+    assert out == ""
+    assert err == f"ontobot: {odd}: line 2, column 7: unexpected character: '²'\n"
+
+
 def test_validate_non_utf8_file_exits_2(capsys, tmp_path):
     binary = tmp_path / "binary.ttl"
     binary.write_bytes(b"\xff\xfe\x00garbage")

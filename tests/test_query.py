@@ -75,10 +75,22 @@ def test_projected_variable_must_occur_in_pattern():
     assert "missing" in str(excinfo.value)
 
 
-def test_syntax_error_carries_position():
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        pytest.param("SELECT ?x\nWHERE { ?x ?p }", 2, 15, "unexpected '}'", id="missing-object"),
+        # Unlike Turtle, '.5' in a pattern is a statement dot and then 5.
+        pytest.param("PREFIX : <https://e.org/> SELECT ?x WHERE { ?x :p ?y .5 }", 1, 55, "numeric literals", id="dot-before-digit"),
+        # '²' passes str.isdigit() but is no digit of a numeric literal.
+        pytest.param("SELECT ?x WHERE { ?x <p> ² }", 1, 26, "unexpected character: '²'", id="superscript-digit"),
+    ],
+)
+def test_syntax_error_carries_position(text, line, column, message):
     with pytest.raises(QueryParseError) as excinfo:
-        parse_query("SELECT ?x\nWHERE { ?x ?p }")
-    assert excinfo.value.diagnostic.line == 2
+        parse_query(text)
+    assert excinfo.value.diagnostic.line == line
+    assert excinfo.value.diagnostic.column == column
+    assert message in excinfo.value.diagnostic.message
 
 
 def test_prefix_and_at_prefix_declarations():

@@ -104,11 +104,26 @@ def test_blank_labels_are_document_scoped():
     assert labels == {"b0", "b1"}  # fresh graph-scoped labels, not _:n/_:m
 
 
-def test_unterminated_string_diagnostic_position():
-    d = diag('@prefix : <https://example.org/> .\n:a :b "oops .')
-    assert d.line == 2
-    assert d.column == 7
-    assert "unterminated string" in d.message
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        pytest.param('@prefix : <https://example.org/> .\n:a :b "oops .', 2, 7, "unterminated string", id="unterminated-string"),
+        # Variables and '*' belong to the query dialect only.
+        pytest.param("@prefix : <https://e.org/> .\n?x :b :c .", 2, 1, "unexpected character: '?'", id="variable"),
+        pytest.param("@prefix : <https://e.org/> .\n:a :b * .", 2, 7, "unexpected character: '*'", id="star"),
+        # The document is lexed before it is parsed: the missing '.' on line 2
+        # is not reported ahead of the unterminated string on line 3.
+        pytest.param('@prefix : <https://e.org/> .\n:a :b :c\n:d :e "oops', 3, 7, "unterminated string", id="lexical-before-syntax"),
+        # '²' passes str.isdigit() but is no digit of a numeric literal.
+        pytest.param("@prefix : <https://e.org/> . :a :b ² .", 1, 36, "unexpected character: '²'", id="superscript-digit"),
+        pytest.param("@prefix : <https://e.org/> . :a :b +² .", 1, 36, "unexpected character: '+'", id="signed-superscript-digit"),
+    ],
+)
+def test_diagnostic_position(text, line, column, message):
+    d = diag(text)
+    assert d.line == line
+    assert d.column == column
+    assert message in d.message
 
 
 def test_undeclared_prefix_diagnostic():
