@@ -271,12 +271,16 @@ def _match_pattern(graph: Graph, pat: TriplePattern, binding: dict[str, Term]) -
 
 
 def _join(graph: Graph, patterns: list[TriplePattern], binding: dict[str, Term]) -> Iterator[dict[str, Term]]:
-    if not patterns:
-        yield binding
-        return
-    head, tail = patterns[0], patterns[1:]
-    for extended in _match_pattern(graph, head, binding):
-        yield from _join(graph, tail, extended)
+    # Depth-first over a stack of one iterator per pattern, not recursion, so no recursion limit applies.
+    stack: list[Iterator[dict[str, Term]]] = [iter([binding])]
+    while stack:
+        extended = next(stack[-1], None)
+        if extended is None:
+            stack.pop()
+        elif len(stack) > len(patterns):
+            yield extended
+        else:
+            stack.append(_match_pattern(graph, patterns[len(stack) - 1], extended))
 
 
 def evaluate(query: Query, graph: Graph) -> list[Solution]:

@@ -2,7 +2,10 @@
 
 A :class:`KnowledgeBase` is the frozen union of an activity graph and a
 robot graph with subclass inference applied and a validation report
-attached. On top of it this module answers the six competency questions:
+attached. The graph never changes, so each fact is derived once: labels,
+activities and agents at construction; each activity's top-level steps and
+each robot's capability profile on first request, as one CLI run asks one
+question. On top of it this module answers the six competency questions:
 
 1. which components and affordances an activity involves,
 2. the activity's ordered procedure/step/action plan,
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from ontobot.graph import Graph, Term, Triple, merge_graphs
@@ -188,12 +192,25 @@ GraphSource = Union[Graph, str, "os.PathLike[str]"]
 
 
 class KnowledgeBase:
-    """Frozen, inference-closed union of knowledge graphs plus its validation report."""
+    """Frozen, inference-closed union of knowledge graphs plus its validation report.
+
+    The label map and the activity and agent maps are built at construction;
+    each activity's top-level steps and each robot's capability profile on
+    first request, and kept. Task plans are ordered on every call.
+    """
 
     def __init__(self, graph: Graph, vocabulary: Vocabulary, report: ValidationReport):
         self.graph = graph
         self.vocabulary = vocabulary
         self.report = report
+        # Reversed, so that a node's first literal label is the one kept.
+        labels = reversed(graph.match(None, RDFS.label, None))
+        self._labels = {t.s: t.o.value for t in labels if t.o.is_literal}
+        self._activities = {node: self.label_of(node) for node in graph.subjects(RDF.type, PROV.Activity)}
+        self._agents = {node: self.label_of(node) for node in graph.subjects(RDF.type, OBOT.Agent)}
+        # activity -> ((procedure, label, actions beneath it, their required affordances), ...)
+        self._steps: dict[Term, tuple[tuple[Term, str, tuple[Term, ...], frozenset[Term]], ...]] = {}
+        self._profiles: dict[Term, CapabilityProfile] = {}
 
     @classmethod
     def load(cls, *sources: GraphSource, vocabulary: Vocabulary = ONTOBOT_VOCABULARY) -> "KnowledgeBase":
@@ -206,62 +223,54 @@ class KnowledgeBase:
     # -- entity lookup -----------------------------------------------------
 
     def label_of(self, node: Term) -> str:
-        for term in self.graph.objects(node, RDFS.label):
-            if term.is_literal:
-                return term.value
-        return node.value
-
-    def _labelled_instances(self, cls: Term) -> list[tuple[Term, str]]:
-        return [(node, self.label_of(node)) for node in self.graph.subjects(RDF.type, cls)]
+        return self._labels.get(node, node.value)
 
     def activities(self) -> list[tuple[Term, str]]:
-        return self._labelled_instances(PROV.Activity)
+        return list(self._activities.items())
 
     def agents(self) -> list[tuple[Term, str]]:
-        return self._labelled_instances(OBOT.Agent)
+        return list(self._agents.items())
 
-    def _resolve(self, wanted: Term | str, kind: str, instances: list[tuple[Term, str]]) -> Term:
+    def _resolve(self, wanted: Term | str, kind: str, instances: dict[Term, str]) -> Term:
         if isinstance(wanted, Term):
-            if any(node == wanted for node, _ in instances):
+            if wanted in instances:
                 return wanted
-            raise UnknownEntityError(kind, wanted.n3(), sorted(label for _, label in instances))
-        for node, label in instances:
+            raise UnknownEntityError(kind, wanted.n3(), sorted(instances.values()))
+        for node, label in instances.items():
             if label == wanted:
                 return node
-        for node, _ in instances:
+        for node in instances:
             if node.value == wanted:
                 return node
-        raise UnknownEntityError(kind, wanted, sorted(label for _, label in instances))
+        raise UnknownEntityError(kind, wanted, sorted(instances.values()))
 
     def activity_by_label(self, wanted: Term | str) -> Term:
-        return self._resolve(wanted, "activity", self.activities())
+        return self._resolve(wanted, "activity", self._activities)
 
     def agent_by_label(self, wanted: Term | str) -> Term:
-        return self._resolve(wanted, "robot", self.agents())
+        return self._resolve(wanted, "robot", self._agents)
 
     # -- task structure ----------------------------------------------------
 
-    def _procedures_of(self, activity: Term) -> list[Term]:
-        return self.graph.objects(activity, PKO.executesProcedure)
-
-    def _ordered_steps(self, procedure: Term) -> list[Term]:
-        steps = self.graph.objects(procedure, PKO.hasStep)
-        return _chain_order(steps, self.graph.match(None, PKO.nextStep, None), "pko:nextStep", self.label_of(procedure))
-
-    def _ordered_actions(self, step: Term) -> list[Term]:
-        actions = self.graph.objects(step, PKO.requiresAction)
-        return _chain_order(actions, self.graph.match(None, OBOT.nextAction, None), "obot:nextAction", self.label_of(step))
-
-    def _actions_of(self, activity: Term) -> list[Term]:
-        out: dict[Term, None] = {}
-        for procedure in self._procedures_of(activity):
-            for step in self.graph.objects(procedure, PKO.hasStep):
-                for action in self.graph.objects(step, PKO.requiresAction):
-                    out.setdefault(action)
-        return list(out)
+    def _ordered(self, owner: Term, member: Term, link: Term, property_name: str) -> list[Term]:
+        members = self.graph.objects(owner, member)
+        return _chain_order(members, self.graph.match(None, link, None), property_name, self.label_of(owner))
 
     def _action_affordances(self, action: Term) -> frozenset[Term]:
         return frozenset(self.graph.objects(action, OBOT.requiresAffordance))
+
+    def _top_level_steps(self, activity: Term) -> tuple[tuple[Term, str, tuple[Term, ...], frozenset[Term]], ...]:
+        if activity not in self._steps:
+            out = []
+            for procedure in self.graph.objects(activity, PKO.executesProcedure):
+                actions: dict[Term, None] = {}
+                for step in self.graph.objects(procedure, PKO.hasStep):
+                    for action in self.graph.objects(step, PKO.requiresAction):
+                        actions.setdefault(action)
+                required = frozenset().union(*map(self._action_affordances, actions))
+                out.append((procedure, self.label_of(procedure), tuple(actions), required))
+            self._steps[activity] = tuple(out)
+        return self._steps[activity]
 
     # -- competency question 1 ----------------------------------------------
 
@@ -269,10 +278,10 @@ class KnowledgeBase:
         """Distinct (component, affordance) pairs the activity's actions involve."""
         activity = self.activity_by_label(activity_label)
         pairs: set[tuple[Term, Term]] = set()
-        for action in self._actions_of(activity):
-            targets = self.graph.objects(action, OBOT.actsOn)
-            affordances = self.graph.objects(action, OBOT.requiresAffordance)
-            pairs.update((target, affordance) for target in targets for affordance in affordances)
+        for _, _, actions, _ in self._top_level_steps(activity):
+            for action in actions:
+                targets = self.graph.objects(action, OBOT.actsOn)
+                pairs.update((target, aff) for target in targets for aff in self._action_affordances(action))
         return frozenset(pairs)
 
     # -- competency question 2 ----------------------------------------------
@@ -281,11 +290,11 @@ class KnowledgeBase:
         """The activity's procedures with fully ordered steps and actions."""
         activity = self.activity_by_label(activity_label)
         procedures = []
-        for procedure in self._procedures_of(activity):
+        for procedure in self.graph.objects(activity, PKO.executesProcedure):
             steps = []
-            for step in self._ordered_steps(procedure):
+            for step in self._ordered(procedure, PKO.hasStep, PKO.nextStep, "pko:nextStep"):
                 actions = []
-                for action in self._ordered_actions(step):
+                for action in self._ordered(step, PKO.requiresAction, OBOT.nextAction, "obot:nextAction"):
                     targets = self.graph.objects(action, OBOT.actsOn)
                     actions.append(
                         PlanAction(
@@ -305,18 +314,17 @@ class KnowledgeBase:
 
     def required_affordances(self, activity: Term | str) -> frozenset[Term]:
         """Union of the affordances required by all of the activity's actions."""
-        activity = self.activity_by_label(activity)
-        out: set[Term] = set()
-        for action in self._actions_of(activity):
-            out.update(self._action_affordances(action))
-        return frozenset(out)
+        steps = self._top_level_steps(self.activity_by_label(activity))
+        return frozenset().union(*(required for *_, required in steps))
 
     # -- capability side (competency questions 4-6) --------------------------
 
     def capability_profile(self, robot: Term | str) -> CapabilityProfile:
         """All affordances a robot's capabilities enable, with provenance chains."""
         robot = self.agent_by_label(robot)
-        provenance: dict[Term, list[CapabilityChain]] = {}
+        if robot in self._profiles:
+            return self._profiles[robot]
+        provenance: dict[Term, dict[CapabilityChain, None]] = {}  # ordered sets of chains
         for node in self.graph.objects(robot, OBOT.hasNode):
             for component in self.graph.objects(node, ROS.communicatesThrough):
                 for comm in self.graph.subjects(ROS.hasComponent, component):
@@ -325,16 +333,14 @@ class KnowledgeBase:
                     for message in self.graph.objects(comm, ROS.hasMessage):
                         for capability in self.graph.objects(message, ROS.evokes):
                             for affordance in self.graph.objects(capability, OBOT.enablesAffordance):
-                                chains = provenance.setdefault(affordance, [])
-                                chain = CapabilityChain(node, message, capability)
-                                if chain not in chains:
-                                    chains.append(chain)
-        return CapabilityProfile(
+                                provenance.setdefault(affordance, {})[CapabilityChain(node, message, capability)] = None
+        profile = self._profiles[robot] = CapabilityProfile(
             robot=robot,
             label=self.label_of(robot),
             affordances=frozenset(provenance),
-            provenance={aff: tuple(chains) for aff, chains in provenance.items()},
+            provenance=MappingProxyType({aff: tuple(chains) for aff, chains in provenance.items()}),
         )
+        return profile
 
     def capable_robots(self, activity: Term | str) -> frozenset[Term]:
         """Robots whose enabled affordances cover the activity's requirements."""
@@ -354,16 +360,6 @@ class KnowledgeBase:
 
     # -- competency question 6 ----------------------------------------------
 
-    def _top_level_steps(self, activity: Term) -> list[tuple[Term, str, frozenset[Term]]]:
-        out = []
-        for procedure in self._procedures_of(activity):
-            required: set[Term] = set()
-            for step in self.graph.objects(procedure, PKO.hasStep):
-                for action in self.graph.objects(step, PKO.requiresAction):
-                    required.update(self._action_affordances(action))
-            out.append((procedure, self.label_of(procedure), frozenset(required)))
-        return out
-
     def gap_report(self, robot: Term | str, activity: Term | str) -> FeasibilityReport:
         """Which steps of the activity the robot can and cannot achieve, and why."""
         robot = self.agent_by_label(robot)
@@ -371,7 +367,7 @@ class KnowledgeBase:
         enabled = self.capability_profile(robot).affordances
         steps = tuple(
             StepFeasibility(step=step, label=label, required=required, missing=required - enabled)
-            for step, label, required in self._top_level_steps(activity)
+            for step, label, _, required in self._top_level_steps(activity)
         )
         return FeasibilityReport(
             robot=robot,
@@ -384,15 +380,11 @@ class KnowledgeBase:
     def feasibility_matrix(self) -> FeasibilityMatrix:
         """Achievability of every activity's top-level steps for every robot."""
         robots = self.agents()
-        steps: list[tuple[Term, Term, str]] = []
-        requirements: dict[Term, frozenset[Term]] = {}
-        for activity, _ in self.activities():
-            for step, label, required in self._top_level_steps(activity):
-                steps.append((activity, step, label))
-                requirements[step] = required
+        steps = [(activity, *step) for activity, _ in self.activities() for step in self._top_level_steps(activity)]
         cells: dict[tuple[Term, Term], bool] = {}
         for robot, _ in robots:
             enabled = self.capability_profile(robot).affordances
-            for _, step, _ in steps:
-                cells[(robot, step)] = requirements[step] <= enabled
-        return FeasibilityMatrix(robots=tuple(robots), steps=tuple(steps), cells=cells)
+            for _, step, _, _, required in steps:
+                cells[(robot, step)] = required <= enabled
+        labelled = tuple((activity, step, label) for activity, step, label, *_ in steps)
+        return FeasibilityMatrix(robots=tuple(robots), steps=labelled, cells=cells)

@@ -240,9 +240,11 @@ class _StatementParser:
             if e in ("u", "U"):
                 width = 4 if e == "u" else 8
                 hexdigits = raw[i + 2 : i + 2 + width]
-                if len(hexdigits) != width or any(h not in "0123456789abcdefABCDEF" for h in hexdigits):
+                valid = len(hexdigits) == width and all(h in "0123456789abcdefABCDEF" for h in hexdigits)
+                code = int(hexdigits, 16) if valid else -1
+                if not 0 <= code <= 0x10FFFF or 0xD800 <= code <= 0xDFFF:  # not a Unicode scalar value
                     self.fail(f"invalid \\{e} escape", pos)
-                out.append(chr(int(hexdigits, 16)))
+                out.append(chr(code))
                 i += 2 + width
             elif not iri_mode and e in _ESCAPES:
                 out.append(_ESCAPES[e])

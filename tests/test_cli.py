@@ -5,6 +5,8 @@ import io
 import json
 import shutil
 
+import pytest
+
 from ontobot.cli import main
 from ontobot.fixtures import activities_path, queries_dir, robots_path
 
@@ -73,14 +75,23 @@ def test_validate_parse_error_exits_2(capsys, tmp_path):
     assert code == 2
 
 
-def test_validate_unicode_digit_exits_2_with_one_line_message(capsys, tmp_path):
-    # '²' passes str.isdigit() but starts no numeric literal.
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        # '²' passes str.isdigit() but starts no numeric literal.
+        pytest.param("²", "unexpected character: '²'", id="superscript-digit"),
+        # Escapes must name Unicode scalar values: nothing above U+10FFFF, no surrogate halves.
+        pytest.param("<https://e.org/\\U0011FFFF>", "invalid \\U escape", id="escape-above-10ffff"),
+        pytest.param("<https://e.org/\\uD800>", "invalid \\u escape", id="escape-surrogate"),
+    ],
+)
+def test_validate_unicode_digit_exits_2_with_one_line_message(capsys, tmp_path, obj, message):
     odd = tmp_path / "odd.ttl"
-    odd.write_text("@prefix : <https://e.org/> .\n:a :b ² .\n", encoding="utf-8")
+    odd.write_text(f"@prefix : <https://e.org/> .\n:a :b {obj} .\n", encoding="utf-8")
     code, out, err = run(capsys, "validate", str(odd))
     assert code == 2
     assert out == ""
-    assert err == f"ontobot: {odd}: line 2, column 7: unexpected character: '²'\n"
+    assert err == f"ontobot: {odd}: line 2, column 7: {message}\n"
 
 
 def test_validate_non_utf8_file_exits_2(capsys, tmp_path):

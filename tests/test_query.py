@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -83,6 +84,9 @@ def test_projected_variable_must_occur_in_pattern():
         pytest.param("PREFIX : <https://e.org/> SELECT ?x WHERE { ?x :p ?y .5 }", 1, 55, "numeric literals", id="dot-before-digit"),
         # '²' passes str.isdigit() but is no digit of a numeric literal.
         pytest.param("SELECT ?x WHERE { ?x <p> ² }", 1, 26, "unexpected character: '²'", id="superscript-digit"),
+        # Escapes must name Unicode scalar values: nothing above U+10FFFF, no surrogate halves.
+        pytest.param("SELECT ?x WHERE { ?x <p> <https://e.org/\\U0011FFFF> }", 1, 26, "invalid \\U escape", id="escape-above-10ffff"),
+        pytest.param('SELECT ?x WHERE { ?x <p> "\\uDFFF" }', 1, 26, "invalid \\u escape", id="escape-surrogate"),
     ],
 )
 def test_syntax_error_carries_position(text, line, column, message):
@@ -190,3 +194,26 @@ def test_small_oracle_spot_check():
         engine = [tuple(s[v] for v in q.projection) for s in evaluate(q, g)]
         oracle = oracle_evaluate(q, g)
         assert sorted(engine, key=row_key) == sorted(oracle, key=row_key)
+
+
+def test_join_depth_is_not_bounded_by_the_recursion_limit():
+    # A chain of n patterns over a chain of n triples has one solution. The
+    # recursion limit is set just above the current stack depth, so a join
+    # that recurses once per pattern fails long before the last one.
+    n = 120
+    p = iri("https://e.org/p")
+    nodes = [iri(f"https://e.org/n{i}") for i in range(n + 1)]
+    g = Graph()
+    g.insert_all(Triple(nodes[i], p, nodes[i + 1]) for i in range(n))
+    body = " . ".join(f"?x{i} <https://e.org/p> ?x{i + 1}" for i in range(n))
+    q = parse_query(f"SELECT ?x0 ?x{n} WHERE {{ {body} }}")
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        rows = evaluate(q, g.freeze())
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [(s["x0"], s[f"x{n}"]) for s in rows] == [(nodes[0], nodes[n])]

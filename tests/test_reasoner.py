@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from ontobot.fixtures import query_path
+from ontobot.graph import Graph
 from ontobot.namespaces import EX, SOMA
 from ontobot.query import evaluate, parse_query_file
 from ontobot.reasoner import ChainError, KnowledgeBase, UnknownEntityError
@@ -31,6 +32,32 @@ MINI_PREFIXES = """\
 
 def mini_kb(body: str) -> KnowledgeBase:
     return KnowledgeBase.load(parse_turtle(MINI_PREFIXES + body))
+
+
+# One copy of a small kitchen: an activity of two procedures with chained
+# steps, and a robot whose communication chain enables part of what it needs.
+COPY_TEMPLATE = """
+:act{i} a prov:Activity ; rdfs:label "Activity {i}" ; pko:executesProcedure :fetch{i} , :pour{i} .
+:fetch{i} a pko:Procedure ; rdfs:label "Fetch {i}" ; pko:hasStep :grasp{i} , :lift{i} .
+:grasp{i} a pplan:Step ; rdfs:label "Grasp {i}" ; pko:nextStep :lift{i} ; pko:requiresAction :graspCup{i} .
+:lift{i} a pplan:Step ; rdfs:label "Lift {i}" ; pko:requiresAction :holdCup{i} .
+:pour{i} a pko:Procedure ; rdfs:label "Pour {i}" ; pko:hasStep :tilt{i} .
+:tilt{i} a pplan:Step ; rdfs:label "Tilt {i}" ; pko:requiresAction :tiltCup{i} .
+:graspCup{i} a pko:Action ; rdfs:label "Grasp cup {i}" ; obot:actsOn :cup{i} ; obot:requiresAffordance soma:Grasping .
+:holdCup{i} a pko:Action ; rdfs:label "Hold cup {i}" ; obot:actsOn :cup{i} ; obot:requiresAffordance soma:Holding .
+:tiltCup{i} a pko:Action ; rdfs:label "Tilt cup {i}" ; obot:actsOn :cup{i} ; obot:requiresAffordance soma:Pouring .
+:cup{i} a obot:Component ; rdfs:label "Cup {i}" .
+:bot{i} a obot:Agent ; rdfs:label "Bot {i}" ; obot:hasNode :node{i} .
+:node{i} a ros:Node ; ros:communicatesThrough :topic{i} .
+:topic{i} a ros:CommunicationComponent .
+:channel{i} a ros:ROSCommunication ; ros:hasComponent :topic{i} ; ros:hasMessage :message{i} .
+:message{i} a ros:Message ; ros:evokes :gripping{i} .
+:gripping{i} a ros:Capability ; obot:enablesAffordance soma:Grasping , soma:Holding .
+"""
+
+
+def copies_kb(n: int) -> KnowledgeBase:
+    return mini_kb("".join(COPY_TEMPLATE.format(i=i) for i in range(n)))
 
 
 # -- CQ1 ---------------------------------------------------------------------
@@ -354,6 +381,48 @@ def test_granting_an_affordance_never_shrinks_feasibility(kb, activities, robots
     # HSR's pouring gap is closed, so it can now prepare breakfast
     breakfast = upgraded.activity_by_label("Prepare breakfast")
     assert upgraded.agent_by_label("HSR") in upgraded.capable_robots(breakfast)
+
+
+@pytest.mark.parametrize(
+    "ask",
+    [
+        pytest.param(lambda kb: kb.feasibility_matrix(), id="feasibility-matrix"),
+        pytest.param(lambda kb: kb.capable_robots("Activity 0"), id="capable-robots"),
+        pytest.param(lambda kb: kb.can_execute_all("Bot 0", [a for a, _ in kb.activities()]), id="can-execute-all"),
+    ],
+)
+def test_graph_lookups_grow_linearly_with_robots(monkeypatch, ask):
+    # Counted on the first call to a fresh knowledge base, so the count covers
+    # deriving the facts it keeps; twice the robots may at most double it.
+    match = Graph.match
+    calls = []
+
+    def counting_match(graph, *pattern):
+        calls.append(pattern)
+        return match(graph, *pattern)
+
+    counts = []
+    for n in (8, 16):
+        kb = copies_kb(n)
+        monkeypatch.setattr(Graph, "match", counting_match)
+        calls.clear()
+        first = ask(kb)
+        counts.append(len(calls))
+        monkeypatch.setattr(Graph, "match", match)
+        assert ask(kb) == first
+    assert counts[1] <= 2 * counts[0], counts
+
+
+def test_kept_facts_are_handed_out_read_only(activities, robots):
+    kb = KnowledgeBase.load(activities, robots)
+    tiago = kb.capability_profile("TIAGo")
+    assert tiago == kb.capability_profile(kb.agent_by_label("TIAGo"))
+    with pytest.raises(TypeError):
+        tiago.provenance[SOMA.Pouring] = ()
+    kb.agents().clear()
+    kb.activities().clear()
+    assert [label for _, label in kb.agents()] == ["TIAGo", "HSR", "UR3", "Stretch"]
+    assert [label for _, label in kb.activities()] == ["Prepare breakfast", "Reorganise the kitchen"]
 
 
 def test_fixture_sizes_meet_documented_lower_bounds(activities, robots):

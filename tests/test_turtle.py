@@ -117,6 +117,9 @@ def test_blank_labels_are_document_scoped():
         # '²' passes str.isdigit() but is no digit of a numeric literal.
         pytest.param("@prefix : <https://e.org/> . :a :b ² .", 1, 36, "unexpected character: '²'", id="superscript-digit"),
         pytest.param("@prefix : <https://e.org/> . :a :b +² .", 1, 36, "unexpected character: '+'", id="signed-superscript-digit"),
+        # Escapes must name Unicode scalar values: nothing above U+10FFFF, no surrogate halves.
+        pytest.param("@prefix : <https://e.org/> .\n:a :b <https://e.org/\\U0011FFFF> .", 2, 7, "invalid \\U escape", id="escape-above-10ffff"),
+        pytest.param('@prefix : <https://e.org/> .\n:a :b "\\uD800" .', 2, 7, "invalid \\u escape", id="escape-surrogate"),
     ],
 )
 def test_diagnostic_position(text, line, column, message):
