@@ -1,7 +1,8 @@
 """Command-line interface: load KGs, validate, run queries, emit CQ reports.
 
-Exit codes: 0 success, 1 validation violations, 2 I/O or parse errors,
-3 unsupported query feature, 4 unknown entity (activity/robot label).
+Exit codes: 0 success, 1 validation violations, 2 I/O (output stdout cannot
+encode included) or parse errors, 3 unsupported query feature, 4 unknown
+entity (activity/robot label).
 
 When no ``-k`` files are given, graphs are loaded from the directory named
 by the ``ONTOBOT_FIXTURES`` environment variable (every ``*.ttl`` in it,
@@ -21,17 +22,18 @@ from pathlib import Path
 from typing import Sequence
 
 from ontobot import fixtures
-from ontobot.graph import Graph, GraphError, Term, merge_graphs
+from ontobot.graph import Graph, GraphError, Term
 from ontobot.query import QueryParseError, UnsupportedFeatureError, evaluate, parse_query
-from ontobot.reasoner import ChainError, KnowledgeBase, UnknownEntityError
-from ontobot.schema import infer_types, validate
-from ontobot.turtle import TurtleParseError, parse_turtle, prefixed_name, term_to_text
+from ontobot.reasoner import ChainError, KnowledgeBase, UnknownEntityError, load_graph
+from ontobot.schema import validate
+from ontobot.turtle import TurtleParseError, prefixed_name, term_to_text
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_UNKNOWN_ENTITY = 4
+_EXIT_CODES = {UnsupportedFeatureError: EXIT_UNSUPPORTED, UnknownEntityError: EXIT_UNKNOWN_ENTITY}
 
 
 class _Fail(Exception):
@@ -105,13 +107,6 @@ def _read_text(path: str | Path) -> str:
         raise _Fail(EXIT_INPUT, f"{path} is not valid UTF-8: {exc}")
 
 
-def _parse_kg(path: str | Path) -> Graph:
-    try:
-        return parse_turtle(_read_text(path))
-    except TurtleParseError as exc:
-        raise _Fail(EXIT_INPUT, f"{path}: {exc}")
-
-
 def _kg_paths(args: argparse.Namespace) -> list[Path]:
     if args.kg:
         return [Path(p) for p in args.kg]
@@ -124,38 +119,28 @@ def _kg_paths(args: argparse.Namespace) -> list[Path]:
     return fixtures.default_kg_paths()
 
 
-def _load_union(args: argparse.Namespace) -> Graph:
-    return merge_graphs([_parse_kg(p) for p in _kg_paths(args)]).freeze()
-
-
-def _load_kb(args: argparse.Namespace) -> KnowledgeBase:
-    return KnowledgeBase.load(*[_parse_kg(p) for p in _kg_paths(args)])
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
-    union = merge_graphs([_parse_kg(p) for p in args.files])
-    inferred = infer_types(union)
-    report = validate(inferred)
-    prefixes = inferred.prefixes
+    graph = load_graph(args.files, read=_read_text)
+    report = validate(graph)
 
     def describe(subject) -> str:
         if isinstance(subject, Term):
-            return _cell_text(subject, prefixes)
-        return " ".join(_cell_text(t, prefixes) for t in subject)
+            return _cell_text(subject, graph.prefixes)
+        return " ".join(_cell_text(t, graph.prefixes) for t in subject)
 
     for item in report.violations:
         print(f"{item.rule}  {describe(item.subject)}  {item.message}")
     for item in report.warnings:
         print(f"{item.rule}  {describe(item.subject)}  warning: {item.message}")
     if report.ok:
-        print(f"OK: {len(inferred)} triples, 0 violations, {len(report.warnings)} warnings")
+        print(f"OK: {len(graph)} triples, 0 violations, {len(report.warnings)} warnings")
         return EXIT_OK
     print(f"FAIL: {len(report.violations)} violations, {len(report.warnings)} warnings")
     return EXIT_VIOLATIONS
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    union = _load_union(args)
+    union = load_graph(_kg_paths(args), vocabulary=None, read=_read_text)
     query = parse_query(_read_text(args.query_file))
     solutions = evaluate(query, union)
     prefixes = dict(union.prefixes)
@@ -244,7 +229,7 @@ def _cq_table(kb: KnowledgeBase, args: argparse.Namespace) -> ResultTable:
 
 
 def cmd_cq(args: argparse.Namespace) -> int:
-    kb = _load_kb(args)
+    kb = KnowledgeBase(load_graph(_kg_paths(args), read=_read_text))
     table = _cq_table(kb, args)
     sys.stdout.write(render(table, args.output))
     return EXIT_OK
@@ -290,18 +275,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _Fail as exc:
+    # UnicodeEncodeError: stdout (or the file system) cannot encode a character.
+    except (_Fail, UnsupportedFeatureError, UnknownEntityError, QueryParseError, TurtleParseError,
+            GraphError, ChainError, OSError, UnicodeEncodeError) as exc:
         print(f"ontobot: {exc}", file=sys.stderr)
-        return exc.code
-    except UnsupportedFeatureError as exc:
-        print(f"ontobot: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except UnknownEntityError as exc:
-        print(f"ontobot: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_ENTITY
-    except (QueryParseError, TurtleParseError, GraphError, ChainError, OSError) as exc:
-        print(f"ontobot: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return exc.code if isinstance(exc, _Fail) else _EXIT_CODES.get(type(exc), EXIT_INPUT)
 
 
 def entrypoint() -> None:

@@ -1,7 +1,7 @@
 """In-memory triple store: terms, triples, and an index-backed graph.
 
-Graphs are append-only while a document loads and are then frozen, after
-which they are immutable and safe for concurrent readers. Every triple is
+Graphs are append-only while documents load into them and are then frozen,
+after which they are immutable and safe for concurrent readers. Every triple is
 reachable through three positional indexes (by subject, by predicate, by
 object); ``match`` dispatches to the most selective index available for
 the bound positions of a pattern.
@@ -13,7 +13,8 @@ a single pointer comparison and terms work as set and dict keys.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from itertools import count
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 IRI = "iri"
 BLANK = "blank"
@@ -139,6 +140,12 @@ def literal(value: str, lang: str | None = None, datatype: str | None = None) ->
     return _intern(LITERAL, value, lang, datatype)
 
 
+def blank_minter(prefix: str) -> Callable[[], Term]:
+    """A source of fresh blank nodes ``<prefix>0``, ``<prefix>1``, ..., one per call."""
+    numbers = count()
+    return lambda: blank(f"{prefix}{next(numbers)}")
+
+
 class Triple(NamedTuple):
     """A subject-predicate-object statement."""
 
@@ -247,22 +254,28 @@ class Graph:
             seen.setdefault(t.o)
         return list(seen)
 
-    def add_prefix(self, name: str, namespace: str) -> None:
-        if self._frozen:
-            raise GraphError("graph is frozen; no further prefix declarations allowed")
-        self.prefixes[name] = namespace
+    def fold_prefixes(self, prefixes: Mapping[str, str]) -> None:
+        """Bind each name of ``prefixes`` that this graph does not bind yet."""
+        for name, namespace in prefixes.items():
+            self.prefixes.setdefault(name, namespace)
 
-    def expand(self, qname: str) -> Term:
-        return expand(self.prefixes, qname)
+    def add_graph(self, g: "Graph", new_blank: Callable[[], Term]) -> None:
+        """Insert ``g``'s triples, its blank nodes renamed by ``new_blank``, and fold in its prefixes."""
+        self.fold_prefixes(g.prefixes)
+        relabel: dict[Term, Term] = {}
+
+        def fresh(term: Term) -> Term:
+            if term.kind != BLANK:
+                return term
+            return relabel.get(term) or relabel.setdefault(term, new_blank())
+
+        for t in g:
+            self.insert(Triple(fresh(t.s), t.p, fresh(t.o)))
 
     def copy(self) -> "Graph":
         """An unfrozen copy with the same triples and prefixes."""
         out = Graph(self.prefixes)
-        for t in self._triples:
-            out._triples[t] = None
-            out._by_s.setdefault(t.s, []).append(t)
-            out._by_p.setdefault(t.p, []).append(t)
-            out._by_o.setdefault(t.o, []).append(t)
+        out.insert_all(self._triples)
         return out
 
     def __len__(self) -> int:
@@ -285,29 +298,13 @@ class Graph:
 def merge_graphs(graphs: Iterable[Graph]) -> Graph:
     """Union several graphs into a fresh unfrozen graph.
 
-    Blank nodes are relabelled per source graph so labels from different
-    documents can never collide. Prefix collisions keep the first binding.
+    Blank nodes are relabelled ``m0``, ``m1``, ... in first-seen order, so labels
+    from different documents never collide. Prefix collisions keep the first binding.
     """
     out = Graph()
-    counter = 0
+    new_blank = blank_minter("m")
     for g in graphs:
-        for name, namespace in g.prefixes.items():
-            out.prefixes.setdefault(name, namespace)
-        relabel: dict[Term, Term] = {}
-
-        def fresh(term: Term) -> Term:
-            nonlocal counter
-            if term.kind != BLANK:
-                return term
-            mapped = relabel.get(term)
-            if mapped is None:
-                mapped = blank(f"m{counter}")
-                counter += 1
-                relabel[term] = mapped
-            return mapped
-
-        for t in g:
-            out.insert(Triple(fresh(t.s), fresh(t.p), fresh(t.o)))
+        out.add_graph(g, new_blank)
     return out
 
 

@@ -1,8 +1,9 @@
 """Typed reasoning operations over a loaded knowledge base.
 
 A :class:`KnowledgeBase` is the frozen union of an activity graph and a
-robot graph with subclass inference applied and a validation report
-attached. The graph never changes, so each fact is derived once: labels,
+robot graph with subclass inference applied, built in one pass by
+:func:`load_graph`; its validation report is computed on first access and
+kept. The graph never changes, so each fact is derived once: labels,
 activities and agents at construction; each activity's top-level steps and
 each robot's capability profile on first request, as one CLI run asks one
 question. On top of it this module answers the six competency questions:
@@ -31,13 +32,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
-from ontobot.graph import Graph, Term, Triple, merge_graphs
+from ontobot.graph import Graph, Term, Triple, blank_minter
 from ontobot.namespaces import OBOT, PKO, PROV, RDF, RDFS, ROS
-from ontobot.schema import ONTOBOT_VOCABULARY, ValidationReport, Vocabulary, infer_types, validate
-from ontobot.turtle import parse_turtle_file
+from ontobot.schema import ONTOBOT_VOCABULARY, ValidationReport, Vocabulary, add_inferred_types, validate
+from ontobot.turtle import TurtleParseError, parse_turtle_into
 
 
 class UnknownEntityError(LookupError):
@@ -191,18 +193,40 @@ def _chain_order(
 GraphSource = Union[Graph, str, "os.PathLike[str]"]
 
 
+def load_graph(sources: Iterable[GraphSource], vocabulary: Vocabulary | None = ONTOBOT_VOCABULARY,
+               read: Callable[[GraphSource], str] = lambda path: Path(path).read_text(encoding="utf-8")) -> Graph:
+    """One frozen union of graphs and Turtle files, each file parsed straight into it.
+
+    Blank nodes and prefixes come out as :func:`merge_graphs` gives them, and
+    a parse error names its file. With a vocabulary, the inferred types are
+    added before the union is frozen.
+    """
+    union, new_blank = Graph(), blank_minter("m")
+    for src in sources:
+        if isinstance(src, Graph):
+            union.add_graph(src, new_blank)
+            continue
+        try:
+            parse_turtle_into(union, read(src), new_blank)
+        except TurtleParseError as exc:
+            raise TurtleParseError(exc.diagnostic, src) from None
+    if vocabulary is not None:
+        add_inferred_types(union, vocabulary)
+    return union.freeze()
+
+
 class KnowledgeBase:
-    """Frozen, inference-closed union of knowledge graphs plus its validation report.
+    """Frozen, inference-closed union of knowledge graphs; its report is validated on first access.
 
     The label map and the activity and agent maps are built at construction;
     each activity's top-level steps and each robot's capability profile on
     first request, and kept. Task plans are ordered on every call.
     """
 
-    def __init__(self, graph: Graph, vocabulary: Vocabulary, report: ValidationReport):
+    def __init__(self, graph: Graph, vocabulary: Vocabulary = ONTOBOT_VOCABULARY):
         self.graph = graph
         self.vocabulary = vocabulary
-        self.report = report
+        self._report: ValidationReport | None = None
         # Reversed, so that a node's first literal label is the one kept.
         labels = reversed(graph.match(None, RDFS.label, None))
         self._labels = {t.s: t.o.value for t in labels if t.o.is_literal}
@@ -215,10 +239,14 @@ class KnowledgeBase:
     @classmethod
     def load(cls, *sources: GraphSource, vocabulary: Vocabulary = ONTOBOT_VOCABULARY) -> "KnowledgeBase":
         """Build a knowledge base from graphs and/or paths to Turtle files."""
-        graphs = [src if isinstance(src, Graph) else parse_turtle_file(src) for src in sources]
-        merged = merge_graphs(graphs)
-        inferred = infer_types(merged, vocabulary)
-        return cls(inferred, vocabulary, validate(inferred, vocabulary))
+        return cls(load_graph(sources, vocabulary), vocabulary)
+
+    @property
+    def report(self) -> ValidationReport:
+        """The graph's validation report, run on first access and then kept."""
+        if self._report is None:
+            self._report = validate(self.graph, self.vocabulary)
+        return self._report
 
     # -- entity lookup -----------------------------------------------------
 

@@ -6,9 +6,9 @@ reasoning touch: the four newly minted ``obot:`` classes, the six minted
 P-Plan, PROV, FOAF, and the ROS ontology, together with the subclass axioms
 that anchor the minted classes in those vocabularies.
 
-``infer_types`` materializes the RDFS consequence that an instance of a
-class is an instance of every superclass, using both the vocabulary axioms
-and any ``rdfs:subClassOf`` triples found in the graph itself.
+``add_inferred_types`` materializes in a loading graph (``infer_types`` in a
+copy) the RDFS consequence that an instance of a class is an instance of
+every superclass, using the vocabulary axioms and the graph's own axioms.
 
 ``validate`` runs four advisory rule groups (R1 domain/range, R2 order
 chains, R3 action connectivity, R4 label presence) and reports violations
@@ -132,21 +132,26 @@ def _superclass_closure(axioms: Iterable[tuple[Term, Term]]) -> dict[Term, set[T
     return closure
 
 
-def infer_types(g: Graph, vocabulary: Vocabulary = ONTOBOT_VOCABULARY) -> Graph:
-    """A new frozen graph with all derivable ``rdf:type`` triples added.
+def add_inferred_types(g: Graph, vocabulary: Vocabulary = ONTOBOT_VOCABULARY) -> None:
+    """Insert into the unfrozen ``g`` every derivable ``rdf:type`` triple.
 
     The subclass relation is the union of the vocabulary's axioms and any
     ``rdfs:subClassOf`` triples present in the graph; the result is the
-    fixpoint, so applying ``infer_types`` twice changes nothing.
+    fixpoint, so applying it twice changes nothing.
     """
     axioms = set(vocabulary.subclass_axioms)
     for t in g.match(None, RDFS.subClassOf, None):
         axioms.add((t.s, t.o))
     closure = _superclass_closure(axioms)
-    out = g.copy()
     for t in g.match(None, RDF.type, None):
         for sup in closure.get(t.o, ()):
-            out.insert(Triple(t.s, RDF.type, sup))
+            g.insert(Triple(t.s, RDF.type, sup))
+
+
+def infer_types(g: Graph, vocabulary: Vocabulary = ONTOBOT_VOCABULARY) -> Graph:
+    """A new frozen graph: ``g`` with all derivable ``rdf:type`` triples added."""
+    out = g.copy()
+    add_inferred_types(out, vocabulary)
     return out.freeze()
 
 
@@ -166,38 +171,33 @@ class ValidationReport:
         return not self.violations
 
 
-def _types_of(g: Graph, node: Term) -> set[Term]:
-    return set(g.objects(node, RDF.type))
-
-
 def _is_affordance(g: Graph, term: Term) -> bool:
     if term.kind != IRI:
         return False
     if term in AFFORDANCES or term.value.startswith(SOMA.base):
         return True
-    types = _types_of(g, term)
-    return OBOT.Affordance in types or SOMA.Affordance in types
+    return Triple(term, RDF.type, OBOT.Affordance) in g or Triple(term, RDF.type, SOMA.Affordance) in g
 
 
 def _check_domain_range(g: Graph, out: ValidationReport) -> None:
     for t in g.match(None, OBOT.actsOn, None):
         if t.o.kind == LITERAL:
             out.violations.append(Violation("R1", t, "obot:actsOn target must be a component, not a literal"))
-        elif OBOT.Component not in _types_of(g, t.o):
+        elif Triple(t.o, RDF.type, OBOT.Component) not in g:
             out.violations.append(Violation("R1", t, "obot:actsOn target is not typed obot:Component"))
     for prop, label in ((OBOT.requiresAffordance, "obot:requiresAffordance"), (OBOT.enablesAffordance, "obot:enablesAffordance")):
         for t in g.match(None, prop, None):
             if not _is_affordance(g, t.o):
                 out.violations.append(Violation("R1", t, f"{label} object is not an affordance IRI"))
     for t in g.match(None, OBOT.hasNode, None):
-        if OBOT.Agent not in _types_of(g, t.s):
+        if Triple(t.s, RDF.type, OBOT.Agent) not in g:
             out.violations.append(Violation("R1", t, "obot:hasNode subject is not typed obot:Agent"))
-        if t.o.kind == LITERAL or ROS.Node not in _types_of(g, t.o):
+        if t.o.kind == LITERAL or Triple(t.o, RDF.type, ROS.Node) not in g:
             out.violations.append(Violation("R1", t, "obot:hasNode object is not typed ros:Node"))
     for t in g.match(None, DUL.hasComponent, None):
-        if OBOT.Environment not in _types_of(g, t.s):
+        if Triple(t.s, RDF.type, OBOT.Environment) not in g:
             out.violations.append(Violation("R1", t, "dul:hasComponent subject is not typed obot:Environment"))
-        if t.o.kind == LITERAL or OBOT.Component not in _types_of(g, t.o):
+        if t.o.kind == LITERAL or Triple(t.o, RDF.type, OBOT.Component) not in g:
             out.violations.append(Violation("R1", t, "dul:hasComponent object is not typed obot:Component"))
 
 

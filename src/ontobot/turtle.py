@@ -23,19 +23,19 @@ nodes and ``@prefix … .``; ``ontobot.query`` adds variables and SELECT/WHERE.
 Errors carry a :class:`ParseDiagnostic` with a 1-based line and column into
 the source text, worked out from the token's offset when the error is raised.
 A Turtle document is lexed whole before it is parsed, so a lexical error
-anywhere is reported ahead of a syntax error. A failed parse never returns a
-partial graph.
+anywhere is reported ahead of a syntax error.
 
-Blank-node labels are document-scoped: the parser assigns fresh graph-scoped
-labels (``b0``, ``b1``, ...) in order of first appearance, so parsing is
-deterministic and re-parsing serializer output yields an isomorphic graph.
+:func:`parse_turtle_into` parses into a caller's graph, so documents load
+into one union. A document's blank labels map to fresh nodes from the caller
+(``b0``, ``b1``, ... in ``parse_turtle``), and its prefix table is folded into
+the graph's when it ends. A failed ``parse_turtle`` returns no partial graph.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple, NoReturn
+from typing import Callable, Iterator, Mapping, NamedTuple, NoReturn
 
 from ontobot.graph import (
     IRI,
@@ -43,7 +43,7 @@ from ontobot.graph import (
     Graph,
     Term,
     Triple,
-    blank,
+    blank_minter,
     iri,
     literal,
 )
@@ -63,8 +63,8 @@ class ParseDiagnostic:
 
 
 class TurtleParseError(Exception):
-    def __init__(self, diagnostic: ParseDiagnostic):
-        super().__init__(str(diagnostic))
+    def __init__(self, diagnostic: ParseDiagnostic, source: object = None):
+        super().__init__(str(diagnostic) if source is None else f"{source}: {diagnostic}")
         self.diagnostic = diagnostic
 
 
@@ -353,13 +353,13 @@ class _TurtleParser(_StatementParser):
         "boolean": "unsupported construct: boolean literal",
     }
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, graph: Graph, new_blank: Callable[[], Term]):
         super().__init__(text)
         # Lex the whole document first, so that a lexical error anywhere is
         # reported ahead of any syntax error.
         self._tokens = iter(list(self._tokens))
-        self.graph = Graph()
-        self.prefixes = self.graph.prefixes
+        self.graph = graph
+        self.new_blank = new_blank
         self.blank_labels: dict[str, Term] = {}
 
     def parse(self) -> Graph:
@@ -374,7 +374,8 @@ class _TurtleParser(_StatementParser):
                 self.fail("unsupported construct: @base", tok.pos)
             else:
                 self.parse_statement()
-        return self.graph.freeze()
+        self.graph.fold_prefixes(self.prefixes)
+        return self.graph
 
     def parse_prefix(self) -> None:
         name_tok = self.expect("pname", "a prefix name ending in ':'")
@@ -383,7 +384,7 @@ class _TurtleParser(_StatementParser):
             self.fail("prefix declaration must end in ':'", name_tok.pos)
         iri_tok = self.expect("iriref", "a namespace IRI in angle brackets")
         self.expect("dot", "'.' after prefix declaration")
-        self.graph.add_prefix(prefix, iri_tok.value)
+        self.prefixes[prefix] = iri_tok.value
 
     def parse_statement(self) -> None:
         subject = self.parse_term("subject")
@@ -394,11 +395,7 @@ class _TurtleParser(_StatementParser):
         if tok.kind == "blank":
             if position == "predicate":
                 self.fail("blank node not allowed in predicate position", tok.pos)
-            term = self.blank_labels.get(tok.value)
-            if term is None:
-                term = blank(f"b{len(self.blank_labels)}")
-                self.blank_labels[tok.value] = term
-            return term
+            return self.blank_labels.get(tok.value) or self.blank_labels.setdefault(tok.value, self.new_blank())
         return super().dialect_term(tok, position)
 
     def emit(self, s: Term, p: Term, o: Term) -> None:
@@ -410,7 +407,12 @@ class _TurtleParser(_StatementParser):
 
 def parse_turtle(text: str) -> Graph:
     """Parse a Turtle document into a frozen :class:`Graph`."""
-    return _TurtleParser(text).parse()
+    return _TurtleParser(text, Graph(), blank_minter("b")).parse().freeze()
+
+
+def parse_turtle_into(graph: Graph, text: str, new_blank: Callable[[], Term]) -> None:
+    """Parse a Turtle document into ``graph``, taking its blank nodes from ``new_blank``."""
+    _TurtleParser(text, graph, new_blank).parse()
 
 
 def parse_turtle_file(path) -> Graph:

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import shutil
+import sys
 
 import pytest
 
@@ -100,6 +101,27 @@ def test_validate_non_utf8_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "validate", str(binary))
     assert code == 2
     assert "UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "argv, ttl",
+    [
+        pytest.param(["cq", "6", "--matrix"], None, id="matrix-check-marks"),
+        pytest.param(["validate", "cafe.ttl"], "<https://e.org/caf\u00e9> <https://w3id.org/pko#nextStep> "
+                     "<https://e.org/caf\u00e9> .\n", id="violation-iri"),
+    ],
+)
+def test_output_stdout_cannot_encode_exits_2_with_one_line_message(capsys, monkeypatch, tmp_path, argv, ttl):
+    if ttl is not None:
+        (tmp_path / "cafe.ttl").write_text(ttl, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ONTOBOT_FIXTURES", raising=False)
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO(), encoding="ascii"))
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("ontobot: 'ascii' codec can't encode character")
+    assert err.count("\n") == 1
 
 
 # -- query --------------------------------------------------------------------
