@@ -174,6 +174,25 @@ ERRORS = {
 :a2 a pko:Action ; rdfs:label "A2" ; obot:nextAction :a3 .
 :a3 a pko:Action ; rdfs:label "A3" .
 """,
+    # A fork at :s1 and a join at :s4. Read in file order the join comes
+    # first; read in hasStep order, the fork.
+    "steps.ttl": _HEAD + """
+:act a prov:Activity ; rdfs:label "Tangled steps" ; pko:executesProcedure :proc .
+:proc a pko:Procedure ; rdfs:label "Tidy up" ; pko:hasStep :s1 , :s2 , :s3 , :s4 .
+:s3 pko:nextStep :s4 .
+:s2 pko:nextStep :s4 .
+:s1 pko:nextStep :s2 , :s3 .
+""",
+    # The first step orders; the second has a fork at :a1 and a join at :a2,
+    # met in the opposite order by file order and by requiresAction order.
+    "actions.ttl": _HEAD + """
+:act a prov:Activity ; rdfs:label "Tangled actions" ; pko:executesProcedure :proc .
+:proc a pko:Procedure ; rdfs:label "Tidy up" ; pko:hasStep :s1 , :s2 .
+:s1 rdfs:label "Clear" ; pko:nextStep :s2 ; pko:requiresAction :a0 .
+:s2 rdfs:label "Stack" ; pko:requiresAction :a1 , :a2 , :a3 .
+:a3 obot:nextAction :a2 .
+:a1 obot:nextAction :a2 , :a3 .
+""",
     "having.rq": "PREFIX : <https://example.org/>\nSELECT ?x WHERE { ?x :p ?y . HAVING (?y > 1) }\n",
     "broken.rq": "SELECT WHERE { }\n",
 }
@@ -270,6 +289,8 @@ def cases() -> list[dict]:
     add("exit2-cq-missing-argument", ["cq", "1", *fixtures])
     add("exit2-cq6-needs-robot", ["cq", "6", *fixtures, "--activity", "Prepare breakfast"])
     add("exit2-cq2-chain-fork", ["cq", "2", "-k", "errors/fork.ttl", "--activity", "Forked"])
+    add("exit2-cq2-step-chain-fork-and-join", ["cq", "2", "-k", "errors/steps.ttl", "--activity", "Tangled steps"])
+    add("exit2-cq2-action-chain-fork-and-join", ["cq", "2", "-k", "errors/actions.ttl", "--activity", "Tangled actions"])
     add("exit2-query-syntax", ["query", *fixtures, "-f", "errors/broken.rq"])
     add("exit2-query-missing-file", ["query", *fixtures, "-f", "errors/missing.rq"])
     add("exit2-empty-fixtures-dir", ["cq", "4", "--activity", "Prepare breakfast"], {"ONTOBOT_FIXTURES": "errors/empty"})
