@@ -1,8 +1,8 @@
 """Command-line interface: load KGs, validate, run queries, emit CQ reports.
 
 Exit codes: 0 success, 1 validation violations, 2 I/O (output stdout cannot
-encode included) or parse errors, 3 unsupported query feature, 4 unknown
-entity (activity/robot label).
+encode included) or parse errors, or a ``cq 2`` order chain that cannot be
+ordered, 3 unsupported query feature, 4 unknown entity (activity/robot label).
 
 When no ``-k`` files are given, graphs are loaded from the directory named
 by the ``ONTOBOT_FIXTURES`` environment variable (every ``*.ttl`` in it,

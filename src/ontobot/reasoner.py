@@ -6,7 +6,9 @@ robot graph with subclass inference applied, built in one pass by
 kept. The graph never changes, so each fact is derived once: labels,
 activities and agents at construction; each activity's top-level steps and
 each robot's capability profile on first request, as one CLI run asks one
-question. On top of it this module answers the six competency questions:
+question. Task plans are ordered on every call from their members' own
+links; a faulty chain is re-read in graph order to name its first fault.
+On top of it this module answers the six competency questions:
 
 1. which components and affordances an activity involves,
 2. the activity's ordered procedure/step/action plan,
@@ -281,8 +283,13 @@ class KnowledgeBase:
     # -- task structure ----------------------------------------------------
 
     def _ordered(self, owner: Term, member: Term, link: Term, property_name: str) -> list[Term]:
-        members = self.graph.objects(owner, member)
-        return _chain_order(members, self.graph.match(None, link, None), property_name, self.label_of(owner))
+        members, name = self.graph.objects(owner, member), self.label_of(owner)
+        own_links = (t for m in members for t in self.graph.match(m, link, None))
+        try:
+            return _chain_order(members, own_links, property_name, name)
+        except ChainError:
+            # Which fault is met first depends on link order: name the one graph order meets first.
+            return _chain_order(members, self.graph.match(None, link, None), property_name, name)
 
     def _action_affordances(self, action: Term) -> frozenset[Term]:
         return frozenset(self.graph.objects(action, OBOT.requiresAffordance))

@@ -304,7 +304,8 @@ class _StatementParser:
 
     def dialect_term(self, tok: Token, position: str) -> Term:
         """A term of a kind only one dialect has; the base class has none."""
-        self.fail(f"expected a {position}, found {tok.value!r}", tok.pos)
+        found = "end of input" if tok.kind == "eof" else repr(tok.value)
+        self.fail(f"expected {'an' if position == 'object' else 'a'} {position}, found {found}", tok.pos)
 
     def finish_literal(self, string_tok: Token) -> Term:
         nxt = self.peek()

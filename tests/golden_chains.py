@@ -85,8 +85,7 @@ def graphs(seed: int = SEED) -> list[tuple[Graph, list[Term]]]:
                     chain(step, PKO.requiresAction, OBOT.nextAction, actions, faulty and rng.random() < 0.3)
         rng.shuffle(links)
         graph = Graph()
-        for t in triples + links:
-            graph.insert(t)
+        graph.insert_all(triples + links)
         out.append((graph.freeze(), activities))
     return out
 

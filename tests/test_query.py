@@ -87,6 +87,9 @@ def test_projected_variable_must_occur_in_pattern():
         # Escapes must name Unicode scalar values: nothing above U+10FFFF, no surrogate halves.
         pytest.param("SELECT ?x WHERE { ?x <p> <https://e.org/\\U0011FFFF> }", 1, 26, "invalid \\U escape", id="escape-above-10ffff"),
         pytest.param('SELECT ?x WHERE { ?x <p> "\\uDFFF" }', 1, 26, "invalid \\u escape", id="escape-surrogate"),
+        # A pattern cut off at the end of the input.
+        pytest.param("SELECT ?x WHERE { ?x <p>", 1, 25, "expected an object, found end of input", id="cut-off-object"),
+        pytest.param("SELECT ?x WHERE { ?x", 1, 21, "expected a predicate, found end of input", id="cut-off-predicate"),
     ],
 )
 def test_syntax_error_carries_position(text, line, column, message):

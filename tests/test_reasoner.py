@@ -35,16 +35,19 @@ def mini_kb(body: str) -> KnowledgeBase:
 
 
 # One copy of a small kitchen: an activity of two procedures with chained
-# steps, and a robot whose communication chain enables part of what it needs.
+# steps and actions, and a robot whose communication chain enables part of
+# what it needs.
 COPY_TEMPLATE = """
 :act{i} a prov:Activity ; rdfs:label "Activity {i}" ; pko:executesProcedure :fetch{i} , :pour{i} .
 :fetch{i} a pko:Procedure ; rdfs:label "Fetch {i}" ; pko:hasStep :grasp{i} , :lift{i} .
 :grasp{i} a pplan:Step ; rdfs:label "Grasp {i}" ; pko:nextStep :lift{i} ; pko:requiresAction :graspCup{i} .
-:lift{i} a pplan:Step ; rdfs:label "Lift {i}" ; pko:requiresAction :holdCup{i} .
+:lift{i} a pplan:Step ; rdfs:label "Lift {i}" ; pko:requiresAction :holdCup{i} , :raiseCup{i} .
 :pour{i} a pko:Procedure ; rdfs:label "Pour {i}" ; pko:hasStep :tilt{i} .
 :tilt{i} a pplan:Step ; rdfs:label "Tilt {i}" ; pko:requiresAction :tiltCup{i} .
 :graspCup{i} a pko:Action ; rdfs:label "Grasp cup {i}" ; obot:actsOn :cup{i} ; obot:requiresAffordance soma:Grasping .
-:holdCup{i} a pko:Action ; rdfs:label "Hold cup {i}" ; obot:actsOn :cup{i} ; obot:requiresAffordance soma:Holding .
+:holdCup{i} a pko:Action ; rdfs:label "Hold cup {i}" ; obot:actsOn :cup{i} ; obot:requiresAffordance soma:Holding ;
+    obot:nextAction :raiseCup{i} .
+:raiseCup{i} a pko:Action ; rdfs:label "Raise cup {i}" ; obot:actsOn :cup{i} ; obot:requiresAffordance soma:Holding .
 :tiltCup{i} a pko:Action ; rdfs:label "Tilt cup {i}" ; obot:actsOn :cup{i} ; obot:requiresAffordance soma:Pouring .
 :cup{i} a obot:Component ; rdfs:label "Cup {i}" .
 :bot{i} a obot:Agent ; rdfs:label "Bot {i}" ; obot:hasNode :node{i} .
@@ -411,6 +414,32 @@ def test_graph_lookups_grow_linearly_with_robots(monkeypatch, ask):
         monkeypatch.setattr(Graph, "match", match)
         assert ask(kb) == first
     assert counts[1] <= 2 * counts[0], counts
+
+
+def test_task_plan_reads_triples_bounded_by_the_plan(monkeypatch):
+    # The same plan in a graph of twice the copies: the triples its first call
+    # reads through Graph.match must not grow with the graph.
+    match = Graph.match
+    read = []
+
+    def counting_match(graph, *pattern):
+        found = match(graph, *pattern)
+        read.append(len(found))
+        return found
+
+    sums = []
+    for n in (8, 16):
+        kb = copies_kb(n)
+        monkeypatch.setattr(Graph, "match", counting_match)
+        read.clear()
+        first = kb.task_plan("Activity 0")
+        sums.append(sum(read))
+        monkeypatch.setattr(Graph, "match", match)
+        assert kb.task_plan("Activity 0") == first
+    assert [[a.label for s in p.steps for a in s.actions] for p in first.procedures] == [
+        ["Grasp cup 0", "Hold cup 0", "Raise cup 0"], ["Tilt cup 0"]
+    ]
+    assert sums[0] == sums[1], sums
 
 
 def test_kept_facts_are_handed_out_read_only(activities, robots):

@@ -120,6 +120,9 @@ def test_blank_labels_are_document_scoped():
         # Escapes must name Unicode scalar values: nothing above U+10FFFF, no surrogate halves.
         pytest.param("@prefix : <https://e.org/> .\n:a :b <https://e.org/\\U0011FFFF> .", 2, 7, "invalid \\U escape", id="escape-above-10ffff"),
         pytest.param('@prefix : <https://e.org/> .\n:a :b "\\uD800" .', 2, 7, "invalid \\u escape", id="escape-surrogate"),
+        # A statement cut off at the end of the input.
+        pytest.param("@prefix : <https://e.org/> .\n:a :b", 2, 6, "expected an object, found end of input", id="cut-off-object"),
+        pytest.param("@prefix : <https://e.org/> .\n:a", 2, 3, "expected a predicate, found end of input", id="cut-off-predicate"),
     ],
 )
 def test_diagnostic_position(text, line, column, message):
