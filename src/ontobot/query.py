@@ -12,8 +12,9 @@ distinct from plain syntax errors so callers can report it separately.
 Triple patterns are Turtle statements with variables, so the parser is the
 Turtle statement parser (``turtle._StatementParser``) with the lexer's
 variables switched on. It adds only variables, the unsupported keywords,
-SELECT/WHERE and the ``}``-terminated pattern. Tokens are lexed on demand,
-and tokens past an unsupported clause are never demanded, so e.g.
+SELECT/WHERE and the ``}``-terminated pattern. The query is lexed into one
+token list first, but a lexical error is raised only when the parser reaches
+it, and the parser never reaches tokens past an unsupported clause, so e.g.
 ``HAVING (?y > 1)`` reports HAVING rather than a lexical error on '>'.
 
 Evaluation is a left-deep nested index join: patterns are greedily
@@ -115,94 +116,93 @@ class _QueryParser(_StatementParser):
         self.pattern: list[TriplePattern] = []
 
     def check_unsupported(self, tok: Token) -> None:
-        if tok.kind == "word" and tok.value.upper() in _UNSUPPORTED_KEYWORDS:
-            feature = tok.value.upper()
+        if tok[0] == "word" and tok[1].upper() in _UNSUPPORTED_KEYWORDS:
+            feature = tok[1].upper()
             if feature in ("GROUP", "ORDER", "NOT"):
                 follower = self.peek()
-                if follower.kind == "word":
-                    feature = f"{feature} {follower.value.upper()}"
-            raise UnsupportedFeatureError(feature, *self.location(tok.pos))
+                if follower[0] == "word":
+                    feature = f"{feature} {follower[1].upper()}"
+            raise UnsupportedFeatureError(feature, *self.location(tok[2]))
 
     def keyword(self, tok: Token) -> str:
-        return tok.value.upper() if tok.kind == "word" else ""
+        return tok[1].upper() if tok[0] == "word" else ""
 
     def parse(self) -> Query:
         self.parse_prologue()
         tok = self.next()
         self.check_unsupported(tok)
         if self.keyword(tok) != "SELECT":
-            self.fail("expected SELECT", tok.pos)
+            self.fail("expected SELECT", tok[2])
         distinct = False
         if self.keyword(self.peek()) == "DISTINCT":
             self.next()
             distinct = True
         projection: list[str] = []
-        while self.peek().kind == "var":
-            var_tok = self.next()
-            if var_tok.value in projection:
-                self.fail(f"duplicate variable in projection: ?{var_tok.value}", var_tok.pos)
-            projection.append(var_tok.value)
+        while self.peek()[0] == "var":
+            _, name, pos = self.next()
+            if name in projection:
+                self.fail(f"duplicate variable in projection: ?{name}", pos)
+            projection.append(name)
         if not projection:
             tok = self.next()
-            if tok.kind == "punct" and tok.value == "*":
-                self.fail("projection '*' is not supported; list the variables", tok.pos)
+            if tok[:2] == ("punct", "*"):
+                self.fail("projection '*' is not supported; list the variables", tok[2])
             self.check_unsupported(tok)
-            self.fail("expected at least one projected variable", tok.pos)
+            self.fail("expected at least one projected variable", tok[2])
         tok = self.next()
         if self.keyword(tok) == "WHERE":
             tok = self.next()
-        if not (tok.kind == "punct" and tok.value == "{"):
+        if tok[:2] != ("punct", "{"):
             self.check_unsupported(tok)
-            self.fail("expected '{' opening the graph pattern", tok.pos)
-        self.parse_group(tok)
-        tok = self.next()
+            self.fail("expected '{' opening the graph pattern", tok[2])
+        self.parse_group(tok[2])
+        kind, value, pos = tok = self.next()
         self.check_unsupported(tok)
-        if tok.kind != "eof":
-            self.fail(f"unexpected content after '}}': {tok.value!r}", tok.pos)
+        if kind != "eof":
+            self.fail(f"unexpected content after '}}': {value!r}", pos)
         pattern_vars = {
             t.name for pat in self.pattern for t in (pat.s, pat.p, pat.o) if isinstance(t, Var)
         }
         for name in projection:
             if name not in pattern_vars:
-                self.fail(f"projected variable ?{name} does not occur in the pattern", tok.pos)
+                self.fail(f"projected variable ?{name} does not occur in the pattern", pos)
         return Query(prefixes=self.prefixes, projection=projection, distinct=distinct, pattern=self.pattern)
 
     def parse_prologue(self) -> None:
         while True:
             tok = self.peek()
-            if self.keyword(tok) == "PREFIX" or tok.kind == "prefix_directive":
+            if self.keyword(tok) == "PREFIX" or tok[0] == "prefix_directive":
                 self.next()
-                name_tok = self.next()
-                if name_tok.kind != "pname" or name_tok.value[1]:
-                    self.fail("expected a prefix name ending in ':'", name_tok.pos)
-                iri_tok = self.expect("iriref", "a namespace IRI in angle brackets")
-                self.prefixes[name_tok.value[0]] = iri_tok.value
-                if self.peek().kind == "dot":
+                kind, name, pos = self.next()
+                if kind != "pname" or name[1]:
+                    self.fail("expected a prefix name ending in ':'", pos)
+                self.bind(name[0], self.expect("iriref", "a namespace IRI in angle brackets")[1])
+                if self.peek()[0] == "dot":
                     self.next()
-            elif tok.kind == "base_directive":
-                self.fail("unsupported construct: @base", tok.pos)
+            elif tok[0] == "base_directive":
+                self.fail("unsupported construct: @base", tok[2])
             else:
                 return
 
-    def parse_group(self, open_tok: Token) -> None:
+    def parse_group(self, open_pos: int) -> None:
         while True:
-            tok = self.peek()
-            if tok.kind == "punct" and tok.value == "}":
+            kind, value, _ = self.peek()
+            if (kind, value) == ("punct", "}"):
                 self.next()
                 break
-            if tok.kind == "eof":
-                self.fail("unterminated graph pattern (missing '}')", open_tok.pos)
+            if kind == "eof":
+                self.fail("unterminated graph pattern (missing '}')", open_pos)
             subject = self.parse_term("subject")
             self.parse_predicate_object_list(subject)
-            if self.peek().kind == "dot":
+            if self.peek()[0] == "dot":
                 self.next()
         if not self.pattern:
-            self.fail("empty graph pattern", open_tok.pos)
+            self.fail("empty graph pattern", open_pos)
 
     def dialect_term(self, tok: Token, position: str) -> PatternTerm:
         self.check_unsupported(tok)
-        if tok.kind == "var":
-            return Var(tok.value)
+        if tok[0] == "var":
+            return Var(tok[1])
         return super().dialect_term(tok, position)
 
     def emit(self, s: PatternTerm, p: PatternTerm, o: PatternTerm) -> None:
@@ -210,7 +210,7 @@ class _QueryParser(_StatementParser):
 
     def at_list_end(self) -> bool:
         tok = self.peek()
-        return tok.kind == "dot" or (tok.kind == "punct" and tok.value == "}")
+        return tok[0] == "dot" or tok[:2] == ("punct", "}")
 
 
 def parse_query(text: str) -> Query:

@@ -12,8 +12,9 @@ boolean literal shorthand, ``@base``, and triple-quoted strings. The
 knowledge-graph files need none of them.
 
 Query patterns are Turtle triples with variables added, so one lexer and one
-statement parser serve both languages. :meth:`_StatementParser.tokens` yields
-``Token(kind, value, pos)``; a parser class that sets ``variables`` also gets
+statement parser serve both languages. The lexer is one alternation regex;
+it turns a document into one list of ``(kind, value, pos)`` tuples that the
+parser walks by index. A parser class that sets ``variables`` also gets
 ``?x``/``$x`` variables and ``*``, and a ``.`` before a digit then stays a
 statement dot. :class:`_StatementParser` holds the shared grammar: token
 lookahead, IRIs, prefixed names, ``a``, string literals and their suffixes,
@@ -22,8 +23,8 @@ nodes and ``@prefix … .``; ``ontobot.query`` adds variables and SELECT/WHERE.
 
 Errors carry a :class:`ParseDiagnostic` with a 1-based line and column into
 the source text, worked out from the token's offset when the error is raised.
-A Turtle document is lexed whole before it is parsed, so a lexical error
-anywhere is reported ahead of a syntax error.
+A lexical error ends the token list. Turtle raises it before parsing, so it
+is reported ahead of any syntax error; a query, when the parser reaches it.
 
 :func:`parse_turtle_into` parses into a caller's graph, so documents load
 into one union. A document's blank labels map to fresh nodes from the caller
@@ -35,7 +36,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, NamedTuple, NoReturn
+from functools import cache
+from typing import Callable, Mapping, NoReturn
 
 from ontobot.graph import (
     IRI,
@@ -68,11 +70,8 @@ class TurtleParseError(Exception):
         self.diagnostic = diagnostic
 
 
-class Token(NamedTuple):
-    kind: str
-    value: object
-    pos: int  # offset of the token's first character in the source text
-
+# (kind, value, offset of the token's first character in the source text)
+Token = tuple[str, object, int]
 
 _ESCAPES = {
     "t": "\t",
@@ -85,19 +84,44 @@ _ESCAPES = {
     "\\": "\\",
 }
 
-_TRIVIA_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
-_IRI_BODY_RE = re.compile(r'[^> "<{}|^`\n]*')
+_IRI_BODY = r'[^> "<{}|^`\n]*'
 # A backslash escapes any one character here; _unescape judges the escape.
-_STRING_BODY_RE = re.compile(r'(?:[^"\\\n]+|\\[\s\S])*')
-_PNAME_RE = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_][A-Za-z0-9_\-.]*)?")
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*")
-_BLANK_RE = re.compile(r"_:([A-Za-z0-9_][A-Za-z0-9_\-]*)")
-_LANGTAG_RE = re.compile(r"@([A-Za-z]+(?:-[A-Za-z0-9]+)*)")
-_NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_VAR_NAME_RE = re.compile(r"\w*")  # \w: the characters str.isalnum() accepts, and '_'
+# No character matches both branches, so a string without its closing quote
+# fails in time linear in its length.
+_STRING_BODY = r'(?:[^"\\\n]|\\[\s\S])*'
+
+
+@cache  # compiled on first use: about 1 ms each, which an import need not pay
+def _lexer(variables: bool) -> re.Pattern:
+    """One alternation over a dialect's tokens, after the W3C Turtle terminals.
+
+    Each token is a group named after its kind and takes the blanks after it;
+    a comment, or blanks at the start, match unnamed, so no token can reach
+    into a comment. Order decides only a number before a dot and a pname
+    before a word. No alternative backtracks more than linearly.
+    """
+    # '.5' is a number in Turtle; in a query the '.' ends a pattern.
+    number, punct = (r"[+-]?\d+\.?\d*", "*") if variables else (r"[+-]?\d+\.?\d*|\.\d+", "")
+    return re.compile(
+        r"(?:(?P<pname>(?P<prefix>(?:[A-Za-z][A-Za-z0-9_\-]*)?):"
+        + r"(?P<local>(?:[A-Za-z0-9_](?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?)?))|[ \t\r\n]+|#[^\n]*"
+        + (r"|[?$](?P<var>\w+)" if variables else "")
+        + rf"|(?P<number>(?:{number})(?:[eE][+-]?\d+)?)"
+        + rf'|<(?P<iriref>{_IRI_BODY})>|"(?!"")(?P<string>{_STRING_BODY})"'
+        + r"|@(?P<langtag>[A-Za-z]+(?:-[A-Za-z0-9]+)*)|(?P<dtype_sep>\^\^)"
+        + r"|_:(?P<blank>[A-Za-z0-9_][A-Za-z0-9_\-]*)|(?P<dot>\.)|(?P<semi>;)|(?P<comma>,)"
+        + rf"|(?P<punct>[()\[\]{{}}{punct}])"
+        + r"|(?P<kw_a>a)(?![A-Za-z0-9_\-])|(?P<boolean>true|false)(?![A-Za-z0-9_\-])"
+        + r"|(?P<word>[A-Za-z][A-Za-z0-9_\-]*))[ \t\r\n]*"
+    )
+
 
 _DIRECTIVES = {"prefix": "prefix_directive", "base": "base_directive"}
-_SEPARATORS = {".": "dot", ";": "semi", ",": "comma"}
+_LEX_ERRORS = {
+    "@": "malformed '@' directive or language tag",
+    "^": "expected '^^'",
+    "_": "malformed blank node label",
+}
 _UNSUPPORTED_PUNCT = {
     "(": "collection",
     ")": "collection",
@@ -124,8 +148,9 @@ class _StatementParser:
             text = text[1:]
         self.text = text
         self.prefixes: dict[str, str] = {}
-        self._tokens = self.tokens()
-        self._lookahead: Token | None = None
+        self.pnames: dict[tuple[str, str], Term] = {}  # resolved under the current prefixes
+        self.tokens = self.lex()
+        self.at = 0
 
     def location(self, pos: int) -> tuple[int, int]:
         """The 1-based line and column of an offset into the source text."""
@@ -136,94 +161,51 @@ class _StatementParser:
 
     # -- lexer ---------------------------------------------------------------
 
-    def tokens(self) -> Iterator[Token]:
-        """Tokens of the source text, ending in one ``eof``; lexed on demand."""
-        text = self.text
-        pos = 0
-        while True:
-            pos = _TRIVIA_RE.match(text, pos).end()
-            if pos == len(text):
-                yield Token("eof", None, pos)
-                return
-            c = text[pos]
-            nxt = text[pos + 1 : pos + 2]
-            number = None
-            # '.5' is a number in Turtle; in a query the '.' ends a pattern.
-            if c.isdigit() or (nxt.isdigit() and (c in "+-" or (c == "." and not self.variables))):
-                # isdigit() also holds for characters such as '²' that the
-                # pattern refuses; they fall through to "unexpected character".
-                number = _NUMBER_RE.match(text, pos)
-            if number is not None:
-                kind, value, end = "number", number.group(), number.end()
-            elif c in "?$" and self.variables:
-                end = _VAR_NAME_RE.match(text, pos + 1).end()
-                if end == pos + 1:
-                    self.fail("empty variable name", pos)
-                kind, value = "var", text[pos + 1 : end]
-            elif c == "<":
-                kind = "iriref"
-                value, end = self.scan_iriref(pos)
-            elif c == '"':
-                kind = "string"
-                value, end = self.scan_string(pos)
-            elif c == "@":
-                m = _LANGTAG_RE.match(text, pos)
-                if m is None:
-                    self.fail("malformed '@' directive or language tag", pos)
-                value, end = m.group(1), m.end()
-                kind = _DIRECTIVES.get(value, "langtag")
-            elif c == "^":
-                if nxt != "^":
-                    self.fail("expected '^^'", pos)
-                kind, value, end = "dtype_sep", "^^", pos + 2
-            elif c == "_":
-                m = _BLANK_RE.match(text, pos)
-                if m is None:
-                    self.fail("malformed blank node label", pos)
-                kind, value, end = "blank", m.group(1), m.end()
-            elif c in ".;,":
-                kind, value, end = _SEPARATORS[c], c, pos + 1
-            elif c in "()[]{}" or (c == "*" and self.variables):
-                kind, value, end = "punct", c, pos + 1
-            else:
-                kind, value, end = self.scan_pname_or_word(pos)
-            yield Token(kind, value, pos)
-            pos = end
+    def lex(self) -> list[Token]:
+        """The tokens of the source text, ending in ``eof``, or in ``error`` where none fits."""
+        text, match, tokens = self.text, _lexer(self.variables).match, []
+        pos, end = 0, len(text)
+        while pos < end:
+            m = match(text, pos)
+            if m is None:
+                break
+            kind = m.lastgroup
+            if kind == "pname":
+                tokens.append((kind, m.group("prefix", "local"), pos))
+            elif kind is not None:  # None: blanks or a comment
+                value = m[kind]
+                if kind == "langtag":
+                    kind = _DIRECTIVES.get(value, kind)
+                elif "\\" in value:  # only an IRI or a string can hold one
+                    try:
+                        value = self._unescape(value, pos, iri_mode=kind == "iriref")
+                    except self.error:
+                        break
+                tokens.append((kind, value, pos))
+            pos = m.end()
+        tokens.append(("eof" if pos == end else "error", None, pos))
+        return tokens
 
-    def scan_iriref(self, pos: int) -> tuple[str, int]:
-        end = _IRI_BODY_RE.match(self.text, pos + 1).end()
-        if end == len(self.text):
-            self.fail("unterminated IRI", pos)
-        if self.text[end] != ">":
-            self.fail(f"invalid character in IRI: {self.text[end]!r}", pos)
-        return self._unescape(self.text[pos + 1 : end], pos, iri_mode=True), end + 1
-
-    def scan_string(self, pos: int) -> tuple[str, int]:
-        if self.text.startswith('"""', pos):
-            self.fail("unsupported construct: triple-quoted string", pos)
-        end = _STRING_BODY_RE.match(self.text, pos + 1).end()
-        if self.text[end : end + 1] != '"':
-            self.fail("unterminated string literal", pos)
-        return self._unescape(self.text[pos + 1 : end], pos, iri_mode=False), end + 1
-
-    def scan_pname_or_word(self, pos: int) -> tuple[str, object, int]:
-        """A prefixed name, the `a` keyword, or a bare word."""
-        m = _PNAME_RE.match(self.text, pos)
-        if m is not None:
-            # PN_LOCAL may contain dots but not end with one; give trailing
-            # dots back to the stream as statement terminators.
-            raw = m.group(0).rstrip(".")
-            prefix, _, local = raw.partition(":")
-            return "pname", (prefix, local), pos + len(raw)
-        m = _WORD_RE.match(self.text, pos)
-        if m is None:
-            self.fail(f"unexpected character: {self.text[pos]!r}", pos)
-        word = m.group(0)
-        if word == "a":
-            return "kw_a", word, m.end()
-        if word in ("true", "false"):
-            return "boolean", word, m.end()
-        return "word", word, m.end()
+    def lex_error(self, pos: int) -> NoReturn:
+        """Raise the diagnostic for the text at ``pos``, where no token fits."""
+        text, c = self.text, self.text[pos]
+        if c == "<":
+            end = re.compile(_IRI_BODY).match(text, pos + 1).end()
+            if end == len(text):
+                self.fail("unterminated IRI", pos)
+            if text[end] != ">":
+                self.fail(f"invalid character in IRI: {text[end]!r}", pos)
+            self._unescape(text[pos + 1 : end], pos, iri_mode=True)
+        elif c == '"':
+            if text.startswith('"""', pos):
+                self.fail("unsupported construct: triple-quoted string", pos)
+            end = re.compile(_STRING_BODY).match(text, pos + 1).end()
+            if text[end : end + 1] != '"':
+                self.fail("unterminated string literal", pos)
+            self._unescape(text[pos + 1 : end], pos, iri_mode=False)
+        elif c in "?$" and self.variables:
+            self.fail("empty variable name", pos)
+        self.fail(_LEX_ERRORS.get(c) or f"unexpected character: {c!r}", pos)
 
     def _unescape(self, raw: str, pos: int, iri_mode: bool) -> str:
         out: list[str] = []
@@ -256,90 +238,96 @@ class _StatementParser:
     # -- grammar -------------------------------------------------------------
 
     def peek(self) -> Token:
-        if self._lookahead is None:
-            self._lookahead = next(self._tokens)
-        return self._lookahead
+        tok = self.tokens[self.at]
+        if tok[0] == "error":
+            self.lex_error(tok[2])
+        return tok
 
     def next(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "eof":
-            self._lookahead = None
+        tok = self.tokens[self.at]
+        if tok[0] != "eof":
+            if tok[0] == "error":
+                self.lex_error(tok[2])
+            self.at += 1
         return tok
 
     def expect(self, kind: str, what: str) -> Token:
         tok = self.next()
-        if tok.kind != kind:
-            self.fail(f"expected {what}", tok.pos)
+        if tok[0] != kind:
+            self.fail(f"expected {what}", tok[2])
         return tok
 
+    def bind(self, prefix: str, namespace: str) -> None:
+        self.prefixes[prefix] = namespace
+        self.pnames.clear()
+
     def resolve_pname(self, tok: Token) -> Term:
-        prefix, local = tok.value
-        namespace = self.prefixes.get(prefix)
-        if namespace is None:
-            self.fail(f"undeclared prefix: {prefix!r}", tok.pos)
-        return iri(namespace + local)
+        term = self.pnames.get(tok[1])
+        if term is None:
+            (prefix, local), pos = tok[1], tok[2]
+            if prefix not in self.prefixes:
+                self.fail(f"undeclared prefix: {prefix!r}", pos)
+            term = self.pnames[tok[1]] = iri(self.prefixes[prefix] + local)
+        return term
 
     def parse_term(self, position: str) -> Term:
-        tok = self.next()
-        if tok.kind == "iriref":
-            return iri(tok.value)
-        if tok.kind == "pname":
+        kind, value, pos = tok = self.next()
+        if kind == "pname":
             return self.resolve_pname(tok)
-        if tok.kind == "kw_a":
+        if kind == "kw_a":
             if position != "predicate":
-                self.fail("keyword 'a' is only valid as a predicate", tok.pos)
+                self.fail("keyword 'a' is only valid as a predicate", pos)
             return RDF.type
-        if tok.kind == "string":
+        if kind == "string":
             if position != "object":
-                self.fail(f"literal not allowed in {position} position", tok.pos)
-            return self.finish_literal(tok)
-        if tok.kind in self.rejected:
-            self.fail(self.rejected[tok.kind], tok.pos)
-        if tok.kind == "punct":
-            construct = _UNSUPPORTED_PUNCT.get(tok.value)
+                self.fail(f"literal not allowed in {position} position", pos)
+            return self.finish_literal(value)
+        if kind == "iriref":
+            return iri(value)
+        if kind in self.rejected:
+            self.fail(self.rejected[kind], pos)
+        if kind == "punct":
+            construct = _UNSUPPORTED_PUNCT.get(value)
             if construct:
-                self.fail(f"unsupported construct: {construct} {tok.value!r}", tok.pos)
-            self.fail(f"unexpected {tok.value!r}", tok.pos)
+                self.fail(f"unsupported construct: {construct} {value!r}", pos)
+            self.fail(f"unexpected {value!r}", pos)
         return self.dialect_term(tok, position)
 
     def dialect_term(self, tok: Token, position: str) -> Term:
         """A term of a kind only one dialect has; the base class has none."""
-        found = "end of input" if tok.kind == "eof" else repr(tok.value)
-        self.fail(f"expected {'an' if position == 'object' else 'a'} {position}, found {found}", tok.pos)
+        kind, value, pos = tok
+        found = "end of input" if kind == "eof" else repr(value)
+        self.fail(f"expected {'an' if position == 'object' else 'a'} {position}, found {found}", pos)
 
-    def finish_literal(self, string_tok: Token) -> Term:
-        nxt = self.peek()
-        if nxt.kind == "langtag":
+    def finish_literal(self, value: str) -> Term:
+        kind, suffix, _ = self.peek()
+        if kind == "langtag":
             self.next()
-            return literal(string_tok.value, lang=nxt.value)
-        if nxt.kind == "dtype_sep":
+            return literal(value, lang=suffix)
+        if kind == "dtype_sep":
             self.next()
             dt_tok = self.next()
-            if dt_tok.kind == "iriref":
-                return literal(string_tok.value, datatype=dt_tok.value)
-            if dt_tok.kind == "pname":
-                return literal(string_tok.value, datatype=self.resolve_pname(dt_tok).value)
-            self.fail("expected a datatype IRI after '^^'", dt_tok.pos)
-        return literal(string_tok.value)
+            if dt_tok[0] == "iriref":
+                return literal(value, datatype=dt_tok[1])
+            if dt_tok[0] == "pname":
+                return literal(value, datatype=self.resolve_pname(dt_tok).value)
+            self.fail("expected a datatype IRI after '^^'", dt_tok[2])
+        return literal(value)
 
     def parse_predicate_object_list(self, subject: Term) -> None:
         while True:
             predicate = self.parse_term("predicate")
-            while True:
-                self.emit(subject, predicate, self.parse_term("object"))
-                if self.peek().kind == "comma":
-                    self.next()
-                    continue
-                break
-            if self.peek().kind == "semi":
+            self.emit(subject, predicate, self.parse_term("object"))
+            while self.peek()[0] == "comma":
                 self.next()
-                # Tolerate trailing ';' before the end of the statement
-                while self.peek().kind == "semi":
-                    self.next()
-                if self.at_list_end():
-                    return
-                continue
-            return
+                self.emit(subject, predicate, self.parse_term("object"))
+            if self.peek()[0] != "semi":
+                return
+            # Tolerate trailing ';' before the end of the statement
+            while self.peek()[0] == "semi":
+                self.next()
+            if self.at_list_end():
+                return
 
     def emit(self, s: Term, p: Term, o: Term) -> None:
         raise NotImplementedError
@@ -356,36 +344,35 @@ class _TurtleParser(_StatementParser):
 
     def __init__(self, text: str, graph: Graph, new_blank: Callable[[], Term]):
         super().__init__(text)
-        # Lex the whole document first, so that a lexical error anywhere is
-        # reported ahead of any syntax error.
-        self._tokens = iter(list(self._tokens))
+        kind, _, pos = self.tokens[-1]
+        if kind == "error":  # a lexical error anywhere is reported ahead of any syntax error
+            self.lex_error(pos)
         self.graph = graph
         self.new_blank = new_blank
         self.blank_labels: dict[str, Term] = {}
 
     def parse(self) -> Graph:
         while True:
-            tok = self.peek()
-            if tok.kind == "eof":
+            kind, _, pos = self.peek()
+            if kind == "eof":
                 break
-            if tok.kind == "prefix_directive":
+            if kind == "prefix_directive":
                 self.next()
                 self.parse_prefix()
-            elif tok.kind == "base_directive":
-                self.fail("unsupported construct: @base", tok.pos)
+            elif kind == "base_directive":
+                self.fail("unsupported construct: @base", pos)
             else:
                 self.parse_statement()
         self.graph.fold_prefixes(self.prefixes)
         return self.graph
 
     def parse_prefix(self) -> None:
-        name_tok = self.expect("pname", "a prefix name ending in ':'")
-        prefix, local = name_tok.value
+        _, (prefix, local), pos = self.expect("pname", "a prefix name ending in ':'")
         if local:
-            self.fail("prefix declaration must end in ':'", name_tok.pos)
-        iri_tok = self.expect("iriref", "a namespace IRI in angle brackets")
+            self.fail("prefix declaration must end in ':'", pos)
+        namespace = self.expect("iriref", "a namespace IRI in angle brackets")[1]
         self.expect("dot", "'.' after prefix declaration")
-        self.prefixes[prefix] = iri_tok.value
+        self.bind(prefix, namespace)
 
     def parse_statement(self) -> None:
         subject = self.parse_term("subject")
@@ -393,17 +380,18 @@ class _TurtleParser(_StatementParser):
         self.expect("dot", "'.' at end of statement")
 
     def dialect_term(self, tok: Token, position: str) -> Term:
-        if tok.kind == "blank":
+        kind, label, pos = tok
+        if kind == "blank":
             if position == "predicate":
-                self.fail("blank node not allowed in predicate position", tok.pos)
-            return self.blank_labels.get(tok.value) or self.blank_labels.setdefault(tok.value, self.new_blank())
+                self.fail("blank node not allowed in predicate position", pos)
+            return self.blank_labels.get(label) or self.blank_labels.setdefault(label, self.new_blank())
         return super().dialect_term(tok, position)
 
     def emit(self, s: Term, p: Term, o: Term) -> None:
         self.graph.insert(Triple(s, p, o))
 
     def at_list_end(self) -> bool:
-        return self.peek().kind in ("dot", "eof")
+        return self.peek()[0] in ("dot", "eof")
 
 
 def parse_turtle(text: str) -> Graph:
@@ -442,23 +430,34 @@ def prefixed_name(value: str, prefixes: Mapping[str, str]) -> str | None:
     return f"{best[1]}:{best[2]}"
 
 
-def term_to_text(term: Term, prefixes: Mapping[str, str]) -> str:
-    """Turtle text for one term, preferring prefixed names for IRIs."""
+# The characters IRIREF refuses, which only a \u escape can carry.
+_IRI_REFUSED_RE = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+
+
+def _iri_ref(value: str, escape: bool) -> str:
+    if escape:
+        value = _IRI_REFUSED_RE.sub(lambda m: f"\\u{ord(m[0]):04X}", value)
+    return f"<{value}>"
+
+
+def term_to_text(term: Term, prefixes: Mapping[str, str], escape: bool = False) -> str:
+    """Turtle text for one term, preferring prefixed names for IRIs.
+
+    With ``escape``, characters an IRI may not hold are written as ``\\uXXXX``,
+    so the text parses back to the term; without it, IRIs are shown as they are.
+    """
     if term.kind == IRI:
-        compact = prefixed_name(term.value, prefixes)
-        return compact if compact is not None else f"<{term.value}>"
+        return prefixed_name(term.value, prefixes) or _iri_ref(term.value, escape)
     if term.kind == LITERAL and term.datatype is not None:
-        compact = prefixed_name(term.datatype, prefixes)
-        if compact is not None:
-            return term.n3().rsplit("^^", 1)[0] + "^^" + compact
+        quoted = term.n3()[: -len(term.datatype) - 4]  # without its '^^<datatype>'
+        return f"{quoted}^^{prefixed_name(term.datatype, prefixes) or _iri_ref(term.datatype, escape)}"
     return term.n3()
 
 
 def serialize_turtle(graph: Graph) -> str:
     """Write a graph as Turtle; re-parsing yields an isomorphic graph."""
-    lines: list[str] = []
-    for name in sorted(graph.prefixes):
-        lines.append(f"@prefix {name}: <{graph.prefixes[name]}> .")
+    prefixes = graph.prefixes
+    lines = [f"@prefix {name}: {_iri_ref(prefixes[name], True)} ." for name in sorted(prefixes)]
     if lines:
         lines.append("")
 
@@ -472,15 +471,15 @@ def serialize_turtle(graph: Graph) -> str:
             by_predicate.setdefault(t.p, []).append(t.o)
         predicates = sorted(
             by_predicate,
-            key=lambda p: (p != RDF.type, term_to_text(p, graph.prefixes)),
+            key=lambda p: (p != RDF.type, term_to_text(p, prefixes, escape=True)),
         )
         parts: list[str] = []
         for predicate in predicates:
             objects = sorted(by_predicate[predicate], key=Term.sort_key)
-            p_text = "a" if predicate == RDF.type else term_to_text(predicate, graph.prefixes)
-            o_text = " , ".join(term_to_text(o, graph.prefixes) for o in objects)
+            p_text = "a" if predicate == RDF.type else term_to_text(predicate, prefixes, escape=True)
+            o_text = " , ".join(term_to_text(o, prefixes, escape=True) for o in objects)
             parts.append(f"{p_text} {o_text}")
-        subject_text = term_to_text(subject, graph.prefixes)
+        subject_text = term_to_text(subject, prefixes, escape=True)
         joined = " ;\n    ".join(parts)
         lines.append(f"{subject_text} {joined} .")
     return "\n".join(lines) + "\n"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import sys
+import time
 
 import pytest
 
@@ -98,6 +99,27 @@ def test_syntax_error_carries_position(text, line, column, message):
     assert excinfo.value.diagnostic.line == line
     assert excinfo.value.diagnostic.column == column
     assert message in excinfo.value.diagnostic.message
+
+
+# Sized as in test_turtle's lexer test: seconds for a lexer that backtracks
+# exponentially, microseconds for linear code; the comment must not be read.
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        pytest.param("SELECT ?x WHERE { ?x <p> # a comment\n² }", 2, 1, "unexpected character: '²'", id="after-comment"),
+        pytest.param("SELECT ?x WHERE { ?x <p>" + " " * 24 + "² }", 1, 49, "unexpected character: '²'", id="after-blanks"),
+        pytest.param('SELECT ?x WHERE { ?x <p> "' + "x" * 24, 1, 26, "unterminated string literal", id="unterminated-string"),
+        pytest.param("SELECT ?x WHERE { ?x <p> <https://e.org/" + "x" * 24, 1, 26, "unterminated IRI", id="unterminated-iri"),
+        pytest.param("PREFIX : <https://e.org/> SELECT ?x WHERE { ?x :p :c" + "." * 24 + "d² }", 1, 78, "unexpected character: '²'", id="dots-in-local"),
+    ],
+)
+def test_lexical_error_is_found_fast_and_outside_comments(text, line, column, message):
+    start = time.perf_counter()
+    with pytest.raises(QueryParseError) as excinfo:
+        parse_query(text)
+    assert time.perf_counter() - start < 0.3
+    d = excinfo.value.diagnostic
+    assert (d.line, d.column, d.message) == (line, column, message)
 
 
 def test_prefix_and_at_prefix_declarations():

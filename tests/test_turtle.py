@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
 from helpers import random_graph
 from ontobot.graph import Graph, Triple, iri, isomorphic, literal
 from ontobot.namespaces import OBOT, RDFS, SOMA
-from ontobot.turtle import TurtleParseError, parse_turtle, serialize_turtle
+from ontobot.turtle import TurtleParseError, parse_turtle, serialize_turtle, term_to_text
 
 PREFIX_HEADER = """\
 @prefix : <https://example.org/> .
@@ -132,6 +133,28 @@ def test_diagnostic_position(text, line, column, message):
     assert message in d.message
 
 
+# Each input is sized so that a lexer that backtracks exponentially (a run of
+# blanks or a string body as a repeated '+' group) takes seconds on it, while
+# linear code takes microseconds; and a lexer that gives back part of a comment
+# to the token after it reads a token out of the comment.
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        pytest.param("# a comment\n?x", 2, 1, "unexpected character: '?'", id="after-comment"),
+        pytest.param("# see <\n?x", 2, 1, "unexpected character: '?'", id="after-comment-ending-in-a-token-start"),
+        pytest.param(" " * 24 + "?", 1, 25, "unexpected character: '?'", id="after-blanks"),
+        pytest.param('@prefix : <https://e.org/> .\n:a :b "' + "x" * 24, 2, 7, "unterminated string literal", id="unterminated-string"),
+        pytest.param("@prefix : <https://e.org/> .\n:a :b <https://e.org/" + "x" * 24, 2, 7, "unterminated IRI", id="unterminated-iri"),
+        pytest.param("@prefix : <https://e.org/> .\n:a :b :c" + "." * 24 + "?", 2, 33, "unexpected character: '?'", id="dots-after-local"),
+    ],
+)
+def test_lexical_error_is_found_fast_and_outside_comments(text, line, column, message):
+    start = time.perf_counter()
+    d = diag(text)
+    assert time.perf_counter() - start < 0.3
+    assert (d.line, d.column, d.message) == (line, column, message)
+
+
 def test_undeclared_prefix_diagnostic():
     d = diag(":a rdfs:label \"x\" .")
     assert "undeclared prefix" in d.message
@@ -218,3 +241,18 @@ def test_escaped_unicode_in_iri_and_string():
     t = next(iter(g))
     assert t.s == iri("https://e.org/café")
     assert t.o == literal("snowman ☃")
+
+
+@pytest.mark.parametrize("char", [" ", "<", ">", '"', "{", "}", "|", "^", "`", "\\", "\n", "\t"])
+def test_round_trip_iris_holding_characters_an_iri_may_not_hold(char):
+    # Such characters reach an IRI only through a \u escape; the writer escapes them again.
+    odd, ns = f"https://e.org/a{char}b", f"https://e.org/ns{char}{char}/"
+    g = Graph({"x": ns})
+    g.insert(Triple(iri(odd), iri(ns + "p"), iri(odd)))
+    g.insert(Triple(iri(odd), iri("https://e.org/label"), literal("v", datatype=odd)))
+    g.insert(Triple(iri(odd), iri("https://e.org/label"), literal("w", datatype=ns + "t")))
+    reparsed = parse_turtle(serialize_turtle(g))
+    assert reparsed.triple_set() == g.triple_set()
+    assert reparsed.prefixes == g.prefixes
+    # Shown as they are everywhere else.
+    assert iri(odd).n3() == term_to_text(iri(odd), {}) == f"<{odd}>"
