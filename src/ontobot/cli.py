@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation violations, 2 I/O (output stdout cannot
 encode included) or parse errors, or a ``cq 2`` order chain that cannot be
-ordered, 3 unsupported query feature, 4 unknown entity (activity/robot label).
+ordered, 3 unsupported query feature, 4 unknown entity (activity/robot label),
+5 internal error: any other exception, reported as one line on stderr.
 
 When no ``-k`` files are given, graphs are loaded from the directory named
 by the ``ONTOBOT_FIXTURES`` environment variable (every ``*.ttl`` in it,
@@ -33,6 +34,7 @@ EXIT_VIOLATIONS = 1
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_UNKNOWN_ENTITY = 4
+EXIT_INTERNAL = 5
 _EXIT_CODES = {UnsupportedFeatureError: EXIT_UNSUPPORTED, UnknownEntityError: EXIT_UNKNOWN_ENTITY}
 
 
@@ -280,6 +282,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             GraphError, ChainError, OSError, UnicodeEncodeError) as exc:
         print(f"ontobot: {exc}", file=sys.stderr)
         return exc.code if isinstance(exc, _Fail) else _EXIT_CODES.get(type(exc), EXIT_INPUT)
+    except Exception as exc:  # a fault of the program: one line, not a traceback
+        print(f"ontobot: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

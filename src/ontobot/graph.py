@@ -7,14 +7,16 @@ object); ``match`` dispatches to the most selective index available for
 the bound positions of a pattern.
 
 Terms are interned through the ``iri`` / ``blank`` / ``literal`` factories:
-building the same term twice yields the same object, so equality is usually
-a single pointer comparison and terms work as set and dict keys.
+building the same term twice, or calling ``Term(...)``, yields the same object,
+so equality is always a single pointer comparison and terms work as set and
+dict keys.
 """
 
 from __future__ import annotations
 
 from itertools import count
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 IRI = "iri"
 BLANK = "blank"
@@ -40,40 +42,36 @@ class Term:
 
     ``value`` holds the full IRI, the blank-node label, or the lexical form
     of a literal. Only literals may carry ``lang`` or ``datatype`` (never
-    both). Instances are immutable by convention; mutating one breaks the
-    intern table.
+    both). Every construction, ``Term(...)`` included, returns the one
+    interned object for its parts, so equality and hashing are identity.
+    Instances are immutable by convention; mutating one breaks the intern
+    table.
     """
 
-    __slots__ = ("kind", "value", "lang", "datatype", "_hash")
+    __slots__ = ("kind", "value", "lang", "datatype")
 
-    def __init__(self, kind: str, value: str, lang: str | None = None, datatype: str | None = None):
+    def __new__(cls, kind: str, value: str, lang: str | None = None, datatype: str | None = None) -> "Term":
+        key = (kind, value, lang, datatype)
+        term = _interned.get(key)
+        if term is not None:
+            return term
         if kind not in _KIND_ORDER:
             raise GraphError(f"unknown term kind: {kind!r}")
         if kind != LITERAL and (lang is not None or datatype is not None):
             raise GraphError("only literals carry a language tag or datatype")
         if lang is not None and datatype is not None:
             raise GraphError("a literal cannot have both a language tag and a datatype")
-        self.kind = kind
-        self.value = value
-        self.lang = lang
-        self.datatype = datatype
-        self._hash = hash((kind, value, lang, datatype))
+        term = object.__new__(cls)
+        term.kind = kind
+        term.value = value
+        term.lang = lang
+        term.datatype = datatype
+        _interned[key] = term
+        return term
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Term):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.kind == other.kind
-            and self.value == other.value
-            and self.lang == other.lang
-            and self.datatype == other.datatype
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through __new__, so they return the interned term.
+        return (Term, (self.kind, self.value, self.lang, self.datatype))
 
     def __lt__(self, other: "Term") -> bool:
         return self.sort_key() < other.sort_key()
@@ -120,12 +118,9 @@ _interned: dict[tuple, Term] = {}
 
 
 def _intern(kind: str, value: str, lang: str | None, datatype: str | None) -> Term:
-    key = (kind, value, lang, datatype)
-    term = _interned.get(key)
-    if term is None:
-        term = Term(kind, value, lang, datatype)
-        _interned[key] = term
-    return term
+    # The table lookup inline, so the common hit skips the call into __new__.
+    term = _interned.get((kind, value, lang, datatype))
+    return term if term is not None else Term(kind, value, lang, datatype)
 
 
 def iri(value: str) -> Term:
@@ -186,13 +181,14 @@ class Graph:
     rejects further inserts.
     """
 
-    __slots__ = ("_triples", "_by_s", "_by_p", "_by_o", "prefixes", "_frozen")
+    __slots__ = ("_triples", "_by_s", "_by_p", "_by_o", "_views", "prefixes", "_frozen")
 
     def __init__(self, prefixes: Mapping[str, str] | None = None):
         self._triples: dict[Triple, None] = {}
         self._by_s: dict[Term, list[Triple]] = {}
         self._by_p: dict[Term, list[Triple]] = {}
         self._by_o: dict[Term, list[Triple]] = {}
+        self._views = tuple(MappingProxyType(index) for index in (self._by_s, self._by_p, self._by_o))
         self.prefixes: dict[str, str] = dict(prefixes or {})
         self._frozen = False
 
@@ -241,6 +237,13 @@ class Graph:
             for t in best
             if (s is None or t.s == s) and (p is None or t.p == p) and (o is None or t.o == o)
         ]
+
+    def index(self, position: int) -> Mapping[Term, Sequence[Triple]]:
+        """Read-only view of one positional index (0 subject, 1 predicate, 2 object).
+
+        Each term maps to its triples at that position, in insertion order.
+        """
+        return self._views[position]
 
     def subjects(self, p: Term | None = None, o: Term | None = None) -> list[Term]:
         seen: dict[Term, None] = {}

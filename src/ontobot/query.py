@@ -17,18 +17,26 @@ token list first, but a lexical error is raised only when the parser reaches
 it, and the parser never reaches tokens past an unsupported clause, so e.g.
 ``HAVING (?y > 1)`` reports HAVING rather than a lexical error on '>'.
 
-Evaluation is a left-deep nested index join: patterns are greedily
-reordered by bound-term count (preferring patterns connected to already
-bound variables), each level probing the graph's positional indexes.
-Results are deduplicated on the projected bindings when DISTINCT is set
-and returned sorted by the projected terms' lexical forms, so evaluation
-is fully deterministic.
+Evaluation compiles the query once, then runs it over one flat row.
+Patterns are greedily ordered by bound-term count, preferring patterns
+connected to already bound variables. Every variable and constant gets a
+slot of the row, and each pattern becomes one step: an access path chosen
+from which positions are bound at that depth (all three: a membership test;
+two: the smaller of their index buckets, the other position checked by
+identity; one: its bucket; none: a scan), plus the slots it fills. A
+variable repeated within a pattern becomes an identity check. The join
+walks the steps depth first over an explicit stack of candidate iterators,
+writing into the row, and emits the projected slots at the last step.
+Results are deduplicated on the projected terms when DISTINCT is set and
+returned sorted by the projected terms' lexical forms, so evaluation is
+fully deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Union
+from operator import itemgetter
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 from ontobot.graph import Graph, Term
 from ontobot.turtle import ParseDiagnostic, Token, _StatementParser
@@ -224,63 +232,84 @@ def parse_query_file(path) -> Query:
 
 
 def _order_patterns(patterns: list[TriplePattern]) -> list[TriplePattern]:
-    remaining = list(enumerate(patterns))
+    """Greedy join order: next comes the pattern ranking highest by
+    ``(connected, bound_count, -index)``, where ``bound_count`` counts constants
+    and bound variables and ``connected`` means one of its variables is bound
+    (true for every pattern in the first round). Ranks only rise, so binding a
+    variable moves just the patterns that use it, between eight bit sets of
+    waiting pattern indexes, one per rank; the next pattern is the lowest bit
+    of the highest non-empty set.
+    """
+    n = len(patterns)
+    if not n:
+        return []
+    rank = [3] * n  # the bound positions, and 4 more once connected
+    uses: dict[str, list[int]] = {}  # one entry per occurrence
+    waiting = [0] * 8
+    for index, pat in enumerate(patterns):
+        for t in pat:
+            if isinstance(t, Var):
+                rank[index] -= 1
+                uses.setdefault(t.name, []).append(index)
+        waiting[rank[index]] |= 1 << index
+    index = max(range(n), key=lambda i: (rank[i], -i))
     ordered: list[TriplePattern] = []
     bound: set[str] = set()
-    while remaining:
-        def score(item: tuple[int, TriplePattern]) -> tuple:
-            index, pat = item
-            terms = (pat.s, pat.p, pat.o)
-            bound_count = sum(
-                1 for t in terms if not isinstance(t, Var) or t.name in bound
-            )
-            connected = not ordered or any(
-                isinstance(t, Var) and t.name in bound for t in terms
-            )
-            return (connected, bound_count, -index)
-
-        best = max(remaining, key=score)
-        remaining.remove(best)
-        ordered.append(best[1])
-        bound.update(t.name for t in best[1] if isinstance(t, Var))
-    return ordered
-
-
-def _match_pattern(graph: Graph, pat: TriplePattern, binding: dict[str, Term]) -> Iterator[dict[str, Term]]:
-    def resolved(t: PatternTerm) -> Term | None:
-        if isinstance(t, Var):
-            return binding.get(t.name)
-        return t
-
-    for triple in graph.match(resolved(pat.s), resolved(pat.p), resolved(pat.o)):
-        extended = binding
-        ok = True
-        for slot, value in zip(pat, triple):
-            if not isinstance(slot, Var):
-                continue
-            current = extended.get(slot.name)
-            if current is None:
-                if extended is binding:
-                    extended = dict(binding)
-                extended[slot.name] = value
-            elif current != value:
-                ok = False
-                break
-        if ok:
-            yield extended if extended is not binding else dict(binding)
+    while True:
+        waiting[rank[index]] ^= 1 << index
+        ordered.append(patterns[index])
+        for t in patterns[index]:
+            if isinstance(t, Var) and t.name not in bound:
+                bound.add(t.name)
+                for other in uses[t.name]:
+                    bit = 1 << other
+                    if waiting[rank[other]] & bit:  # not placed yet
+                        waiting[rank[other]] ^= bit
+                        rank[other] = 4 + rank[other] % 4 + 1  # connected, one more bound
+                        waiting[rank[other]] |= bit
+        top = next((members for members in reversed(waiting) if members), 0)
+        if not top:
+            return ordered
+        index = (top & -top).bit_length() - 1
 
 
-def _join(graph: Graph, patterns: list[TriplePattern], binding: dict[str, Term]) -> Iterator[dict[str, Term]]:
-    # Depth-first over a stack of one iterator per pattern, not recursion, so no recursion limit applies.
-    stack: list[Iterator[dict[str, Term]]] = [iter([binding])]
-    while stack:
-        extended = next(stack[-1], None)
-        if extended is None:
-            stack.pop()
-        elif len(stack) > len(patterns):
-            yield extended
-        else:
-            stack.append(_match_pattern(graph, patterns[len(stack) - 1], extended))
+_HIT: tuple[None] = (None,)  # the one candidate of a membership test that holds
+
+
+def _access_path(graph: Graph, bound: list[tuple[int, int]], same: list[tuple[int, int]]) -> Callable[[list], Sequence]:
+    """The function from a row to the candidate triples of one step.
+
+    ``bound`` pairs each bound position with the row slot holding its term;
+    ``same`` pairs the positions of a variable repeated in the pattern.
+    """
+    if len(bound) == 3:
+        contains = graph.__contains__
+        (_, a), (_, b), (_, c) = bound
+        probe = lambda row: _HIT if contains((row[a], row[b], row[c])) else ()  # noqa: E731
+    elif len(bound) == 2:
+        (pa, a), (pb, b) = bound
+        get_a, get_b = graph.index(pa).get, graph.index(pb).get
+
+        def probe(row: list) -> Sequence:
+            # The smaller bucket, the earlier position on a tie; the other position by identity.
+            va, vb = row[a], row[b]
+            bucket_a, bucket_b = get_a(va), get_b(vb)
+            if bucket_a is None or bucket_b is None:
+                return ()
+            if len(bucket_a) <= len(bucket_b):
+                return [t for t in bucket_a if t[pb] is vb]
+            return [t for t in bucket_b if t[pa] is va]
+    elif bound:
+        ((pa, a),) = bound
+        get_a = graph.index(pa).get
+        probe = lambda row: get_a(row[a], ())  # noqa: E731
+    else:
+        everything = list(graph)
+        probe = lambda row: everything  # noqa: E731
+    if same:
+        unfiltered = probe
+        probe = lambda row: [t for t in unfiltered(row) if all(t[x] is t[y] for x, y in same)]  # noqa: E731
+    return probe
 
 
 def evaluate(query: Query, graph: Graph) -> list[Solution]:
@@ -289,15 +318,72 @@ def evaluate(query: Query, graph: Graph) -> list[Solution]:
     Rows are sorted by the projected terms' lexical forms; with DISTINCT
     set, each projected row appears exactly once.
     """
-    ordered = _order_patterns(query.pattern)
-    rows: list[tuple[Term, ...]] = []
-    seen: set[tuple[Term, ...]] = set()
-    for binding in _join(graph, ordered, {}):
-        row = tuple(binding[name] for name in query.projection)
-        if query.distinct:
-            if row in seen:
-                continue
-            seen.add(row)
-        rows.append(row)
-    rows.sort(key=lambda row: tuple(term.sort_key() for term in row))
+    # Compile: each variable and constant gets a slot of one flat row, and each
+    # pattern a step: a probe from the row to its candidate triples, and the
+    # (slot, position) pairs it fills. Step 0 is a root with one candidate
+    # that binds nothing, so an empty pattern has one solution.
+    slots: dict[PatternTerm, int] = {}
+    row: list = []
+    probes: list[Callable[[list], Sequence]] = [lambda _: _HIT]
+    fills: list[tuple[tuple[int, int], ...]] = [()]
+    for pat in _order_patterns(query.pattern):
+        bound: list[tuple[int, int]] = []
+        same: list[tuple[int, int]] = []
+        first: dict[Var, int] = {}
+        for position, term in enumerate(pat):
+            if term in first:
+                same.append((first[term], position))
+            elif isinstance(term, Var) and term not in slots:
+                first[term] = position
+            else:
+                if term not in slots:
+                    slots[term] = len(row)
+                    row.append(term)
+                bound.append((position, slots[term]))
+        probe = _access_path(graph, bound, same)
+        if all(row[slot] is not None for _, slot in bound):  # constants only: find the candidates once
+            fixed = probe(row)
+            if not fixed:  # no row can match this step
+                return []
+            probe = lambda _, fixed=fixed: fixed  # noqa: E731
+        probes.append(probe)
+        for var in first:
+            slots[var] = len(row)
+            row.append(None)
+        fills.append(tuple((slots[var], position) for var, position in first.items()))
+
+    project = [slots[Var(name)] for name in query.projection]
+    key = itemgetter(*project) if project else lambda _: ()  # a term, not a 1-tuple, for one variable
+    # Rows in first-found order, which the stable sort keeps among equal keys.
+    found: dict | list = {} if query.distinct else []
+    emit = found.setdefault if query.distinct else found.append
+
+    # Depth first over an explicit stack of candidate iterators, so no
+    # recursion limit applies. Above the last level a `break` descends and
+    # the `else` backs up; the last level emits each of its candidates.
+    last = len(probes) - 1
+    stack: list[Iterator] = [iter(probes[0](row))] * len(probes)  # each deeper level is set on descent
+    depth = 0
+    while depth >= 0:
+        step_fills = fills[depth]
+        if depth == last:
+            for t in stack[depth]:
+                for slot, position in step_fills:
+                    row[slot] = t[position]
+                emit(key(row))
+            depth -= 1
+            continue
+        for t in stack[depth]:
+            for slot, position in step_fills:
+                row[slot] = t[position]
+            depth += 1
+            stack[depth] = iter(probes[depth](row))
+            break
+        else:
+            depth -= 1
+
+    rows = [(term,) for term in found] if len(project) == 1 else list(found)
+    if len(rows) > 1:  # each distinct term's sort_key() is built once
+        keys = {term: term.sort_key() for term in {term for cells in rows for term in cells}}
+        rows.sort(key=lambda row: tuple(map(keys.__getitem__, row)))
     return [Solution(zip(query.projection, row)) for row in rows]

@@ -43,6 +43,7 @@ from ontobot.graph import (
     IRI,
     LITERAL,
     Graph,
+    GraphError,
     Term,
     Triple,
     blank_minter,
@@ -411,7 +412,9 @@ def parse_turtle_file(path) -> Graph:
 
 
 _SAFE_LOCAL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*\Z")
-_SAFE_PREFIX_RE = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_\-]*)?\Z")
+# The prefix names and language tags the lexer reads back.
+_SAFE_PREFIX_RE = re.compile(r"(?:[A-Za-z][A-Za-z0-9_\-]*)?\Z")
+_LANG_RE = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*\Z")
 
 
 def prefixed_name(value: str, prefixes: Mapping[str, str]) -> str | None:
@@ -444,19 +447,28 @@ def term_to_text(term: Term, prefixes: Mapping[str, str], escape: bool = False) 
     """Turtle text for one term, preferring prefixed names for IRIs.
 
     With ``escape``, characters an IRI may not hold are written as ``\\uXXXX``,
-    so the text parses back to the term; without it, IRIs are shown as they are.
+    so the text parses back to the term, and a language tag that cannot be
+    read back raises :class:`GraphError`; without it, terms are shown as they are.
     """
     if term.kind == IRI:
         return prefixed_name(term.value, prefixes) or _iri_ref(term.value, escape)
     if term.kind == LITERAL and term.datatype is not None:
         quoted = term.n3()[: -len(term.datatype) - 4]  # without its '^^<datatype>'
         return f"{quoted}^^{prefixed_name(term.datatype, prefixes) or _iri_ref(term.datatype, escape)}"
+    # '@prefix' and '@base' lex as directives, not as tags.
+    if escape and term.lang is not None and (not _LANG_RE.match(term.lang) or term.lang in _DIRECTIVES):
+        raise GraphError(f"language tag {term.lang!r} cannot be written as Turtle")
     return term.n3()
 
 
 def serialize_turtle(graph: Graph) -> str:
-    """Write a graph as Turtle; re-parsing yields an isomorphic graph."""
-    prefixes = graph.prefixes
+    """Write a graph as Turtle; re-parsing yields an isomorphic graph.
+
+    A prefix whose name the lexer would not read back is left out, and IRIs
+    under it are written in full. A language tag that the lexer would not
+    read back raises :class:`GraphError`.
+    """
+    prefixes = {name: ns for name, ns in graph.prefixes.items() if _SAFE_PREFIX_RE.match(name)}
     lines = [f"@prefix {name}: {_iri_ref(prefixes[name], True)} ." for name in sorted(prefixes)]
     if lines:
         lines.append("")

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from ontobot import cli
 from ontobot.cli import main
 from ontobot.fixtures import activities_path, queries_dir, robots_path
 
@@ -122,6 +123,29 @@ def test_output_stdout_cannot_encode_exits_2_with_one_line_message(capsys, monke
     assert code == 2
     assert err.startswith("ontobot: 'ascii' codec can't encode character")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["cq", "4", "--activity", "Prepare breakfast"], ["validate", "x.ttl"]])
+def test_internal_error_exits_5_with_one_line_message(capsys, monkeypatch, argv):
+    def broken(args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "cmd_cq", broken)
+    monkeypatch.setattr(cli, "cmd_validate", broken)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 5
+    assert out == ""
+    assert err == "ontobot: internal error: KeyError: 'lost'\n"
+
+
+def test_interrupt_is_not_an_internal_error(monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_validate", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["validate", "x.ttl"])
 
 
 # -- query --------------------------------------------------------------------

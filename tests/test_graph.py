@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
 
 from helpers import random_graph, scan_match
 from ontobot.graph import (
+    IRI,
+    LITERAL,
     Graph,
     GraphError,
+    Term,
     Triple,
     UndeclaredPrefixError,
     blank,
@@ -174,3 +179,34 @@ def test_term_equality_usable_as_set_key():
     assert len({a, b}) == 1
     assert literal("x") != literal("x", lang="en")
     assert literal("x") != literal("x", datatype="http://www.w3.org/2001/XMLSchema#string")
+
+
+def test_every_construction_returns_the_interned_term():
+    lit = literal("x", lang="en")
+    assert Term(IRI, "https://example.org/drawer") is iri("https://example.org/drawer")
+    assert Term(LITERAL, "x", lang="en") is lit
+    assert Term(LITERAL, "x", "en", None) is lit
+    for term in (iri("https://example.org/drawer"), blank("b7"), lit):
+        assert copy.copy(term) is term
+        assert copy.deepcopy(term) is term
+        assert pickle.loads(pickle.dumps(term)) is term
+    triple = Triple(iri("https://example.org/a"), OBOT.hasAffordance, lit)
+    assert pickle.loads(pickle.dumps(triple)) == triple
+
+
+def test_term_rejects_malformed_parts():
+    with pytest.raises(GraphError):
+        Term("uri", "https://example.org/")
+    with pytest.raises(GraphError):
+        Term(IRI, "https://example.org/", lang="en")
+    with pytest.raises(GraphError):
+        Term(LITERAL, "x", lang="en", datatype="https://example.org/t")
+
+
+def test_index_view_is_read_only_and_agrees_with_match(activities):
+    for position in range(3):
+        view = activities.index(position)
+        for term, bucket in view.items():
+            assert list(bucket) == activities.match(*(term if i == position else None for i in range(3)))
+        with pytest.raises(TypeError):
+            view[OBOT.hasAffordance] = []  # type: ignore[index]

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from helpers import random_graph
-from ontobot.graph import Graph, Triple, iri, isomorphic, literal
+from ontobot.graph import Graph, GraphError, Triple, iri, isomorphic, literal
 from ontobot.namespaces import OBOT, RDFS, SOMA
 from ontobot.turtle import TurtleParseError, parse_turtle, serialize_turtle, term_to_text
 
@@ -226,6 +226,33 @@ def test_round_trip_random_graphs_with_blanks():
     for _ in range(20):
         g = random_graph(rng, max_triples=40, with_blanks=True)
         assert isomorphic(parse_turtle(serialize_turtle(g)), g)
+
+
+@pytest.mark.parametrize("name", ["1x", "_", "_x", "-x"])
+def test_serialize_leaves_out_prefix_names_the_lexer_refuses(name):
+    g = Graph({name: "https://e.org/", "ok": "https://e.org/ok/"})
+    g.insert(Triple(iri("https://e.org/a"), iri("https://e.org/ok/p"), iri("https://e.org/b")))
+    text = serialize_turtle(g)
+    assert f"@prefix {name}:" not in text
+    assert "<https://e.org/a> ok:p <https://e.org/b> ." in text
+    reparsed = parse_turtle(text)
+    assert reparsed.triple_set() == g.triple_set()
+    assert reparsed.prefixes == {"ok": "https://e.org/ok/"}
+
+
+@pytest.mark.parametrize("tag", ["en US", "en-", "-en", "1en", "en_US", "", "prefix", "base"])
+def test_serialize_refuses_a_language_tag_the_lexer_refuses(tag):
+    g = Graph()
+    g.insert(Triple(iri("https://e.org/a"), iri("https://e.org/p"), literal("x", lang=tag)))
+    with pytest.raises(GraphError, match=repr(tag)):
+        serialize_turtle(g)
+
+
+@pytest.mark.parametrize("tag", ["en", "en-US", "zh-Hant-TW", "x-1a", "PREFIX"])
+def test_serialize_round_trips_language_tags(tag):
+    g = Graph()
+    g.insert(Triple(iri("https://e.org/a"), iri("https://e.org/p"), literal("x", lang=tag)))
+    assert parse_turtle(serialize_turtle(g)).triple_set() == g.triple_set()
 
 
 def test_parse_determinism():
