@@ -1,10 +1,16 @@
 """In-memory triple store: terms, triples, and an index-backed graph.
 
 Graphs are append-only while documents load into them and are then frozen,
-after which they are immutable and safe for concurrent readers. Every triple is
-reachable through three positional indexes (by subject, by predicate, by
-object); ``match`` dispatches to the most selective index available for
-the bound positions of a pattern.
+after which they are immutable and safe for concurrent readers. A load keeps
+each triple in two places: the triple set, in insertion order, and the
+predicate index. Every other index is built from those on first use and kept
+exact by later inserts: the subject and object indexes over all triples, and
+the groups, each one predicate's triples keyed by their subject or by their
+object. ``match`` answers a pattern that binds the predicate and one of
+subject/object from its group in one lookup; any other pattern takes the
+smallest bucket of its bound positions and filters it. An index is built in
+a local dict and published with one assignment, so a reader of a frozen
+graph never sees one half built.
 
 Terms are interned through the ``iri`` / ``blank`` / ``literal`` factories:
 building the same term twice, or calling ``Term(...)``, yields the same object,
@@ -173,22 +179,24 @@ def expand(prefixes: Mapping[str, str], qname: str) -> Term:
     return iri(namespace + local)
 
 
+_NO_GROUP: Mapping = MappingProxyType({})
+
+
 class Graph:
-    """A set of triples with a prefix table and three positional indexes.
+    """A set of triples with a prefix table, positional indexes and groups.
 
     Insertion order is preserved, so iteration and ``match`` results are
     deterministic for a given build sequence. After :meth:`freeze` the graph
     rejects further inserts.
     """
 
-    __slots__ = ("_triples", "_by_s", "_by_p", "_by_o", "_views", "prefixes", "_frozen")
+    __slots__ = ("_triples", "_by_p", "_built", "prefixes", "_frozen")
 
     def __init__(self, prefixes: Mapping[str, str] | None = None):
         self._triples: dict[Triple, None] = {}
-        self._by_s: dict[Term, list[Triple]] = {}
         self._by_p: dict[Term, list[Triple]] = {}
-        self._by_o: dict[Term, list[Triple]] = {}
-        self._views = tuple(MappingProxyType(index) for index in (self._by_s, self._by_p, self._by_o))
+        # (predicate, or None for all triples; position 0 or 2) -> {term at that position: triples}
+        self._built: dict[tuple[Term | None, int], dict[Term, list[Triple]]] = {}
         self.prefixes: dict[str, str] = dict(prefixes or {})
         self._frozen = False
 
@@ -208,9 +216,12 @@ class Graph:
         if t in self._triples:
             return
         self._triples[t] = None
-        self._by_s.setdefault(t.s, []).append(t)
         self._by_p.setdefault(t.p, []).append(t)
-        self._by_o.setdefault(t.o, []).append(t)
+        if self._built:  # none is built while a document loads
+            for key in ((None, 0), (None, 2), (t.p, 0), (t.p, 2)):
+                index = self._built.get(key)
+                if index is not None:
+                    index.setdefault(t[key[1]], []).append(t)
 
     def insert_all(self, triples: Iterable[Triple]) -> None:
         for t in triples:
@@ -218,14 +229,16 @@ class Graph:
 
     def match(self, s: Term | None = None, p: Term | None = None, o: Term | None = None) -> list[Triple]:
         """All triples matching the bound positions; ``None`` is a wildcard."""
+        if p is not None and (s is None) != (o is None):
+            return list(self._grouped(p, 0).get(s, ()) if o is None else self._grouped(p, 2).get(o, ()))
         if s is not None and p is not None and o is not None:
             t = Triple(s, p, o)
             return [t] if t in self._triples else []
         best: list[Triple] | None = None
-        for term, index in ((s, self._by_s), (p, self._by_p), (o, self._by_o)):
+        for position, term in enumerate((s, p, o)):
             if term is None:
                 continue
-            bucket = index.get(term)
+            bucket = (self._by_p if position == 1 else self._grouped(None, position)).get(term)
             if bucket is None:
                 return []
             if best is None or len(bucket) < len(best):
@@ -238,12 +251,36 @@ class Graph:
             if (s is None or t.s == s) and (p is None or t.p == p) and (o is None or t.o == o)
         ]
 
+    def _grouped(self, p: Term | None, position: int) -> Mapping[Term, list[Triple]]:
+        # p's triples, or all triples when p is None, keyed by their term at position; built on first use.
+        index = self._built.get((p, position))
+        if index is None:
+            source = self._triples if p is None else self._by_p.get(p)
+            if source is None:  # an unknown predicate keeps nothing
+                return _NO_GROUP
+            index = {}
+            for t in source:
+                index.setdefault(t[position], []).append(t)
+            self._built[(p, position)] = index
+        return index
+
     def index(self, position: int) -> Mapping[Term, Sequence[Triple]]:
         """Read-only view of one positional index (0 subject, 1 predicate, 2 object).
 
         Each term maps to its triples at that position, in insertion order.
         """
-        return self._views[position]
+        return MappingProxyType(self._by_p) if position == 1 else self.group(None, position)
+
+    def group(self, p: Term | None, position: int) -> Mapping[Term, Sequence[Triple]]:
+        """Read-only view of ``p``'s triples keyed by their term at ``position`` (0 subject, 2 object).
+
+        With ``p`` None, all triples. Each term maps to its triples in
+        insertion order. The view is built on first request and kept exact by
+        later inserts.
+        """
+        if position not in (0, 2):
+            raise GraphError(f"triples are grouped by subject (0) or object (2), not by position {position!r}")
+        return MappingProxyType(self._grouped(p, position))
 
     def subjects(self, p: Term | None = None, o: Term | None = None) -> list[Term]:
         seen: dict[Term, None] = {}

@@ -22,14 +22,15 @@ Patterns are greedily ordered by bound-term count, preferring patterns
 connected to already bound variables. Every variable and constant gets a
 slot of the row, and each pattern becomes one step: an access path chosen
 from which positions are bound at that depth (all three: a membership test;
-two: the smaller of their index buckets, the other position checked by
-identity; one: its bucket; none: a scan), plus the slots it fills. A
-variable repeated within a pattern becomes an identity check. The join
-walks the steps depth first over an explicit stack of candidate iterators,
-writing into the row, and emits the projected slots at the last step.
-Results are deduplicated on the projected terms when DISTINCT is set and
-returned sorted by the projected terms' lexical forms, so evaluation is
-fully deterministic.
+a constant predicate and subject or object: one lookup in the predicate's
+group, fetched once when the query compiles; any other two: the smaller of
+their index buckets, the other position checked by identity; one: its
+bucket; none: a scan), plus the slots it fills. A variable repeated within
+a pattern becomes an identity check. The join walks the steps depth first
+over an explicit stack of candidate iterators, writing into the row, and
+emits the projected slots at the last step. Results are deduplicated on the
+projected terms when DISTINCT is set and returned sorted by the projected
+terms' lexical forms, so evaluation is fully deterministic.
 """
 
 from __future__ import annotations
@@ -276,11 +277,15 @@ def _order_patterns(patterns: list[TriplePattern]) -> list[TriplePattern]:
 _HIT: tuple[None] = (None,)  # the one candidate of a membership test that holds
 
 
-def _access_path(graph: Graph, bound: list[tuple[int, int]], same: list[tuple[int, int]]) -> Callable[[list], Sequence]:
+def _access_path(
+    graph: Graph, row: list, bound: list[tuple[int, int]], same: list[tuple[int, int]]
+) -> Callable[[list], Sequence]:
     """The function from a row to the candidate triples of one step.
 
-    ``bound`` pairs each bound position with the row slot holding its term;
-    ``same`` pairs the positions of a variable repeated in the pattern.
+    ``bound`` pairs each bound position with the row slot holding its term,
+    in position order; ``row`` holds each constant's term in its slot and
+    ``None`` in each variable's. ``same`` pairs the positions of a variable
+    repeated in the pattern.
     """
     if len(bound) == 3:
         contains = graph.__contains__
@@ -288,17 +293,24 @@ def _access_path(graph: Graph, bound: list[tuple[int, int]], same: list[tuple[in
         probe = lambda row: _HIT if contains((row[a], row[b], row[c])) else ()  # noqa: E731
     elif len(bound) == 2:
         (pa, a), (pb, b) = bound
-        get_a, get_b = graph.index(pa).get, graph.index(pb).get
+        predicate = row[b] if pb == 1 else row[a] if pa == 1 else None
+        if predicate is not None:
+            # A constant predicate: its group, fetched once, answers each probe in one lookup.
+            position, slot = (pa, a) if pb == 1 else (pb, b)
+            get = graph.group(predicate, position).get
+            probe = lambda row: get(row[slot], ())  # noqa: E731
+        else:
+            get_a, get_b = graph.index(pa).get, graph.index(pb).get
 
-        def probe(row: list) -> Sequence:
-            # The smaller bucket, the earlier position on a tie; the other position by identity.
-            va, vb = row[a], row[b]
-            bucket_a, bucket_b = get_a(va), get_b(vb)
-            if bucket_a is None or bucket_b is None:
-                return ()
-            if len(bucket_a) <= len(bucket_b):
-                return [t for t in bucket_a if t[pb] is vb]
-            return [t for t in bucket_b if t[pa] is va]
+            def probe(row: list) -> Sequence:
+                # The smaller bucket, the earlier position on a tie; the other position by identity.
+                va, vb = row[a], row[b]
+                bucket_a, bucket_b = get_a(va), get_b(vb)
+                if bucket_a is None or bucket_b is None:
+                    return ()
+                if len(bucket_a) <= len(bucket_b):
+                    return [t for t in bucket_a if t[pb] is vb]
+                return [t for t in bucket_b if t[pa] is va]
     elif bound:
         ((pa, a),) = bound
         get_a = graph.index(pa).get
@@ -340,7 +352,7 @@ def evaluate(query: Query, graph: Graph) -> list[Solution]:
                     slots[term] = len(row)
                     row.append(term)
                 bound.append((position, slots[term]))
-        probe = _access_path(graph, bound, same)
+        probe = _access_path(graph, row, bound, same)
         if all(row[slot] is not None for _, slot in bound):  # constants only: find the candidates once
             fixed = probe(row)
             if not fixed:  # no row can match this step

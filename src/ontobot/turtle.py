@@ -37,9 +37,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cache
+from itertools import count
 from typing import Callable, Mapping, NoReturn
 
 from ontobot.graph import (
+    BLANK,
     IRI,
     LITERAL,
     Graph,
@@ -86,6 +88,7 @@ _ESCAPES = {
 }
 
 _IRI_BODY = r'[^> "<{}|^`\n]*'
+_BLANK_LABEL = r"[A-Za-z0-9_][A-Za-z0-9_\-]*"
 # A backslash escapes any one character here; _unescape judges the escape.
 # No character matches both branches, so a string without its closing quote
 # fails in time linear in its length.
@@ -110,7 +113,7 @@ def _lexer(variables: bool) -> re.Pattern:
         + rf"|(?P<number>(?:{number})(?:[eE][+-]?\d+)?)"
         + rf'|<(?P<iriref>{_IRI_BODY})>|"(?!"")(?P<string>{_STRING_BODY})"'
         + r"|@(?P<langtag>[A-Za-z]+(?:-[A-Za-z0-9]+)*)|(?P<dtype_sep>\^\^)"
-        + r"|_:(?P<blank>[A-Za-z0-9_][A-Za-z0-9_\-]*)|(?P<dot>\.)|(?P<semi>;)|(?P<comma>,)"
+        + rf"|_:(?P<blank>{_BLANK_LABEL})|(?P<dot>\.)|(?P<semi>;)|(?P<comma>,)"
         + rf"|(?P<punct>[()\[\]{{}}{punct}])"
         + r"|(?P<kw_a>a)(?![A-Za-z0-9_\-])|(?P<boolean>true|false)(?![A-Za-z0-9_\-])"
         + r"|(?P<word>[A-Za-z][A-Za-z0-9_\-]*))[ \t\r\n]*"
@@ -415,6 +418,7 @@ _SAFE_LOCAL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*\Z")
 # The prefix names and language tags the lexer reads back.
 _SAFE_PREFIX_RE = re.compile(r"(?:[A-Za-z][A-Za-z0-9_\-]*)?\Z")
 _LANG_RE = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*\Z")
+_BLANK_LABEL_RE = re.compile(_BLANK_LABEL + r"\Z")
 
 
 def prefixed_name(value: str, prefixes: Mapping[str, str]) -> str | None:
@@ -465,10 +469,19 @@ def serialize_turtle(graph: Graph) -> str:
     """Write a graph as Turtle; re-parsing yields an isomorphic graph.
 
     A prefix whose name the lexer would not read back is left out, and IRIs
-    under it are written in full. A language tag that the lexer would not
-    read back raises :class:`GraphError`.
+    under it are written in full. A blank-node label that the lexer would not
+    read back is written as a fresh ``_:b<n>`` that no other blank node of
+    the graph uses. A language tag that the lexer would not read back raises
+    :class:`GraphError`.
     """
     prefixes = {name: ns for name, ns in graph.prefixes.items() if _SAFE_PREFIX_RE.match(name)}
+    blanks = {term.value: term for t in graph for term in (t.s, t.o) if term.kind == BLANK}
+    fresh = (f"_:b{n}" for n in count() if f"b{n}" not in blanks)
+    relabel = {term: next(fresh) for label, term in blanks.items() if not _BLANK_LABEL_RE.match(label)}
+
+    def text(term: Term) -> str:
+        return relabel.get(term) or term_to_text(term, prefixes, escape=True)
+
     lines = [f"@prefix {name}: {_iri_ref(prefixes[name], True)} ." for name in sorted(prefixes)]
     if lines:
         lines.append("")
@@ -489,9 +502,8 @@ def serialize_turtle(graph: Graph) -> str:
         for predicate in predicates:
             objects = sorted(by_predicate[predicate], key=Term.sort_key)
             p_text = "a" if predicate == RDF.type else term_to_text(predicate, prefixes, escape=True)
-            o_text = " , ".join(term_to_text(o, prefixes, escape=True) for o in objects)
+            o_text = " , ".join(map(text, objects))
             parts.append(f"{p_text} {o_text}")
-        subject_text = term_to_text(subject, prefixes, escape=True)
         joined = " ;\n    ".join(parts)
-        lines.append(f"{subject_text} {joined} .")
+        lines.append(f"{text(subject)} {joined} .")
     return "\n".join(lines) + "\n"

@@ -3,10 +3,11 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import time
 
 import pytest
 
-from helpers import random_graph, scan_match
+from helpers import oracle_evaluate, random_graph, random_query, random_term_pools, scan_match
 from ontobot.graph import (
     IRI,
     LITERAL,
@@ -22,7 +23,9 @@ from ontobot.graph import (
     literal,
     merge_graphs,
 )
+from ontobot.fixtures import activities_path, robots_path
 from ontobot.namespaces import EX, OBOT, RDF, SOMA
+from ontobot.reasoner import load_graph
 
 
 def test_insert_is_idempotent():
@@ -210,3 +213,104 @@ def test_index_view_is_read_only_and_agrees_with_match(activities):
             assert list(bucket) == activities.match(*(term if i == position else None for i in range(3)))
         with pytest.raises(TypeError):
             view[OBOT.hasAffordance] = []  # type: ignore[index]
+
+
+def ordered_scan(graph: Graph, s: Term | None, p: Term | None, o: Term | None) -> list[Triple]:
+    """The matching triples in insertion order, by a plain scan."""
+    return [t for t in graph if (s is None or t.s is s) and (p is None or t.p is p) and (o is None or t.o is o)]
+
+
+def test_match_agrees_in_order_with_a_scan_as_the_graph_grows():
+    # Lookups between inserts build indexes and groups that later inserts must keep exact.
+    rng = random.Random(20261018)
+    for _ in range(30):
+        pools = random_term_pools(rng)
+        subjects = pools["iris"] + pools["blanks"]
+        objects = subjects + pools["literals"]
+        predicates = pools["predicates"] + [EX.unknown]
+        g = Graph()
+        for _ in range(rng.randint(1, 150)):
+            g.insert(Triple(rng.choice(subjects), rng.choice(pools["predicates"]), rng.choice(objects)))
+            for _ in range(rng.randint(0, 2)):
+                s, p, o = rng.choice(subjects), rng.choice(predicates), rng.choice(objects)
+                s, p, o = rng.choice([(s, p, None), (None, p, o), (s, None, None), (None, None, o), (s, None, o)])
+                assert g.match(s, p, o) == ordered_scan(g, s, p, o)
+        g.freeze()
+        for t in g:
+            assert g.match(t.s, t.p, None) == ordered_scan(g, t.s, t.p, None)
+            assert g.match(None, t.p, t.o) == ordered_scan(g, None, t.p, t.o)
+            assert g.objects(t.s, t.p) == list(dict.fromkeys(x.o for x in ordered_scan(g, t.s, t.p, None)))
+            assert g.subjects(t.p, t.o) == list(dict.fromkeys(x.s for x in ordered_scan(g, None, t.p, t.o)))
+
+
+def test_a_load_builds_no_index_beyond_the_predicate_index():
+    # Parsing and inference insert into the triple set and the predicate index only.
+    g = load_graph([activities_path(), robots_path()])
+    assert g._built == {}
+    g.match(EX.drawer, OBOT.hasAffordance, None)
+    assert list(g._built) == [(OBOT.hasAffordance, 0)]
+
+
+def test_two_bound_match_returns_a_fresh_list():
+    g = Graph()
+    g.insert(Triple(EX.a, OBOT.hasAffordance, SOMA.Opening))
+    first = g.match(EX.a, OBOT.hasAffordance, None)
+    first.clear()
+    assert g.match(EX.a, OBOT.hasAffordance, None) == [Triple(EX.a, OBOT.hasAffordance, SOMA.Opening)]
+
+
+def test_group_view_is_read_only_and_agrees_with_match(activities):
+    for position in (0, 2):
+        view = activities.group(OBOT.requiresAffordance, position)
+        assert view
+        for term, triples in view.items():
+            bound = (term, None) if position == 0 else (None, term)
+            assert list(triples) == activities.match(bound[0], OBOT.requiresAffordance, bound[1])
+        with pytest.raises(TypeError):
+            view[EX.drawer] = []  # type: ignore[index]
+    assert dict(activities.group(EX.unknownPredicate, 0)) == {}
+    for position in (-1, 1, 3):
+        with pytest.raises(GraphError):
+            activities.group(OBOT.requiresAffordance, position)
+        if position != 1:
+            with pytest.raises(GraphError):
+                activities.index(position)
+
+
+def test_two_bound_match_reads_only_its_own_triples():
+    # The subject's and the predicate's buckets each hold 10k triples, their
+    # pairing 3: filtering either bucket reads 10k triples per lookup (seconds
+    # for all of them), the group a few (milliseconds).
+    n = 10_000
+    s, p, o = EX.hub, EX.busy, EX.sink
+    g = Graph()
+    for i in range(n):
+        g.insert(Triple(s, iri(f"https://example.org/q{i}"), o))
+        g.insert(Triple(iri(f"https://example.org/s{i}"), p, iri(f"https://example.org/o{i}")))
+        g.insert(Triple(iri(f"https://example.org/t{i}"), iri(f"https://example.org/r{i}"), o))
+    for target in (EX.x, EX.y, o):
+        g.insert(Triple(s, p, target))
+    g.insert(Triple(EX.z, p, o))
+    g.freeze()
+    assert len(g.match(s, p, None)) == 3 and len(g.match(None, p, o)) == 2  # builds both groups
+    start = time.perf_counter()
+    for _ in range(2000):
+        g.match(s, p, None)
+        g.match(None, p, o)
+    assert time.perf_counter() - start < 0.3
+
+
+def test_oracles_do_not_read_the_groups(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an oracle read a group")
+
+    monkeypatch.setattr(Graph, "_grouped", refuse)
+    monkeypatch.setattr(Graph, "group", refuse)
+    rng = random.Random(5)
+    for _ in range(20):
+        g = random_graph(rng, max_triples=40)
+        for t in g:
+            assert scan_match(g, t.s, t.p, None) == set(ordered_scan(g, t.s, t.p, None))
+            assert scan_match(g, None, t.p, t.o) == set(ordered_scan(g, None, t.p, t.o))
+        oracle_evaluate(random_query(rng, g), g)
+

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from helpers import random_graph
-from ontobot.graph import Graph, GraphError, Triple, iri, isomorphic, literal
+from ontobot.graph import Graph, GraphError, Triple, blank, iri, isomorphic, literal
 from ontobot.namespaces import OBOT, RDFS, SOMA
 from ontobot.turtle import TurtleParseError, parse_turtle, serialize_turtle, term_to_text
 
@@ -283,3 +283,14 @@ def test_round_trip_iris_holding_characters_an_iri_may_not_hold(char):
     assert reparsed.prefixes == g.prefixes
     # Shown as they are everywhere else.
     assert iri(odd).n3() == term_to_text(iri(odd), {}) == f"<{odd}>"
+
+
+@pytest.mark.parametrize("label", ["a b", "x.", ""])
+def test_round_trip_relabels_blank_labels_the_lexer_refuses(label):
+    # The fresh label must also miss the labels the graph's other blank nodes use.
+    g = Graph()
+    g.insert(Triple(blank(label), iri("https://e.org/p"), blank("b0")))
+    g.insert(Triple(blank("b1"), iri("https://e.org/p"), iri("https://e.org/c")))
+    reparsed = parse_turtle(serialize_turtle(g))
+    assert len(reparsed) == 2
+    assert isomorphic(reparsed, g)
