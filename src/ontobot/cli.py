@@ -23,11 +23,11 @@ from pathlib import Path
 from typing import Sequence
 
 from ontobot import fixtures
-from ontobot.graph import Graph, GraphError, Term
+from ontobot.graph import Graph, GraphError, Term, iri
 from ontobot.query import QueryParseError, UnsupportedFeatureError, evaluate, parse_query
 from ontobot.reasoner import ChainError, KnowledgeBase, UnknownEntityError, load_graph
 from ontobot.schema import validate
-from ontobot.turtle import TurtleParseError, prefixed_name, term_to_text
+from ontobot.turtle import TurtleParseError, term_to_text
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -59,8 +59,7 @@ def _cell_text(term: Term, prefixes: dict[str, str]) -> str:
     if term.lang is not None:
         text += f"@{term.lang}"
     elif term.datatype is not None:
-        dt = prefixed_name(term.datatype, prefixes) or f"<{term.datatype}>"
-        text += f"^^{dt}"
+        text += "^^" + term_to_text(iri(term.datatype), prefixes)
     return text
 
 

@@ -6,11 +6,11 @@ each triple in two places: the triple set, in insertion order, and the
 predicate index. Every other index is built from those on first use and kept
 exact by later inserts: the subject and object indexes over all triples, and
 the groups, each one predicate's triples keyed by their subject or by their
-object. ``match`` answers a pattern that binds the predicate and one of
-subject/object from its group in one lookup; any other pattern takes the
-smallest bucket of its bound positions and filters it. An index is built in
-a local dict and published with one assignment, so a reader of a frozen
-graph never sees one half built.
+object. ``Graph.lookup`` is the one place that picks which of these answers
+a pattern, from the positions it binds; ``match``, ``subjects``/``objects``
+and the compiled query steps all read through it. An index is built in a
+local dict and published with one assignment, so a reader of a frozen graph
+never sees one half built.
 
 Terms are interned through the ``iri`` / ``blank`` / ``literal`` factories:
 building the same term twice, or calling ``Term(...)``, yields the same object,
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from itertools import count
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 IRI = "iri"
 BLANK = "blank"
@@ -227,29 +227,35 @@ class Graph:
         for t in triples:
             self.insert(t)
 
+    def lookup(self, s: Term | None, p: Term | None, o: Term | None) -> Collection[Triple]:
+        """The triples matching the bound positions, in insertion order; ``None`` is a wildcard.
+
+        All three bound: a membership test. The predicate and one of
+        subject/object: that predicate's group. Subject and object: the
+        smaller of their buckets, the other position checked by identity. One
+        position: its bucket. None: all triples. The result may be an index's
+        own storage: never change it, and copy it before inserting (``match``).
+        """
+        if p is None:
+            if s is None:
+                return self._triples.keys() if o is None else self._grouped(None, 2).get(o, ())
+            if o is None:
+                return self._grouped(None, 0).get(s, ())
+            by_s, by_o = self._grouped(None, 0).get(s), self._grouped(None, 2).get(o)
+            if by_s is None or by_o is None:
+                return ()
+            if len(by_s) <= len(by_o):
+                return [t for t in by_s if t[2] is o]
+            return [t for t in by_o if t[0] is s]
+        if s is None:
+            return self._by_p.get(p, ()) if o is None else self._grouped(p, 2).get(o, ())
+        if o is None:
+            return self._grouped(p, 0).get(s, ())
+        return (Triple(s, p, o),) if (s, p, o) in self._triples else ()
+
     def match(self, s: Term | None = None, p: Term | None = None, o: Term | None = None) -> list[Triple]:
-        """All triples matching the bound positions; ``None`` is a wildcard."""
-        if p is not None and (s is None) != (o is None):
-            return list(self._grouped(p, 0).get(s, ()) if o is None else self._grouped(p, 2).get(o, ()))
-        if s is not None and p is not None and o is not None:
-            t = Triple(s, p, o)
-            return [t] if t in self._triples else []
-        best: list[Triple] | None = None
-        for position, term in enumerate((s, p, o)):
-            if term is None:
-                continue
-            bucket = (self._by_p if position == 1 else self._grouped(None, position)).get(term)
-            if bucket is None:
-                return []
-            if best is None or len(bucket) < len(best):
-                best = bucket
-        if best is None:
-            return list(self._triples)
-        return [
-            t
-            for t in best
-            if (s is None or t.s == s) and (p is None or t.p == p) and (o is None or t.o == o)
-        ]
+        """All triples matching the bound positions, as a fresh list; ``None`` is a wildcard."""
+        return list(self.lookup(s, p, o))
 
     def _grouped(self, p: Term | None, position: int) -> Mapping[Term, list[Triple]]:
         # p's triples, or all triples when p is None, keyed by their term at position; built on first use.
@@ -264,13 +270,6 @@ class Graph:
             self._built[(p, position)] = index
         return index
 
-    def index(self, position: int) -> Mapping[Term, Sequence[Triple]]:
-        """Read-only view of one positional index (0 subject, 1 predicate, 2 object).
-
-        Each term maps to its triples at that position, in insertion order.
-        """
-        return MappingProxyType(self._by_p) if position == 1 else self.group(None, position)
-
     def group(self, p: Term | None, position: int) -> Mapping[Term, Sequence[Triple]]:
         """Read-only view of ``p``'s triples keyed by their term at ``position`` (0 subject, 2 object).
 
@@ -284,13 +283,13 @@ class Graph:
 
     def subjects(self, p: Term | None = None, o: Term | None = None) -> list[Term]:
         seen: dict[Term, None] = {}
-        for t in self.match(None, p, o):
+        for t in self.lookup(None, p, o):
             seen.setdefault(t.s)
         return list(seen)
 
     def objects(self, s: Term | None = None, p: Term | None = None) -> list[Term]:
         seen: dict[Term, None] = {}
-        for t in self.match(s, p, None):
+        for t in self.lookup(s, p, None):
             seen.setdefault(t.o)
         return list(seen)
 

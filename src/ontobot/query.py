@@ -20,24 +20,23 @@ it, and the parser never reaches tokens past an unsupported clause, so e.g.
 Evaluation compiles the query once, then runs it over one flat row.
 Patterns are greedily ordered by bound-term count, preferring patterns
 connected to already bound variables. Every variable and constant gets a
-slot of the row, and each pattern becomes one step: an access path chosen
-from which positions are bound at that depth (all three: a membership test;
-a constant predicate and subject or object: one lookup in the predicate's
-group, fetched once when the query compiles; any other two: the smaller of
-their index buckets, the other position checked by identity; one: its
-bucket; none: a scan), plus the slots it fills. A variable repeated within
-a pattern becomes an identity check. The join walks the steps depth first
-over an explicit stack of candidate iterators, writing into the row, and
-emits the projected slots at the last step. Results are deduplicated on the
-projected terms when DISTINCT is set and returned sorted by the projected
-terms' lexical forms, so evaluation is fully deterministic.
+slot of the row, slot 0 holding ``None`` for unbound positions, and each
+pattern becomes one step: a ``Graph.lookup`` of its three slots, which picks
+the access path, plus the slots it fills. A step with a constant predicate
+and one other bound position fetches that predicate's group once, when the
+query compiles. A variable repeated within a pattern becomes an identity
+check. The join walks the steps depth first over an explicit stack of
+candidate iterators, writing into the row, and emits the projected slots at
+the last step. Results are deduplicated on the projected terms when DISTINCT
+is set and returned sorted by the projected terms' lexical forms, so
+evaluation is fully deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Collection, Iterator, NamedTuple, Union
 
 from ontobot.graph import Graph, Term
 from ontobot.turtle import ParseDiagnostic, Token, _StatementParser
@@ -274,54 +273,7 @@ def _order_patterns(patterns: list[TriplePattern]) -> list[TriplePattern]:
         index = (top & -top).bit_length() - 1
 
 
-_HIT: tuple[None] = (None,)  # the one candidate of a membership test that holds
-
-
-def _access_path(
-    graph: Graph, row: list, bound: list[tuple[int, int]], same: list[tuple[int, int]]
-) -> Callable[[list], Sequence]:
-    """The function from a row to the candidate triples of one step.
-
-    ``bound`` pairs each bound position with the row slot holding its term,
-    in position order; ``row`` holds each constant's term in its slot and
-    ``None`` in each variable's. ``same`` pairs the positions of a variable
-    repeated in the pattern.
-    """
-    if len(bound) == 3:
-        contains = graph.__contains__
-        (_, a), (_, b), (_, c) = bound
-        probe = lambda row: _HIT if contains((row[a], row[b], row[c])) else ()  # noqa: E731
-    elif len(bound) == 2:
-        (pa, a), (pb, b) = bound
-        predicate = row[b] if pb == 1 else row[a] if pa == 1 else None
-        if predicate is not None:
-            # A constant predicate: its group, fetched once, answers each probe in one lookup.
-            position, slot = (pa, a) if pb == 1 else (pb, b)
-            get = graph.group(predicate, position).get
-            probe = lambda row: get(row[slot], ())  # noqa: E731
-        else:
-            get_a, get_b = graph.index(pa).get, graph.index(pb).get
-
-            def probe(row: list) -> Sequence:
-                # The smaller bucket, the earlier position on a tie; the other position by identity.
-                va, vb = row[a], row[b]
-                bucket_a, bucket_b = get_a(va), get_b(vb)
-                if bucket_a is None or bucket_b is None:
-                    return ()
-                if len(bucket_a) <= len(bucket_b):
-                    return [t for t in bucket_a if t[pb] is vb]
-                return [t for t in bucket_b if t[pa] is va]
-    elif bound:
-        ((pa, a),) = bound
-        get_a = graph.index(pa).get
-        probe = lambda row: get_a(row[a], ())  # noqa: E731
-    else:
-        everything = list(graph)
-        probe = lambda row: everything  # noqa: E731
-    if same:
-        unfiltered = probe
-        probe = lambda row: [t for t in unfiltered(row) if all(t[x] is t[y] for x, y in same)]  # noqa: E731
-    return probe
+_HIT: tuple[None] = (None,)  # the root step's one candidate, which binds nothing
 
 
 def evaluate(query: Query, graph: Graph) -> list[Solution]:
@@ -335,11 +287,12 @@ def evaluate(query: Query, graph: Graph) -> list[Solution]:
     # (slot, position) pairs it fills. Step 0 is a root with one candidate
     # that binds nothing, so an empty pattern has one solution.
     slots: dict[PatternTerm, int] = {}
-    row: list = []
-    probes: list[Callable[[list], Sequence]] = [lambda _: _HIT]
+    row: list = [None]  # slot 0: the wildcard of every unbound position
+    lookup = graph.lookup
+    probes: list[Callable[[list], Collection]] = [lambda _: _HIT]
     fills: list[tuple[tuple[int, int], ...]] = [()]
     for pat in _order_patterns(query.pattern):
-        bound: list[tuple[int, int]] = []
+        at = [0, 0, 0]  # each position's slot, 0 while unbound
         same: list[tuple[int, int]] = []
         first: dict[Var, int] = {}
         for position, term in enumerate(pat):
@@ -351,9 +304,19 @@ def evaluate(query: Query, graph: Graph) -> list[Solution]:
                 if term not in slots:
                     slots[term] = len(row)
                     row.append(term)
-                bound.append((position, slots[term]))
-        probe = _access_path(graph, row, bound, same)
-        if all(row[slot] is not None for _, slot in bound):  # constants only: find the candidates once
+                at[position] = slots[term]
+        a, b, c = at
+        if b and not isinstance(pat.p, Var) and bool(a) != bool(c):
+            # A constant predicate: its group, fetched once, answers each probe in one lookup.
+            get, slot = graph.group(row[b], 0 if a else 2).get, a or c
+            probe = lambda row, get=get, slot=slot: get(row[slot], ())  # noqa: E731
+        else:
+            probe = lambda row, a=a, b=b, c=c: lookup(row[a], row[b], row[c])  # noqa: E731
+        if same:
+            probe = lambda row, unfiltered=probe, same=same: [  # noqa: E731
+                t for t in unfiltered(row) if all(t[x] is t[y] for x, y in same)
+            ]
+        if all(row[slot] is not None for slot in at if slot):  # constants only: find the candidates once
             fixed = probe(row)
             if not fixed:  # no row can match this step
                 return []

@@ -206,15 +206,6 @@ def test_term_rejects_malformed_parts():
         Term(LITERAL, "x", lang="en", datatype="https://example.org/t")
 
 
-def test_index_view_is_read_only_and_agrees_with_match(activities):
-    for position in range(3):
-        view = activities.index(position)
-        for term, bucket in view.items():
-            assert list(bucket) == activities.match(*(term if i == position else None for i in range(3)))
-        with pytest.raises(TypeError):
-            view[OBOT.hasAffordance] = []  # type: ignore[index]
-
-
 def ordered_scan(graph: Graph, s: Term | None, p: Term | None, o: Term | None) -> list[Triple]:
     """The matching triples in insertion order, by a plain scan."""
     return [t for t in graph if (s is None or t.s is s) and (p is None or t.p is p) and (o is None or t.o is o)]
@@ -228,15 +219,25 @@ def test_match_agrees_in_order_with_a_scan_as_the_graph_grows():
         subjects = pools["iris"] + pools["blanks"]
         objects = subjects + pools["literals"]
         predicates = pools["predicates"] + [EX.unknown]
+        absent = EX.absent  # in no triple, at any position
+
+        def draw() -> tuple[Term, Term, Term]:
+            return rng.choice(subjects + [absent]), rng.choice(predicates), rng.choice(objects + [absent])
+
         g = Graph()
         for _ in range(rng.randint(1, 150)):
             g.insert(Triple(rng.choice(subjects), rng.choice(pools["predicates"]), rng.choice(objects)))
             for _ in range(rng.randint(0, 2)):
-                s, p, o = rng.choice(subjects), rng.choice(predicates), rng.choice(objects)
-                s, p, o = rng.choice([(s, p, None), (None, p, o), (s, None, None), (None, None, o), (s, None, o)])
-                assert g.match(s, p, o) == ordered_scan(g, s, p, o)
+                s, p, o = (term if rng.random() < 0.5 else None for term in draw())
+                assert g.match(s, p, o) == list(g.lookup(s, p, o)) == ordered_scan(g, s, p, o)
         g.freeze()
+        for _ in range(20):  # each of the 8 bound-position combinations
+            terms = draw()
+            for mask in range(8):
+                s, p, o = (term if mask >> i & 1 else None for i, term in enumerate(terms))
+                assert g.match(s, p, o) == list(g.lookup(s, p, o)) == ordered_scan(g, s, p, o)
         for t in g:
+            assert g.match(t.s, t.p, t.o) == list(g.lookup(t.s, t.p, t.o)) == [t]
             assert g.match(t.s, t.p, None) == ordered_scan(g, t.s, t.p, None)
             assert g.match(None, t.p, t.o) == ordered_scan(g, None, t.p, t.o)
             assert g.objects(t.s, t.p) == list(dict.fromkeys(x.o for x in ordered_scan(g, t.s, t.p, None)))
@@ -272,9 +273,6 @@ def test_group_view_is_read_only_and_agrees_with_match(activities):
     for position in (-1, 1, 3):
         with pytest.raises(GraphError):
             activities.group(OBOT.requiresAffordance, position)
-        if position != 1:
-            with pytest.raises(GraphError):
-                activities.index(position)
 
 
 def test_two_bound_match_reads_only_its_own_triples():

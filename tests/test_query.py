@@ -295,6 +295,11 @@ _CASES = {
         TriplePattern(Var("a"), rng.choice(_P), Var("b")),
         TriplePattern(Var("c"), rng.choice(_P), Var("d")),
     ],
+    "triangle": lambda rng, g: [  # the last step binds subject and object by different variables
+        TriplePattern(Var("a"), _P[0], Var("b")),
+        TriplePattern(Var("b"), _P[0], Var("c")),
+        TriplePattern(Var("a"), Var("q"), Var("c")),
+    ],
     "constant-from-term-constructor": lambda rng, g: [
         TriplePattern(Var("s"), Term(IRI, rng.choice(_P).value), Var("o")),
         TriplePattern(Var("o"), Var("p"), Term(IRI, rng.choice(_N).value)),
