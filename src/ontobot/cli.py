@@ -18,9 +18,8 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ontobot import fixtures
 from ontobot.graph import Graph, GraphError, Term, iri
@@ -44,8 +43,7 @@ class _Fail(Exception):
         self.code = code
 
 
-@dataclass
-class ResultTable:
+class ResultTable(NamedTuple):
     id: str
     columns: list[str]
     rows: list[list[object]]  # cells: str, bool, or list[str]

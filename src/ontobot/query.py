@@ -34,7 +34,6 @@ evaluation is fully deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Collection, Iterator, NamedTuple, Union
 
@@ -71,8 +70,7 @@ class TriplePattern(NamedTuple):
     o: PatternTerm
 
 
-@dataclass
-class Query:
+class Query(NamedTuple):
     prefixes: dict[str, str]
     projection: list[str]
     distinct: bool

@@ -33,7 +33,6 @@ exposes. A step's required set is the union over all actions beneath it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
@@ -65,30 +64,26 @@ class ChainError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class PlanAction:
+class PlanAction(NamedTuple):
     action: Term
     label: str
     target: Term | None
     affordances: frozenset[Term]
 
 
-@dataclass(frozen=True)
-class PlanStep:
+class PlanStep(NamedTuple):
     step: Term
     label: str
     actions: tuple[PlanAction, ...]
 
 
-@dataclass(frozen=True)
-class PlanProcedure:
+class PlanProcedure(NamedTuple):
     procedure: Term
     label: str
     steps: tuple[PlanStep, ...]
 
 
-@dataclass(frozen=True)
-class TaskPlan:
+class TaskPlan(NamedTuple):
     activity: Term
     label: str
     procedures: tuple[PlanProcedure, ...]
@@ -100,16 +95,14 @@ class CapabilityChain(NamedTuple):
     capability: Term
 
 
-@dataclass(frozen=True)
-class CapabilityProfile:
+class CapabilityProfile(NamedTuple):
     robot: Term
     label: str
     affordances: frozenset[Term]
     provenance: Mapping[Term, tuple[CapabilityChain, ...]]
 
 
-@dataclass(frozen=True)
-class StepFeasibility:
+class StepFeasibility(NamedTuple):
     step: Term
     label: str
     required: frozenset[Term]
@@ -120,8 +113,7 @@ class StepFeasibility:
         return not self.missing
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     robot: Term
     robot_label: str
     activity: Term
@@ -140,8 +132,7 @@ class FeasibilityReport:
         return all(step.achievable for step in self.steps)
 
 
-@dataclass(frozen=True)
-class FeasibilityMatrix:
+class FeasibilityMatrix(NamedTuple):
     """Achievability of every top-level step of every activity, per robot."""
 
     robots: tuple[tuple[Term, str], ...]

@@ -17,7 +17,6 @@ as data; an invalid graph is still readable and queryable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from ontobot.graph import IRI, LITERAL, Graph, Term, Triple
@@ -56,8 +55,7 @@ OBOT_PROPERTIES: frozenset[Term] = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(NamedTuple):
     classes: frozenset[Term]
     properties: frozenset[Term]
     subclass_axioms: frozenset[tuple[Term, Term]]
@@ -161,8 +159,7 @@ class Violation(NamedTuple):
     message: str
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: list[Violation]
     warnings: list[Violation]
 

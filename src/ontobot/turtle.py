@@ -35,10 +35,9 @@ the graph's when it ends. A failed ``parse_turtle`` returns no partial graph.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache
 from itertools import count
-from typing import Callable, Mapping, NoReturn
+from typing import Callable, Mapping, NamedTuple, NoReturn
 
 from ontobot.graph import (
     BLANK,
@@ -55,8 +54,7 @@ from ontobot.graph import (
 from ontobot.namespaces import RDF
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     """Location and description of a problem in a source text."""
 
     line: int

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
@@ -153,3 +156,14 @@ def test_record_methods():
     assert FeasibilityReport(A, "HSR", B, "breakfast", (done,)).achievable
     matrix = FeasibilityMatrix(((A, "HSR"),), ((B, A, "grasp"), (B, B, "pour")), {(A, A): True, (A, B): False})
     assert matrix.achievable(A, A) and not matrix.achievable(A, B)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # -S keeps site-packages .pth files from importing either module first.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    script = (
+        f"import sys; sys.path.insert(0, {src!r}); import ontobot.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
