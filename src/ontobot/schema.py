@@ -211,22 +211,28 @@ def _check_order_chains(g: Graph, out: ValidationReport) -> None:
         for node, sources in pred.items():
             if len(sources) > 1:
                 out.violations.append(Violation("R2", node, f"{label} join: node has {len(sources)} predecessors"))
-        visited: set[Term] = set()
+        # Depth first over every successor; a cycle is reported once, at the node its back edge reaches.
+        done: set[Term] = set()
+        cyclic: set[Term] = set()
         for start in succ:
-            if start in visited:
+            if start in done:
                 continue
-            path: set[Term] = set()
-            node: Term | None = start
-            while node is not None and node in succ:
-                if node in path:
-                    out.violations.append(Violation("R2", node, f"{label} chain contains a cycle"))
-                    break
-                if node in visited:
-                    break
-                path.add(node)
-                visited.add(node)
-                followers = succ[node]
-                node = followers[0] if followers else None
+            path = {start}
+            stack = [(start, iter(succ[start]))]
+            while stack:
+                node, followers = stack[-1]
+                after = next(followers, None)
+                if after is None:
+                    stack.pop()
+                    path.discard(node)
+                    done.add(node)
+                elif after in path:
+                    if after not in cyclic:
+                        cyclic.add(after)
+                        out.violations.append(Violation("R2", after, f"{label} chain contains a cycle"))
+                elif after in succ and after not in done:
+                    path.add(after)
+                    stack.append((after, iter(succ[after])))
 
 
 def _check_action_connectivity(g: Graph, out: ValidationReport) -> None:

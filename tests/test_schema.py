@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import itertools
 import random
+
+import pytest
 
 from ontobot.fixtures import vocabulary_path
 from ontobot.graph import Graph, Triple, iri, literal
@@ -132,6 +135,21 @@ def test_next_step_fork_and_join_reported_as_r2():
     rules = [v.message for v in validate(g).violations if v.rule == "R2"]
     assert any("fork" in message for message in rules)
     assert any("join" in message for message in rules)
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+def test_cycle_behind_a_fork_reported_in_every_insertion_order(order):
+    # :a forks to :b and :c, and :c leads back to :a. Whichever successor of
+    # :a was inserted first, the one fork and the one cycle are both reported.
+    links = [Triple(EX.a, PKO.nextStep, EX.b), Triple(EX.a, PKO.nextStep, EX.c), Triple(EX.c, PKO.nextStep, EX.a)]
+    g = Graph()
+    for i in order:
+        g.insert(links[i])
+    g.freeze()
+    messages = [v.message for v in validate(g).violations if v.rule == "R2"]
+    assert sum("fork" in m for m in messages) == 1
+    assert sum("cycle" in m for m in messages) == 1
+    assert len(messages) == 2
 
 
 def test_literal_acts_on_target_reported_as_r1():
