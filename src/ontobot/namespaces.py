@@ -20,10 +20,6 @@ class Namespace:
             raise AttributeError(name)
         return iri(self.base + name)
 
-    def term(self, local: str) -> Term:
-        """Mint a term whose local name is not a valid Python attribute."""
-        return iri(self.base + local)
-
     def __contains__(self, term: object) -> bool:
         return isinstance(term, Term) and term.kind == "iri" and term.value.startswith(self.base)
 
