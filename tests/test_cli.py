@@ -192,6 +192,30 @@ def test_query_empty_result_exits_0(capsys, tmp_path):
     assert csv_rows(out) == [["x"]]
 
 
+def test_query_cells_show_each_term_kind(capsys, tmp_path):
+    # A literal shows its bare lexical form, then its tag or datatype; IRIs and blank nodes show as in Turtle.
+    kg = tmp_path / "kinds.ttl"
+    kg.write_text(
+        "@prefix : <https://example.org/> .\n@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
+        ':a :v "say \\"hi\\"" , "colour"@en-GB , "7"^^xsd:int , "odd"^^<https://other.org/t> , _:n , <https://other.org/x> .\n',
+        encoding="utf-8",
+    )
+    q = tmp_path / "all.rq"
+    q.write_text("PREFIX : <https://example.org/>\nSELECT ?v WHERE { :a :v ?v . }", encoding="utf-8")
+    code, out, _ = run(capsys, "query", "-k", str(kg), "-f", str(q))
+    assert code == 0
+    assert out.splitlines() == [
+        "v",
+        "-" * 26,
+        "<https://other.org/x>",
+        "_:m0",
+        "7^^xsd:int",
+        "colour@en-GB",
+        "odd^^<https://other.org/t>",
+        'say "hi"',
+    ]
+
+
 def test_query_with_having_exits_3(capsys, tmp_path):
     q = tmp_path / "having.rq"
     q.write_text(

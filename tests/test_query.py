@@ -123,6 +123,19 @@ def test_lexical_error_is_found_fast_and_outside_comments(text, line, column, me
     assert (d.line, d.column, d.message) == (line, column, message)
 
 
+@pytest.mark.parametrize(
+    "text, diagnostic",
+    [
+        pytest.param("SELECT ?x ?x WHERE { ?x ?p ?o }", (1, 11, "duplicate variable in projection: ?x"), id="duplicate-projection"),
+        pytest.param("@base <https://e.org/> . SELECT ?x WHERE { ?x ?p ?o }", (1, 1, "unsupported construct: @base"), id="base"),
+    ],
+)
+def test_prologue_and_projection_faults(text, diagnostic):
+    with pytest.raises(QueryParseError) as excinfo:
+        parse_query(text)
+    assert excinfo.value.diagnostic == diagnostic
+
+
 def test_prefix_and_at_prefix_declarations():
     for header in ("PREFIX e: <https://e.org/>", "@prefix e: <https://e.org/> ."):
         q = parse_query(header + " SELECT ?x WHERE { ?x e:p e:o . }")

@@ -229,6 +229,20 @@ def test_capability_profile_without_nodes_is_empty():
     assert kb.capability_profile("Bot").affordances == frozenset()
 
 
+def test_capability_profile_skips_communication_not_typed_ros_communication():
+    kb = mini_kb(
+        """
+:bot a obot:Agent ; rdfs:label "Bot" ; obot:hasNode :node .
+:node a ros:Node ; ros:communicatesThrough :topic .
+:typed a ros:ROSCommunication ; ros:hasComponent :topic ; ros:hasMessage :grip .
+:untyped ros:hasComponent :topic ; ros:hasMessage :pour .
+:grip ros:evokes :gripping . :gripping obot:enablesAffordance soma:Grasping .
+:pour ros:evokes :pouring . :pouring obot:enablesAffordance soma:Pouring .
+"""
+    )
+    assert kb.capability_profile("Bot").affordances == {SOMA.Grasping}
+
+
 def test_capability_profile_matches_query_engine(kb):
     q = parse_query_file(query_path("robot_affordances"))
     rows = evaluate(q, kb.graph)

@@ -7,11 +7,12 @@ import pytest
 
 from ontobot.fixtures import vocabulary_path
 from ontobot.graph import Graph, Triple, iri, literal
-from ontobot.namespaces import DUL, EX, FOAF, OBOT, PKO, PPLAN, PROV, RDF, RDFS, SOMA
+from ontobot.namespaces import DUL, EX, FOAF, OBOT, PKO, PPLAN, PROV, RDF, RDFS, ROS, SOMA
 from ontobot.schema import (
     ONTOBOT_VOCABULARY,
     OBOT_CLASSES,
     OBOT_PROPERTIES,
+    Violation,
     infer_types,
     validate,
     vocabulary_graph,
@@ -181,6 +182,31 @@ def test_action_without_affordance_reported_as_r3():
     g.insert(Triple(EX.bowl, RDF.type, OBOT.Component))
     g.freeze()
     assert any(v.rule == "R3" and "no affordance" in v.message for v in validate(g).violations)
+
+
+def test_untyped_has_node_subject_and_has_component_ends_reported_as_r1():
+    has_node, has_component = Triple(EX.bot, OBOT.hasNode, EX.node), Triple(EX.kitchen, DUL.hasComponent, EX.mug)
+    g = Graph()
+    g.insert(has_node)
+    g.insert(Triple(EX.node, RDF.type, ROS.Node))
+    g.insert(has_component)
+    g.freeze()
+    assert validate(g).violations == [
+        Violation("R1", has_node, "obot:hasNode subject is not typed obot:Agent"),
+        Violation("R1", has_component, "dul:hasComponent subject is not typed obot:Environment"),
+        Violation("R1", has_component, "dul:hasComponent object is not typed obot:Component"),
+    ]
+
+
+def test_action_with_two_targets_reported_as_r3():
+    g = Graph()
+    g.insert(Triple(EX.step, PKO.requiresAction, EX.action1))
+    g.insert(Triple(EX.action1, OBOT.requiresAffordance, SOMA.Grasping))
+    for target in (EX.bowl, EX.cup):
+        g.insert(Triple(EX.action1, OBOT.actsOn, target))
+        g.insert(Triple(target, RDF.type, OBOT.Component))
+    g.freeze()
+    assert validate(g).violations == [Violation("R3", EX.action1, "action has 2 obot:actsOn targets (at most 1 allowed)")]
 
 
 def test_action_without_target_is_a_warning_not_violation():

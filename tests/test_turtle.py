@@ -155,6 +155,36 @@ def test_lexical_error_is_found_fast_and_outside_comments(text, line, column, me
     assert (d.line, d.column, d.message) == (line, column, message)
 
 
+# Every message _unescape raises, and the term faults no fixture reaches.
+@pytest.mark.parametrize(
+    "text, column, message",
+    [
+        pytest.param(':a :b "x"^^_:d .', 12, "expected a datatype IRI after '^^'", id="blank-datatype"),
+        pytest.param(":a _:b :c .", 4, "blank node not allowed in predicate position", id="blank-predicate"),
+        pytest.param(":a :b <https://e.org/a\\> .", 7, "dangling escape", id="dangling-escape"),
+        pytest.param(":a :b <https://e.org/\\u12G4> .", 7, "invalid \\u escape", id="u-not-hex"),
+        pytest.param(':a :b "\\u12" .', 7, "invalid \\u escape", id="u-cut-short"),
+        pytest.param(":a :b <https://e.org/\\U0011FFFF> .", 7, "invalid \\U escape", id="U-above-10ffff"),
+        pytest.param(":a :b <https://e.org/\\uD800> .", 7, "invalid \\u escape", id="u-surrogate"),
+        pytest.param(":a :b <https://e.org/a\\nb> .", 7, "unknown escape sequence: \\n", id="string-escape-in-iri"),
+        pytest.param(':a :b "a\\qb" .', 7, "unknown escape sequence: \\q", id="unknown-escape"),
+        # Two faults in one token: the first is reported.
+        pytest.param(':a :b "a\\qb\\u12G4" .', 7, "unknown escape sequence: \\q", id="unknown-then-invalid"),
+        pytest.param(':a :b "a\\u12G4\\qb" .', 7, "invalid \\u escape", id="invalid-then-unknown"),
+    ],
+)
+def test_term_fault_messages(text, column, message):
+    d = diag("@prefix : <https://e.org/> .\n" + text)
+    assert (d.line, d.column, d.message) == (2, column, message)
+
+
+def test_escapes_decode():
+    g = parse_turtle('<https://e.org/a\\u0020b> <https://e.org/p> "\\t\\"\\\\\\U0001F600\\u00e9\\n" .')
+    t = next(iter(g))
+    assert t.s == iri("https://e.org/a b")
+    assert t.o == literal('\t"\\\U0001F600é\n')
+
+
 def test_undeclared_prefix_diagnostic():
     d = diag(":a rdfs:label \"x\" .")
     assert "undeclared prefix" in d.message
