@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from ontobot import fixtures
-from ontobot.graph import Graph, GraphError, Term, iri
+from ontobot.graph import GraphError, Term
 from ontobot.query import QueryParseError, UnsupportedFeatureError, evaluate, parse_query
 from ontobot.reasoner import ChainError, KnowledgeBase, UnknownEntityError, load_graph
 from ontobot.schema import validate
@@ -47,18 +47,6 @@ class ResultTable(NamedTuple):
     id: str
     columns: list[str]
     rows: list[list[object]]  # cells: str, bool, or list[str]
-
-
-def _cell_text(term: Term, prefixes: dict[str, str]) -> str:
-    # Table cells print literals unquoted; IRIs and blank nodes as in Turtle.
-    if not term.is_literal:
-        return term_to_text(term, prefixes)
-    text = term.value
-    if term.lang is not None:
-        text += f"@{term.lang}"
-    elif term.datatype is not None:
-        text += "^^" + term_to_text(iri(term.datatype), prefixes)
-    return text
 
 
 def _plain_cell(cell: object, fmt: str) -> str:
@@ -123,9 +111,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     report = validate(graph)
 
     def describe(subject) -> str:
-        if isinstance(subject, Term):
-            return _cell_text(subject, graph.prefixes)
-        return " ".join(_cell_text(t, graph.prefixes) for t in subject)
+        terms = [subject] if isinstance(subject, Term) else subject
+        return " ".join(term_to_text(t, graph.prefixes) for t in terms)
 
     for item in report.violations:
         print(f"{item.rule}  {describe(item.subject)}  {item.message}")
@@ -139,13 +126,13 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    union = load_graph(_kg_paths(args), vocabulary=None, read=_read_text)
+    union = load_graph(_kg_paths(args), infer=False, read=_read_text)
     query = parse_query(_read_text(args.query_file))
     solutions = evaluate(query, union)
     prefixes = dict(union.prefixes)
     prefixes.update(query.prefixes)
     rows = [
-        [_cell_text(solution[name], prefixes) for name in query.projection]
+        [term_to_text(solution[name], prefixes) for name in query.projection]
         for solution in solutions
     ]
     table = ResultTable(id="query", columns=list(query.projection), rows=rows)
@@ -162,7 +149,7 @@ def _require(args: argparse.Namespace, name: str, cq: int) -> str:
 
 def _cq_table(kb: KnowledgeBase, args: argparse.Namespace) -> ResultTable:
     prefixes = kb.graph.prefixes
-    text = lambda term: _cell_text(term, prefixes)
+    text = lambda term: term_to_text(term, prefixes)
     cq = args.cq_id
 
     if cq == 1:

@@ -43,6 +43,14 @@ class UndeclaredPrefixError(GraphError):
         self.prefix = prefix
 
 
+_STRING_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
+
+
+def quoted(value: str) -> str:
+    """A literal's lexical form as a Turtle string: in double quotes, escaped."""
+    return f'"{value.translate(_STRING_ESCAPES)}"'
+
+
 class Term:
     """An IRI, blank node, or literal; the atomic element of a graph.
 
@@ -103,18 +111,11 @@ class Term:
             return f"<{self.value}>"
         if self.kind == BLANK:
             return f"_:{self.value}"
-        escaped = (
-            self.value.replace("\\", "\\\\")
-            .replace('"', '\\"')
-            .replace("\n", "\\n")
-            .replace("\r", "\\r")
-            .replace("\t", "\\t")
-        )
         if self.lang is not None:
-            return f'"{escaped}"@{self.lang}'
+            return f"{quoted(self.value)}@{self.lang}"
         if self.datatype is not None:
-            return f'"{escaped}"^^<{self.datatype}>'
-        return f'"{escaped}"'
+            return f"{quoted(self.value)}^^<{self.datatype}>"
+        return quoted(self.value)
 
     def __repr__(self) -> str:
         return f"Term({self.n3()})"

@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from ontobot.graph import Graph, Term, Triple, blank_minter
 from ontobot.namespaces import OBOT, PKO, PROV, RDF, RDFS, ROS
-from ontobot.schema import ONTOBOT_VOCABULARY, ValidationReport, Vocabulary, add_inferred_types, validate
+from ontobot.schema import ValidationReport, add_inferred_types, validate
 from ontobot.turtle import TurtleParseError, parse_turtle_into
 
 
@@ -186,12 +186,12 @@ def _chain_order(
 GraphSource = Union[Graph, str, "os.PathLike[str]"]
 
 
-def load_graph(sources: Iterable[GraphSource], vocabulary: Vocabulary | None = ONTOBOT_VOCABULARY,
+def load_graph(sources: Iterable[GraphSource], infer: bool = True,
                read: Callable[[GraphSource], str] = lambda path: Path(path).read_text(encoding="utf-8")) -> Graph:
     """One frozen union of graphs and Turtle files, each file parsed straight into it.
 
     Blank nodes and prefixes come out as :func:`merge_graphs` gives them, and
-    a parse error names its file. With a vocabulary, the inferred types are
+    a parse error names its file. With ``infer``, the inferred types are
     added before the union is frozen.
     """
     union, new_blank = Graph(), blank_minter("m")
@@ -203,8 +203,8 @@ def load_graph(sources: Iterable[GraphSource], vocabulary: Vocabulary | None = O
             parse_turtle_into(union, read(src), new_blank)
         except TurtleParseError as exc:
             raise TurtleParseError(exc.diagnostic, src) from None
-    if vocabulary is not None:
-        add_inferred_types(union, vocabulary)
+    if infer:
+        add_inferred_types(union)
     return union.freeze()
 
 
@@ -216,9 +216,8 @@ class KnowledgeBase:
     first request, and kept. Task plans are ordered on every call.
     """
 
-    def __init__(self, graph: Graph, vocabulary: Vocabulary = ONTOBOT_VOCABULARY):
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self.vocabulary = vocabulary
         self._report: ValidationReport | None = None
         # Reversed, so that a node's first literal label is the one kept.
         labels = reversed(graph.match(None, RDFS.label, None))
@@ -230,15 +229,15 @@ class KnowledgeBase:
         self._profiles: dict[Term, CapabilityProfile] = {}
 
     @classmethod
-    def load(cls, *sources: GraphSource, vocabulary: Vocabulary = ONTOBOT_VOCABULARY) -> "KnowledgeBase":
+    def load(cls, *sources: GraphSource) -> "KnowledgeBase":
         """Build a knowledge base from graphs and/or paths to Turtle files."""
-        return cls(load_graph(sources, vocabulary), vocabulary)
+        return cls(load_graph(sources))
 
     @property
     def report(self) -> ValidationReport:
         """The graph's validation report, run on first access and then kept."""
         if self._report is None:
-            self._report = validate(self.graph, self.vocabulary)
+            self._report = validate(self.graph)
         return self._report
 
     # -- entity lookup -----------------------------------------------------

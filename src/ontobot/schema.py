@@ -34,11 +34,6 @@ from ontobot.namespaces import (
     STANDARD_PREFIXES,
 )
 
-#: Affordance constants the case study uses as query answers.
-AFFORDANCES: frozenset[Term] = frozenset(
-    {SOMA.Grasping, SOMA.Holding, SOMA.Placing, SOMA.Pouring, SOMA.Opening, SOMA.Closing}
-)
-
 OBOT_CLASSES: frozenset[Term] = frozenset(
     {OBOT.Agent, OBOT.Environment, OBOT.Component, OBOT.Affordance}
 )
@@ -130,14 +125,14 @@ def _superclass_closure(axioms: Iterable[tuple[Term, Term]]) -> dict[Term, set[T
     return closure
 
 
-def add_inferred_types(g: Graph, vocabulary: Vocabulary = ONTOBOT_VOCABULARY) -> None:
+def add_inferred_types(g: Graph) -> None:
     """Insert into the unfrozen ``g`` every derivable ``rdf:type`` triple.
 
-    The subclass relation is the union of the vocabulary's axioms and any
-    ``rdfs:subClassOf`` triples present in the graph; the result is the
+    The subclass relation is the union of the OntoBOT vocabulary's axioms and
+    any ``rdfs:subClassOf`` triples present in the graph; the result is the
     fixpoint, so applying it twice changes nothing.
     """
-    axioms = set(vocabulary.subclass_axioms)
+    axioms = set(ONTOBOT_VOCABULARY.subclass_axioms)
     for t in g.match(None, RDFS.subClassOf, None):
         axioms.add((t.s, t.o))
     closure = _superclass_closure(axioms)
@@ -146,10 +141,10 @@ def add_inferred_types(g: Graph, vocabulary: Vocabulary = ONTOBOT_VOCABULARY) ->
             g.insert(Triple(t.s, RDF.type, sup))
 
 
-def infer_types(g: Graph, vocabulary: Vocabulary = ONTOBOT_VOCABULARY) -> Graph:
+def infer_types(g: Graph) -> Graph:
     """A new frozen graph: ``g`` with all derivable ``rdf:type`` triples added."""
     out = g.copy()
-    add_inferred_types(out, vocabulary)
+    add_inferred_types(out)
     return out.freeze()
 
 
@@ -171,7 +166,7 @@ class ValidationReport(NamedTuple):
 def _is_affordance(g: Graph, term: Term) -> bool:
     if term.kind != IRI:
         return False
-    if term in AFFORDANCES or term.value.startswith(SOMA.base):
+    if term in SOMA:
         return True
     return Triple(term, RDF.type, OBOT.Affordance) in g or Triple(term, RDF.type, SOMA.Affordance) in g
 
@@ -258,7 +253,7 @@ def _check_labels(g: Graph, out: ValidationReport) -> None:
                 out.violations.append(Violation("R4", node, f"{label} instance has no rdfs:label"))
 
 
-def validate(g: Graph, vocabulary: Vocabulary = ONTOBOT_VOCABULARY) -> ValidationReport:
+def validate(g: Graph) -> ValidationReport:
     """Run the structural rule checks; violations are data, not failures."""
     report = ValidationReport(violations=[], warnings=[])
     _check_domain_range(g, report)
@@ -268,8 +263,8 @@ def validate(g: Graph, vocabulary: Vocabulary = ONTOBOT_VOCABULARY) -> Validatio
     return report
 
 
-def vocabulary_graph(vocabulary: Vocabulary = ONTOBOT_VOCABULARY) -> Graph:
-    """The vocabulary itself as a graph, suitable for Turtle emission."""
+def vocabulary_graph() -> Graph:
+    """The OntoBOT vocabulary itself as a graph, suitable for Turtle emission."""
     g = Graph(
         {
             name: base
@@ -277,10 +272,10 @@ def vocabulary_graph(vocabulary: Vocabulary = ONTOBOT_VOCABULARY) -> Graph:
             if name in ("rdf", "rdfs", "obot", "dul", "soma", "pko", "pplan", "ros", "prov", "foaf")
         }
     )
-    for cls in sorted(vocabulary.classes, key=Term.sort_key):
+    for cls in sorted(ONTOBOT_VOCABULARY.classes, key=Term.sort_key):
         g.insert(Triple(cls, RDF.type, RDFS.Class))
-    for prop in sorted(vocabulary.properties, key=Term.sort_key):
+    for prop in sorted(ONTOBOT_VOCABULARY.properties, key=Term.sort_key):
         g.insert(Triple(prop, RDF.type, RDF.Property))
-    for sub, sup in sorted(vocabulary.subclass_axioms, key=lambda pair: (pair[0].sort_key(), pair[1].sort_key())):
+    for sub, sup in sorted(ONTOBOT_VOCABULARY.subclass_axioms):
         g.insert(Triple(sub, RDFS.subClassOf, sup))
     return g.freeze()

@@ -42,7 +42,6 @@ from typing import Callable, Mapping, NamedTuple, NoReturn
 from ontobot.graph import (
     BLANK,
     IRI,
-    LITERAL,
     Graph,
     GraphError,
     Term,
@@ -50,6 +49,7 @@ from ontobot.graph import (
     blank_minter,
     iri,
     literal,
+    quoted,
 )
 from ontobot.namespaces import RDF
 
@@ -446,21 +446,23 @@ def _iri_ref(value: str, escape: bool) -> str:
 
 
 def term_to_text(term: Term, prefixes: Mapping[str, str], escape: bool = False) -> str:
-    """Turtle text for one term, preferring prefixed names for IRIs.
+    """Text for one term, preferring prefixed names for IRIs.
 
-    With ``escape``, characters an IRI may not hold are written as ``\\uXXXX``,
-    so the text parses back to the term, and a language tag that cannot be
-    read back raises :class:`GraphError`; without it, terms are shown as they are.
+    Without ``escape``, the table-cell form: a literal unquoted, then ``@lang``
+    or ``^^datatype``, nothing escaped. With ``escape``, Turtle that parses back
+    to the term; a language tag that cannot be written so raises :class:`GraphError`.
     """
     if term.kind == IRI:
         return prefixed_name(term.value, prefixes) or _iri_ref(term.value, escape)
-    if term.kind == LITERAL and term.datatype is not None:
-        quoted = term.n3()[: -len(term.datatype) - 4]  # without its '^^<datatype>'
-        return f"{quoted}^^{prefixed_name(term.datatype, prefixes) or _iri_ref(term.datatype, escape)}"
+    if term.kind == BLANK:
+        return term.n3()
+    text = quoted(term.value) if escape else term.value
+    if term.datatype is not None:
+        return f"{text}^^{prefixed_name(term.datatype, prefixes) or _iri_ref(term.datatype, escape)}"
     # '@prefix' and '@base' lex as directives, not as tags.
     if escape and term.lang is not None and (not _LANG_RE.match(term.lang) or term.lang in _DIRECTIVES):
         raise GraphError(f"language tag {term.lang!r} cannot be written as Turtle")
-    return term.n3()
+    return text if term.lang is None else f"{text}@{term.lang}"
 
 
 def serialize_turtle(graph: Graph) -> str:

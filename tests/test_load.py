@@ -11,8 +11,9 @@ from golden_cli import BLANK_ACTIVITIES, BLANK_ROBOTS, PREFIX_A, PREFIX_B
 from ontobot import schema
 from ontobot.cli import main
 from ontobot.fixtures import activities_path, robots_path
-from ontobot.graph import Graph, merge_graphs
-from ontobot.reasoner import KnowledgeBase
+from ontobot.graph import Graph, Triple, merge_graphs
+from ontobot.namespaces import EX, OBOT, RDF, RDFS
+from ontobot.reasoner import KnowledgeBase, load_graph
 from ontobot.schema import infer_types
 from ontobot.turtle import TurtleParseError, parse_turtle_file
 
@@ -36,6 +37,26 @@ def test_one_pass_union_equals_merge_then_infer(tmp_path, pair, as_graph):
     assert got.frozen
     assert list(got) == list(expected)
     assert list(got.prefixes.items()) == list(expected.prefixes.items())
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+def test_one_pass_union_without_inference_equals_merge(tmp_path, pair):
+    paths = []
+    for i, text in enumerate(PAIRS[pair]):
+        paths.append(tmp_path / f"{i}.ttl")
+        paths[-1].write_text(text, encoding="utf-8")
+    expected = merge_graphs([parse_turtle_file(p) for p in paths])
+    got = load_graph(paths, infer=False)
+    assert got.frozen
+    assert list(got) == list(expected)
+
+
+def test_extra_subclass_axioms_come_in_as_a_source_graph():
+    axioms, instances = Graph(), Graph()
+    axioms.insert(Triple(EX.Mug, RDFS.subClassOf, OBOT.Component))
+    instances.insert(Triple(EX.mug1, RDF.type, EX.Mug))
+    kb = KnowledgeBase.load(axioms, instances)
+    assert Triple(EX.mug1, RDF.type, OBOT.Component) in kb.graph
 
 
 def count_calls(monkeypatch, calls: Counter) -> None:

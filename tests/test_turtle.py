@@ -315,6 +315,22 @@ def test_round_trip_iris_holding_characters_an_iri_may_not_hold(char):
     assert iri(odd).n3() == term_to_text(iri(odd), {}) == f"<{odd}>"
 
 
+@pytest.mark.parametrize(
+    "term, cell, turtle",
+    [
+        (literal('say "hi"\n'), 'say "hi"\n', '"say \\"hi\\"\\n"'),
+        (literal("colour", lang="en-GB"), "colour@en-GB", '"colour"@en-GB'),
+        (literal("7", datatype="https://e.org/ns/int"), "7^^x:int", '"7"^^x:int'),
+        (literal("a\\b", datatype="https://o.org/t t"), "a\\b^^<https://o.org/t t>", '"a\\\\b"^^<https://o.org/t\\u0020t>'),
+        (blank("n"), "_:n", "_:n"),
+    ],
+)
+def test_term_to_text_cell_and_turtle_forms(term, cell, turtle):
+    prefixes = {"x": "https://e.org/ns/"}
+    assert term_to_text(term, prefixes) == cell
+    assert term_to_text(term, prefixes, escape=True) == turtle
+
+
 @pytest.mark.parametrize("label", ["a b", "x.", ""])
 def test_round_trip_relabels_blank_labels_the_lexer_refuses(label):
     # The fresh label must also miss the labels the graph's other blank nodes use.
