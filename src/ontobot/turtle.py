@@ -118,6 +118,12 @@ def _lexer(variables: bool) -> re.Pattern:
     )
 
 
+@cache  # compiled on first use, as _lexer is
+def _escape_pattern() -> re.Pattern:
+    """One escape: ``\\u`` and four hex digits, ``\\U`` and eight, any other character, or the end."""
+    return re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|[\s\S]|\Z)")
+
+
 _DIRECTIVES = {"prefix": "prefix_directive", "base": "base_directive"}
 _LEX_ERRORS = {
     "@": "malformed '@' directive or language tag",
@@ -210,32 +216,21 @@ class _StatementParser:
         self.fail(_LEX_ERRORS.get(c) or f"unexpected character: {c!r}", pos)
 
     def _unescape(self, raw: str, pos: int, iri_mode: bool) -> str:
-        out: list[str] = []
-        i = 0
-        while i < len(raw):
-            c = raw[i]
-            if c != "\\":
-                out.append(c)
-                i += 1
-                continue
-            if i + 1 >= len(raw):
+        def one(m: re.Match) -> str:
+            e, hexdigits = m[0][1:2], m[1] or m[2]
+            if hexdigits:
+                code = int(hexdigits, 16)
+                if code <= 0x10FFFF and not 0xD800 <= code <= 0xDFFF:  # a Unicode scalar value
+                    return chr(code)
+            if not e:
                 self.fail("dangling escape", pos)
-            e = raw[i + 1]
-            if e in ("u", "U"):
-                width = 4 if e == "u" else 8
-                hexdigits = raw[i + 2 : i + 2 + width]
-                valid = len(hexdigits) == width and all(h in "0123456789abcdefABCDEF" for h in hexdigits)
-                code = int(hexdigits, 16) if valid else -1
-                if not 0 <= code <= 0x10FFFF or 0xD800 <= code <= 0xDFFF:  # not a Unicode scalar value
-                    self.fail(f"invalid \\{e} escape", pos)
-                out.append(chr(code))
-                i += 2 + width
-            elif not iri_mode and e in _ESCAPES:
-                out.append(_ESCAPES[e])
-                i += 2
-            else:
+            if e in "uU":
+                self.fail(f"invalid \\{e} escape", pos)
+            if iri_mode or e not in _ESCAPES:
                 self.fail(f"unknown escape sequence: \\{e}", pos)
-        return "".join(out)
+            return _ESCAPES[e]
+
+        return _escape_pattern().sub(one, raw)
 
     # -- grammar -------------------------------------------------------------
 
