@@ -170,14 +170,10 @@ def _chain_order(
     if len(heads) != 1:
         reason = "chain contains a cycle" if not heads else f"{len(heads)} chain heads (incomplete chain)"
         raise ChainError(property_name, owner, reason)
+    # No node has two successors or two predecessors, and the head has none, so the walk never revisits a node.
     ordered = [heads[0]]
-    seen = {heads[0]}
     while ordered[-1] in succ:
-        nxt = succ[ordered[-1]]
-        if nxt in seen:
-            raise ChainError(property_name, owner, "chain contains a cycle")
-        ordered.append(nxt)
-        seen.add(nxt)
+        ordered.append(succ[ordered[-1]])
     if len(ordered) != len(items):
         raise ChainError(property_name, owner, "chain does not connect all elements")
     return ordered
