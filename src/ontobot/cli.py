@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from ontobot import fixtures
-from ontobot.graph import GraphError, Term
+from ontobot.graph import LITERAL, GraphError, Term, quoted
 from ontobot.query import QueryParseError, UnsupportedFeatureError, evaluate, parse_query
 from ontobot.reasoner import ChainError, KnowledgeBase, UnknownEntityError, load_graph
 from ontobot.schema import validate
@@ -70,7 +70,11 @@ def render(table: ResultTable, fmt: str) -> str:
         for row in table.rows:
             writer.writerow([_plain_cell(cell, "csv") for cell in row])
         return buffer.getvalue()
-    cells = [[_plain_cell(cell, "table") for cell in row] for row in table.rows]
+    # A line break in a cell would split its row.
+    cells = [
+        [_plain_cell(cell, "table").replace("\n", "\\n").replace("\r", "\\r") for cell in row]
+        for row in table.rows
+    ]
     widths = [len(name) for name in table.columns]
     for row in cells:
         for i, cell in enumerate(row):
@@ -110,9 +114,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
     graph = load_graph(args.files, read=_read_text)
     report = validate(graph)
 
+    def text(term: Term) -> str:
+        # The cell form, with a literal quoted and escaped as Turtle, so that it cannot read as an IRI.
+        cell = term_to_text(term, graph.prefixes)
+        return quoted(term.value) + cell[len(term.value) :] if term.kind == LITERAL else cell
+
     def describe(subject) -> str:
         terms = [subject] if isinstance(subject, Term) else subject
-        return " ".join(term_to_text(t, graph.prefixes) for t in terms)
+        return " ".join(map(text, terms))
 
     for item in report.violations:
         print(f"{item.rule}  {describe(item.subject)}  {item.message}")

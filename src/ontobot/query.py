@@ -116,10 +116,13 @@ class _QueryParser(_StatementParser):
         "number": "numeric literals are not supported in query patterns",
         "boolean": "boolean literals are not supported in query patterns",
     }
+    list_ends = frozenset({("dot", "."), ("punct", "}")})
+    triple = TriplePattern
 
     def __init__(self, text: str):
         super().__init__(text)
         self.pattern: list[TriplePattern] = []
+        self.add = self.pattern.append
 
     def check_unsupported(self, tok: Token) -> None:
         if tok[0] == "word" and tok[1].upper() in _UNSUPPORTED_KEYWORDS:
@@ -210,13 +213,6 @@ class _QueryParser(_StatementParser):
         if tok[0] == "var":
             return Var(tok[1])
         return super().dialect_term(tok, position)
-
-    def emit(self, s: PatternTerm, p: PatternTerm, o: PatternTerm) -> None:
-        self.pattern.append(TriplePattern(s, p, o))
-
-    def at_list_end(self) -> bool:
-        tok = self.peek()
-        return tok[0] == "dot" or tok[:2] == ("punct", "}")
 
 
 def parse_query(text: str) -> Query:

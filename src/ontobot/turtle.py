@@ -21,6 +21,16 @@ lookahead, IRIs, prefixed names, ``a``, string literals and their suffixes,
 and the ``;``/``,`` predicate-object list. :class:`_TurtleParser` adds blank
 nodes and ``@prefix … .``; ``ontobot.query`` adds variables and SELECT/WHERE.
 
+The statement grammar is one loop over the token list with a local index:
+``_TurtleParser.parse`` reads each subject and its closing ``.``, and
+``parse_predicate_object_list`` the predicates, objects, ``,`` and ``;``.
+It reads common tokens inline: a pname or blank label already resolved,
+``a``, a string literal with no ``@lang`` or ``^^``, and the separators. It
+hands any other token to ``parse_term`` at that index, so each diagnostic,
+first pname resolution, new blank label and literal suffix comes from one
+place, and no token is read twice. Each triple goes straight to the
+parser's ``add`` (``Graph.insert`` for Turtle).
+
 Errors carry a :class:`ParseDiagnostic` with a 1-based line and column into
 the source text, worked out from the token's offset when the error is raised.
 A lexical error ends the token list. Turtle raises it before parsing, so it
@@ -125,6 +135,8 @@ def _escape_pattern() -> re.Pattern:
 
 
 _DIRECTIVES = {"prefix": "prefix_directive", "base": "base_directive"}
+_LITERAL_SUFFIXES = ("langtag", "dtype_sep")
+_RDF_TYPE = RDF.type
 _LEX_ERRORS = {
     "@": "malformed '@' directive or language tag",
     "^": "expected '^^'",
@@ -142,14 +154,19 @@ class _StatementParser:
     """The lexer and the statement grammar that Turtle and queries share.
 
     A subclass sets ``error`` (the exception a diagnostic raises),
-    ``variables`` (the query dialect's tokens) and ``rejected`` (messages for
-    term tokens its dialect refuses), and supplies ``emit`` for each parsed
-    triple and ``at_list_end`` for what may close a ``;`` list.
+    ``variables`` (the query dialect's tokens), ``rejected`` (messages for
+    term tokens its dialect refuses), ``list_ends`` (the ``(kind, value)`` of
+    the tokens that may close a ``;`` list) and ``triple`` (the tuple each
+    parsed triple is built as), and gives each instance ``add``, which takes
+    that tuple.
     """
 
     error: type[Exception] = TurtleParseError
     variables = False
     rejected: Mapping[str, str] = {}
+    list_ends: frozenset[tuple[str, object]] = frozenset({("dot", "."), ("eof", None)})
+    triple: Callable[[Term, Term, Term], tuple] = Triple
+    add: Callable[[tuple], None]
 
     def __init__(self, text: str):
         if text.startswith("\ufeff"):
@@ -157,6 +174,7 @@ class _StatementParser:
         self.text = text
         self.prefixes: dict[str, str] = {}
         self.pnames: dict[tuple[str, str], Term] = {}  # resolved under the current prefixes
+        self.blank_labels: dict[str, Term] = {}  # stays empty in a dialect without blank nodes
         self.tokens = self.lex()
         self.at = 0
 
@@ -274,7 +292,7 @@ class _StatementParser:
         if kind == "kw_a":
             if position != "predicate":
                 self.fail("keyword 'a' is only valid as a predicate", pos)
-            return RDF.type
+            return _RDF_TYPE
         if kind == "string":
             if position != "object":
                 self.fail(f"literal not allowed in {position} position", pos)
@@ -312,25 +330,47 @@ class _StatementParser:
         return literal(value)
 
     def parse_predicate_object_list(self, subject: Term) -> None:
+        """Read predicates and objects with their ``,`` and ``;`` from ``self.at``, adding each triple."""
+        tokens, pnames, blanks = self.tokens, self.pnames, self.blank_labels
+        add, triple, list_ends = self.add, self.triple, self.list_ends
+        i = self.at
         while True:
-            predicate = self.parse_term("predicate")
-            self.emit(subject, predicate, self.parse_term("object"))
-            while self.peek()[0] == "comma":
-                self.next()
-                self.emit(subject, predicate, self.parse_term("object"))
-            if self.peek()[0] != "semi":
-                return
-            # Tolerate trailing ';' before the end of the statement
-            while self.peek()[0] == "semi":
-                self.next()
-            if self.at_list_end():
-                return
-
-    def emit(self, s: Term, p: Term, o: Term) -> None:
-        raise NotImplementedError
-
-    def at_list_end(self) -> bool:
-        raise NotImplementedError
+            kind, value, _ = tokens[i]
+            predicate = _RDF_TYPE if kind == "kw_a" else pnames.get(value) if kind == "pname" else None
+            if predicate is None:
+                self.at = i
+                predicate = self.parse_term("predicate")
+                i = self.at
+            else:
+                i += 1
+            while True:
+                kind, value, _ = tokens[i]
+                if kind == "pname":
+                    obj = pnames.get(value)
+                elif kind == "blank":
+                    obj = blanks.get(value)
+                elif kind == "string" and tokens[i + 1][0] not in _LITERAL_SUFFIXES:
+                    obj = literal(value)
+                else:
+                    obj = None
+                if obj is None:
+                    self.at = i
+                    obj = self.parse_term("object")
+                    i = self.at
+                else:
+                    i += 1
+                add(triple(subject, predicate, obj))
+                if tokens[i][0] != "comma":
+                    break
+                i += 1
+            if tokens[i][0] != "semi":
+                break
+            # Tolerate trailing ';' before what closes the list
+            while tokens[i][0] == "semi":
+                i += 1
+            if tokens[i][:2] in list_ends:
+                break
+        self.at = i
 
 
 class _TurtleParser(_StatementParser):
@@ -345,21 +385,31 @@ class _TurtleParser(_StatementParser):
         if kind == "error":  # a lexical error anywhere is reported ahead of any syntax error
             self.lex_error(pos)
         self.graph = graph
+        self.add = graph.insert
         self.new_blank = new_blank
-        self.blank_labels: dict[str, Term] = {}
 
     def parse(self) -> Graph:
+        tokens, pnames, blanks = self.tokens, self.pnames, self.blank_labels
         while True:
-            kind, _, pos = self.peek()
+            kind, value, pos = tokens[self.at]
             if kind == "eof":
                 break
             if kind == "prefix_directive":
-                self.next()
+                self.at += 1
                 self.parse_prefix()
-            elif kind == "base_directive":
+                continue
+            if kind == "base_directive":
                 self.fail("unsupported construct: @base", pos)
+            subject = pnames.get(value) if kind == "pname" else blanks.get(value) if kind == "blank" else None
+            if subject is None:
+                subject = self.parse_term("subject")
             else:
-                self.parse_statement()
+                self.at += 1
+            self.parse_predicate_object_list(subject)
+            kind, _, pos = tokens[self.at]
+            if kind != "dot":
+                self.fail("expected '.' at end of statement", pos)
+            self.at += 1
         self.graph.fold_prefixes(self.prefixes)
         return self.graph
 
@@ -371,11 +421,6 @@ class _TurtleParser(_StatementParser):
         self.expect("dot", "'.' after prefix declaration")
         self.bind(prefix, namespace)
 
-    def parse_statement(self) -> None:
-        subject = self.parse_term("subject")
-        self.parse_predicate_object_list(subject)
-        self.expect("dot", "'.' at end of statement")
-
     def dialect_term(self, tok: Token, position: str) -> Term:
         kind, label, pos = tok
         if kind == "blank":
@@ -383,12 +428,6 @@ class _TurtleParser(_StatementParser):
                 self.fail("blank node not allowed in predicate position", pos)
             return self.blank_labels.get(label) or self.blank_labels.setdefault(label, self.new_blank())
         return super().dialect_term(tok, position)
-
-    def emit(self, s: Term, p: Term, o: Term) -> None:
-        self.graph.insert(Triple(s, p, o))
-
-    def at_list_end(self) -> bool:
-        return self.peek()[0] in ("dot", "eof")
 
 
 def parse_turtle(text: str) -> Graph:

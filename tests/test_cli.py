@@ -64,6 +64,21 @@ def test_validate_reports_cycle_with_exit_1(capsys, tmp_path):
     assert "R2" in out
 
 
+def test_validate_quotes_a_literal_so_it_does_not_read_as_an_iri(capsys, tmp_path):
+    kg = tmp_path / "literal.ttl"
+    kg.write_text(
+        "@prefix obot: <https://w3id.org/onto-bot#> .\n"
+        '<https://example.org/a> obot:requiresAffordance "soma:Grasping" .\n',
+        encoding="utf-8",
+    )
+    code, out, _ = run(capsys, "validate", str(kg))
+    assert code == 1
+    assert out.splitlines()[0] == (
+        'R1  <https://example.org/a> obot:requiresAffordance "soma:Grasping"  '
+        "obot:requiresAffordance object is not an affordance IRI"
+    )
+
+
 def test_validate_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "validate", "/no/such/file.ttl")
     assert code == 2
@@ -194,10 +209,12 @@ def test_query_empty_result_exits_0(capsys, tmp_path):
 
 def test_query_cells_show_each_term_kind(capsys, tmp_path):
     # A literal shows its bare lexical form, then its tag or datatype; IRIs and blank nodes show as in Turtle.
+    # In a table, a line break shows as its escape, so that a row stays one line; json keeps it as it is.
     kg = tmp_path / "kinds.ttl"
     kg.write_text(
         "@prefix : <https://example.org/> .\n@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
-        ':a :v "say \\"hi\\"" , "colour"@en-GB , "7"^^xsd:int , "odd"^^<https://other.org/t> , _:n , <https://other.org/x> .\n',
+        ':a :v "say \\"hi\\"" , "colour"@en-GB , "7"^^xsd:int , "odd"^^<https://other.org/t> , _:n , <https://other.org/x> .\n'
+        ':a :v "two\\nlines\\r" .\n',
         encoding="utf-8",
     )
     q = tmp_path / "all.rq"
@@ -213,7 +230,10 @@ def test_query_cells_show_each_term_kind(capsys, tmp_path):
         "colour@en-GB",
         "odd^^<https://other.org/t>",
         'say "hi"',
+        "two\\nlines\\r",
     ]
+    code, out, _ = run(capsys, "query", "-k", str(kg), "-f", str(q), "-o", "json")
+    assert json.loads(out)["rows"][-1] == ["two\nlines\r"]
 
 
 def test_query_with_having_exits_3(capsys, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from helpers import oracle_evaluate, random_graph, random_query, row_key
 from ontobot.fixtures import query_path
 from ontobot.graph import IRI, Graph, Term, Triple, iri, literal
-from ontobot.namespaces import EX, OBOT, SOMA
+from ontobot.namespaces import EX, OBOT, RDF, SOMA
 from ontobot.query import (
     Query,
     _order_patterns,
@@ -129,6 +129,13 @@ def test_prefix_and_at_prefix_declarations():
     for header in ("PREFIX e: <https://e.org/>", "@prefix e: <https://e.org/> ."):
         q = parse_query(header + " SELECT ?x WHERE { ?x e:p e:o . }")
         assert q.pattern == [TriplePattern(Var("x"), iri("https://e.org/p"), iri("https://e.org/o"))]
+        q = parse_query(header + ' SELECT ?s WHERE { ?s e:p ?o ; a e:C , e:D ; e:q "x"@en . }')
+        assert q.pattern == [
+            TriplePattern(Var("s"), iri("https://e.org/p"), Var("o")),
+            TriplePattern(Var("s"), RDF.type, iri("https://e.org/C")),
+            TriplePattern(Var("s"), RDF.type, iri("https://e.org/D")),
+            TriplePattern(Var("s"), iri("https://e.org/q"), literal("x", lang="en")),
+        ]
 
 
 def test_evaluate_cq1_includes_expected_pairs(activities):

@@ -2,13 +2,22 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
 from helpers import random_graph
+from ontobot.fixtures import activities_path, robots_path
 from ontobot.graph import Graph, GraphError, Triple, blank, iri, isomorphic, literal
-from ontobot.namespaces import OBOT, RDFS, SOMA
-from ontobot.turtle import TurtleParseError, parse_turtle, serialize_turtle, term_to_text
+from ontobot.namespaces import OBOT, RDF, RDFS, SOMA
+from ontobot.turtle import (
+    TurtleParseError,
+    _StatementParser,
+    parse_turtle,
+    parse_turtle_file,
+    serialize_turtle,
+    term_to_text,
+)
 
 PREFIX_HEADER = """\
 @prefix : <https://example.org/> .
@@ -43,14 +52,41 @@ def test_single_statement_hand_expansion():
 
 
 def test_object_and_predicate_lists_hand_expansion():
-    text = PREFIX_HEADER + ':milk obot:hasAffordance soma:Grasping , soma:Holding ; rdfs:label "Milk" .'
-    g = parse_turtle(text)
-    milk = iri("https://example.org/milk")
-    assert g.triple_set() == {
-        Triple(milk, OBOT.hasAffordance, SOMA.Grasping),
-        Triple(milk, OBOT.hasAffordance, SOMA.Holding),
-        Triple(milk, RDFS.label, literal("Milk")),
-    }
+    milk, cup, v = iri("https://example.org/milk"), iri("https://example.org/cup"), iri("https://example.org/v")
+    b0, b1 = blank("b0"), blank("b1")
+    xsd_string = "http://www.w3.org/2001/XMLSchema#string"
+    cases = [
+        (
+            ':milk obot:hasAffordance soma:Grasping , soma:Holding ; rdfs:label "Milk" .',
+            [
+                (milk, OBOT.hasAffordance, SOMA.Grasping),
+                (milk, OBOT.hasAffordance, SOMA.Holding),
+                (milk, RDFS.label, literal("Milk")),
+            ],
+        ),
+        ("<https://example.org/milk> <https://example.org/v> :cup .", [(milk, v, cup)]),
+        # A blank label names the same node wherever it is used in the document.
+        ("_:b :v _:b , _:c . :cup :v _:b .", [(b0, v, b0), (b0, v, b1), (cup, v, b0)]),
+        (
+            ":milk :v :cup ; a soma:Grasping ; ; rdfs:label :cup ; .",
+            [(milk, v, cup), (milk, RDF.type, SOMA.Grasping), (milk, RDFS.label, cup)],
+        ),
+        (
+            ':milk rdfs:label "Milch"@de , "Milk"^^<http://www.w3.org/2001/XMLSchema#string> , "plain" .',
+            [
+                (milk, RDFS.label, literal("Milch", lang="de")),
+                (milk, RDFS.label, literal("Milk", datatype=xsd_string)),
+                (milk, RDFS.label, literal("plain")),
+            ],
+        ),
+        # A rebound prefix resolves afresh, both for a pname read before and one first read after.
+        (
+            "@prefix e: <https://e.org/a#> . :milk e:p :cup . @prefix e: <https://e.org/b#> . :milk e:p e:q .",
+            [(milk, iri("https://e.org/a#p"), cup), (milk, iri("https://e.org/b#p"), iri("https://e.org/b#q"))],
+        ),
+    ]
+    for text, expected in cases:
+        assert parse_turtle(PREFIX_HEADER + text).triple_set() == {Triple(*t) for t in expected}, text
 
 
 def test_abbreviated_and_expanded_forms_parse_identically():
@@ -280,6 +316,24 @@ def test_parse_determinism():
     g2 = parse_turtle(text)
     assert g1.triple_set() == g2.triple_set()
     assert list(g1) == list(g2)
+
+
+def test_statement_loop_makes_fewer_grammar_calls_than_triples(monkeypatch):
+    # Common tokens are read by index in the statement loop, not through a method call each.
+    calls: Counter = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("peek", "next", "parse_term"):
+        monkeypatch.setattr(_StatementParser, name, counted(name, getattr(_StatementParser, name)))
+    triples = sum(len(parse_turtle_file(path)) for path in (activities_path(), robots_path()))
+    assert triples == 517
+    assert sum(calls.values()) < triples
 
 
 def test_escaped_unicode_in_iri_and_string():
