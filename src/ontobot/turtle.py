@@ -33,8 +33,10 @@ parser's ``add`` (``Graph.insert`` for Turtle).
 
 Errors carry a :class:`ParseDiagnostic` with a 1-based line and column into
 the source text, worked out from the token's offset when the error is raised.
-A lexical error ends the token list. Turtle raises it before parsing, so it
-is reported ahead of any syntax error; a query, when the parser reaches it.
+A lexical error ends the token list in an ``error`` token, which carries the
+diagnostic of a bad escape as the lexer made it. Turtle raises it before
+parsing, so it is reported ahead of any syntax error; a query, when the
+parser reaches it.
 
 :func:`parse_turtle_into` parses into a caller's graph, so documents load
 into one union. A document's blank labels map to fresh nodes from the caller
@@ -96,6 +98,8 @@ _ESCAPES = {
 }
 
 _IRI_BODY = r'[^> "<{}|^`\n]*'
+_PREFIX = r"(?:[A-Za-z][A-Za-z0-9_\-]*)?"
+_LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 _BLANK_LABEL = r"[A-Za-z0-9_][A-Za-z0-9_\-]*"
 # A backslash escapes any one character here; _unescape judges the escape.
 # No character matches both branches, so a string without its closing quote
@@ -115,12 +119,12 @@ def _lexer(variables: bool) -> re.Pattern:
     # '.5' is a number in Turtle; in a query the '.' ends a pattern.
     number, punct = (r"[+-]?\d+\.?\d*", "*") if variables else (r"[+-]?\d+\.?\d*|\.\d+", "")
     return re.compile(
-        r"(?:(?P<pname>(?P<prefix>(?:[A-Za-z][A-Za-z0-9_\-]*)?):"
+        rf"(?:(?P<pname>(?P<prefix>{_PREFIX}):"
         + r"(?P<local>(?:[A-Za-z0-9_](?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?)?))|[ \t\r\n]+|#[^\n]*"
         + (r"|[?$](?P<var>\w+)" if variables else "")
         + rf"|(?P<number>(?:{number})(?:[eE][+-]?\d+)?)"
         + rf'|<(?P<iriref>{_IRI_BODY})>|"(?!"")(?P<string>{_STRING_BODY})"'
-        + r"|@(?P<langtag>[A-Za-z]+(?:-[A-Za-z0-9]+)*)|(?P<dtype_sep>\^\^)"
+        + rf"|@(?P<langtag>{_LANGTAG})|(?P<dtype_sep>\^\^)"
         + rf"|_:(?P<blank>{_BLANK_LABEL})|(?P<dot>\.)|(?P<semi>;)|(?P<comma>,)"
         + rf"|(?P<punct>[()\[\]{{}}{punct}])"
         + r"|(?P<kw_a>a)(?![A-Za-z0-9_\-])|(?P<boolean>true|false)(?![A-Za-z0-9_\-])"
@@ -205,31 +209,29 @@ class _StatementParser:
                 elif "\\" in value:  # only an IRI or a string can hold one
                     try:
                         value = self._unescape(value, pos, iri_mode=kind == "iriref")
-                    except self.error:
-                        break
+                    except self.error as exc:
+                        tokens.append(("error", exc, pos))
+                        return tokens
                 tokens.append((kind, value, pos))
             pos = m.end()
         tokens.append(("eof" if pos == end else "error", None, pos))
         return tokens
 
-    def lex_error(self, pos: int) -> NoReturn:
-        """Raise the diagnostic for the text at ``pos``, where no token fits."""
+    def lex_error(self, tok: Token) -> NoReturn:
+        """Raise the diagnostic of an ``error`` token: its bad escape, or the text where no token fits."""
+        exc, pos = tok[1:]
+        if exc is not None:
+            raise exc
         text, c = self.text, self.text[pos]
+        # An IRI that reached its '>', or a string its closing quote, would have lexed.
         if c == "<":
             end = re.compile(_IRI_BODY).match(text, pos + 1).end()
-            if end == len(text):
-                self.fail("unterminated IRI", pos)
-            if text[end] != ">":
-                self.fail(f"invalid character in IRI: {text[end]!r}", pos)
-            self._unescape(text[pos + 1 : end], pos, iri_mode=True)
-        elif c == '"':
+            self.fail("unterminated IRI" if end == len(text) else f"invalid character in IRI: {text[end]!r}", pos)
+        if c == '"':
             if text.startswith('"""', pos):
                 self.fail("unsupported construct: triple-quoted string", pos)
-            end = re.compile(_STRING_BODY).match(text, pos + 1).end()
-            if text[end : end + 1] != '"':
-                self.fail("unterminated string literal", pos)
-            self._unescape(text[pos + 1 : end], pos, iri_mode=False)
-        elif c in "?$" and self.variables:
+            self.fail("unterminated string literal", pos)
+        if c in "?$" and self.variables:
             self.fail("empty variable name", pos)
         self.fail(_LEX_ERRORS.get(c) or f"unexpected character: {c!r}", pos)
 
@@ -255,14 +257,14 @@ class _StatementParser:
     def peek(self) -> Token:
         tok = self.tokens[self.at]
         if tok[0] == "error":
-            self.lex_error(tok[2])
+            self.lex_error(tok)
         return tok
 
     def next(self) -> Token:
         tok = self.tokens[self.at]
         if tok[0] != "eof":
             if tok[0] == "error":
-                self.lex_error(tok[2])
+                self.lex_error(tok)
             self.at += 1
         return tok
 
@@ -289,14 +291,21 @@ class _StatementParser:
         kind, value, pos = tok = self.next()
         if kind == "pname":
             return self.resolve_pname(tok)
+        # The statement loop reads a predicate 'a', and a string with no '@lang' or '^^', itself.
         if kind == "kw_a":
-            if position != "predicate":
-                self.fail("keyword 'a' is only valid as a predicate", pos)
-            return _RDF_TYPE
+            self.fail("keyword 'a' is only valid as a predicate", pos)
         if kind == "string":
             if position != "object":
                 self.fail(f"literal not allowed in {position} position", pos)
-            return self.finish_literal(value)
+            kind, suffix, _ = self.next()
+            if kind == "langtag":
+                return literal(value, lang=suffix)
+            dt_tok = self.next()  # after '^^'
+            if dt_tok[0] == "iriref":
+                return literal(value, datatype=dt_tok[1])
+            if dt_tok[0] == "pname":
+                return literal(value, datatype=self.resolve_pname(dt_tok).value)
+            self.fail("expected a datatype IRI after '^^'", dt_tok[2])
         if kind == "iriref":
             return iri(value)
         if kind in self.rejected:
@@ -313,21 +322,6 @@ class _StatementParser:
         kind, value, pos = tok
         found = "end of input" if kind == "eof" else repr(value)
         self.fail(f"expected {'an' if position == 'object' else 'a'} {position}, found {found}", pos)
-
-    def finish_literal(self, value: str) -> Term:
-        kind, suffix, _ = self.peek()
-        if kind == "langtag":
-            self.next()
-            return literal(value, lang=suffix)
-        if kind == "dtype_sep":
-            self.next()
-            dt_tok = self.next()
-            if dt_tok[0] == "iriref":
-                return literal(value, datatype=dt_tok[1])
-            if dt_tok[0] == "pname":
-                return literal(value, datatype=self.resolve_pname(dt_tok).value)
-            self.fail("expected a datatype IRI after '^^'", dt_tok[2])
-        return literal(value)
 
     def parse_predicate_object_list(self, subject: Term) -> None:
         """Read predicates and objects with their ``,`` and ``;`` from ``self.at``, adding each triple."""
@@ -381,9 +375,8 @@ class _TurtleParser(_StatementParser):
 
     def __init__(self, text: str, graph: Graph, new_blank: Callable[[], Term]):
         super().__init__(text)
-        kind, _, pos = self.tokens[-1]
-        if kind == "error":  # a lexical error anywhere is reported ahead of any syntax error
-            self.lex_error(pos)
+        if self.tokens[-1][0] == "error":  # a lexical error anywhere is reported ahead of any syntax error
+            self.lex_error(self.tokens[-1])
         self.graph = graph
         self.add = graph.insert
         self.new_blank = new_blank
@@ -448,8 +441,8 @@ def parse_turtle_file(path) -> Graph:
 
 _SAFE_LOCAL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*\Z")
 # The prefix names and language tags the lexer reads back.
-_SAFE_PREFIX_RE = re.compile(r"(?:[A-Za-z][A-Za-z0-9_\-]*)?\Z")
-_LANG_RE = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*\Z")
+_SAFE_PREFIX_RE = re.compile(_PREFIX + r"\Z")
+_LANG_RE = re.compile(_LANGTAG + r"\Z")
 _BLANK_LABEL_RE = re.compile(_BLANK_LABEL + r"\Z")
 
 
