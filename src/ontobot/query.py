@@ -3,7 +3,8 @@
 The grammar covers exactly what the competency-question queries need:
 ``PREFIX``/``@prefix`` declarations, ``SELECT [DISTINCT] ?var ...``,
 and a ``WHERE { ... }`` block of triple patterns with ``;`` and ``,``
-lists, the ``a`` keyword, and string literals.
+lists, the ``a`` keyword, and string literals. Patterns are separated by
+``.``, which is optional before the closing ``}``.
 
 Anything beyond that subset (FILTER, OPTIONAL, UNION, GROUP BY, HAVING,
 ORDER BY, ...) raises :class:`UnsupportedFeatureError` naming the feature,
@@ -203,8 +204,13 @@ class _QueryParser(_StatementParser):
                 self.fail("unterminated graph pattern (missing '}')", open_pos)
             subject = self.parse_term("subject")
             self.parse_predicate_object_list(subject)
-            if self.peek()[0] == "dot":
+            kind, value, pos = tok = self.peek()
+            if kind == "dot":
                 self.next()
+            elif (kind, value) != ("punct", "}") and kind != "eof":
+                self.next()  # check_unsupported reads the token after it
+                self.check_unsupported(tok)
+                self.fail("expected '.' or '}' after a triple pattern", pos)
         if not self.pattern:
             self.fail("empty graph pattern", open_pos)
 

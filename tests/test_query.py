@@ -55,12 +55,13 @@ def test_unsupported_features_are_named():
     with pytest.raises(UnsupportedFeatureError) as excinfo:
         parse_query(base + "HAVING (?y > 1) }")
     assert excinfo.value.feature == "HAVING"
-    with pytest.raises(UnsupportedFeatureError) as excinfo:
-        parse_query(base + "FILTER (?y > 1) }")
-    assert excinfo.value.feature == "FILTER"
-    with pytest.raises(UnsupportedFeatureError) as excinfo:
-        parse_query(base + "OPTIONAL { ?x :q ?z } }")
-    assert excinfo.value.feature == "OPTIONAL"
+    for text in (base, base[:-2]):  # with and without the '.' after the pattern
+        with pytest.raises(UnsupportedFeatureError) as excinfo:
+            parse_query(text + "FILTER (?y > 1) }")
+        assert excinfo.value.feature == "FILTER"
+        with pytest.raises(UnsupportedFeatureError) as excinfo:
+            parse_query(text + "OPTIONAL { ?x :q ?z } }")
+        assert excinfo.value.feature == "OPTIONAL"
     with pytest.raises(UnsupportedFeatureError) as excinfo:
         parse_query(base + "} GROUP BY ?x")
     assert excinfo.value.feature == "GROUP BY"
@@ -92,6 +93,11 @@ def test_projected_variable_must_occur_in_pattern():
         # A pattern cut off at the end of the input.
         pytest.param("SELECT ?x WHERE { ?x <p>", 1, 25, "expected an object, found end of input", id="cut-off-object"),
         pytest.param("SELECT ?x WHERE { ?x", 1, 21, "expected a predicate, found end of input", id="cut-off-predicate"),
+        # Triple patterns are separated by '.'.
+        pytest.param(
+            "PREFIX : <https://e.org/> SELECT ?x WHERE { ?x :p ?y ?z :q ?w }", 1, 54,
+            "expected '.' or '}' after a triple pattern", id="missing-dot",
+        ),
         pytest.param("SELECT ?x ?x WHERE { ?x ?p ?o }", 1, 11, "duplicate variable in projection: ?x", id="duplicate-projection"),
         pytest.param("@base <https://e.org/> . SELECT ?x WHERE { ?x ?p ?o }", 1, 1, "unsupported construct: @base", id="base"),
     ],
