@@ -38,9 +38,7 @@ _EXIT_CODES = {UnsupportedFeatureError: EXIT_UNSUPPORTED, UnknownEntityError: EX
 
 
 class _Fail(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+    """Bad input the CLI found itself: exit code 2."""
 
 
 class ResultTable(NamedTuple):
@@ -70,11 +68,9 @@ def render(table: ResultTable, fmt: str) -> str:
         for row in table.rows:
             writer.writerow([_plain_cell(cell, "csv") for cell in row])
         return buffer.getvalue()
-    # A line break in a cell would split its row.
-    cells = [
-        [_plain_cell(cell, "table").replace("\n", "\\n").replace("\r", "\\r") for cell in row]
-        for row in table.rows
-    ]
+    # A line break in a cell would split its row. A backslash is escaped first, so no two cells print alike.
+    escape = lambda text: text.replace("\\", "\\\\").replace("\n", "\\n").replace("\r", "\\r")  # noqa: E731
+    cells = [[escape(_plain_cell(cell, "table")) for cell in row] for row in table.rows]
     widths = [len(name) for name in table.columns]
     for row in cells:
         for i, cell in enumerate(row):
@@ -93,9 +89,9 @@ def _read_text(path: str | Path) -> str:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise _Fail(EXIT_INPUT, f"cannot read {path}: {exc.strerror or exc}")
+        raise _Fail(f"cannot read {path}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
-        raise _Fail(EXIT_INPUT, f"{path} is not valid UTF-8: {exc}")
+        raise _Fail(f"{path} is not valid UTF-8: {exc}")
 
 
 def _kg_paths(args: argparse.Namespace) -> list[Path]:
@@ -105,7 +101,7 @@ def _kg_paths(args: argparse.Namespace) -> list[Path]:
     if env_dir:
         paths = sorted(Path(env_dir).glob("*.ttl"))
         if not paths:
-            raise _Fail(EXIT_INPUT, f"no .ttl files found in ONTOBOT_FIXTURES directory {env_dir}")
+            raise _Fail(f"no .ttl files found in ONTOBOT_FIXTURES directory {env_dir}")
         return paths
     return fixtures.default_kg_paths()
 
@@ -152,7 +148,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 def _require(args: argparse.Namespace, name: str, cq: int) -> str:
     value = getattr(args, name)
     if value is None:
-        raise _Fail(EXIT_INPUT, f"cq {cq} requires --{name}")
+        raise _Fail(f"cq {cq} requires --{name}")
     return value
 
 
@@ -274,7 +270,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (_Fail, UnsupportedFeatureError, UnknownEntityError, QueryParseError, TurtleParseError,
             GraphError, ChainError, OSError, UnicodeEncodeError) as exc:
         print(f"ontobot: {exc}", file=sys.stderr)
-        return exc.code if isinstance(exc, _Fail) else _EXIT_CODES.get(type(exc), EXIT_INPUT)
+        return _EXIT_CODES.get(type(exc), EXIT_INPUT)
     except Exception as exc:  # a fault of the program: one line, not a traceback
         print(f"ontobot: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

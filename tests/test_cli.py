@@ -209,12 +209,13 @@ def test_query_empty_result_exits_0(capsys, tmp_path):
 
 def test_query_cells_show_each_term_kind(capsys, tmp_path):
     # A literal shows its bare lexical form, then its tag or datatype; IRIs and blank nodes show as in Turtle.
-    # In a table, a line break shows as its escape, so that a row stays one line; json keeps it as it is.
+    # In a table, a line break shows as its escape, so that a row stays one line, and a backslash as '\\',
+    # so that the last two cells differ; json keeps them as they are.
     kg = tmp_path / "kinds.ttl"
     kg.write_text(
         "@prefix : <https://example.org/> .\n@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
         ':a :v "say \\"hi\\"" , "colour"@en-GB , "7"^^xsd:int , "odd"^^<https://other.org/t> , _:n , <https://other.org/x> .\n'
-        ':a :v "two\\nlines\\r" .\n',
+        ':a :v "two\\nlines\\r" , "two\\\\nlines" .\n',
         encoding="utf-8",
     )
     q = tmp_path / "all.rq"
@@ -231,9 +232,10 @@ def test_query_cells_show_each_term_kind(capsys, tmp_path):
         "odd^^<https://other.org/t>",
         'say "hi"',
         "two\\nlines\\r",
+        "two\\\\nlines",
     ]
     code, out, _ = run(capsys, "query", "-k", str(kg), "-f", str(q), "-o", "json")
-    assert json.loads(out)["rows"][-1] == ["two\nlines\r"]
+    assert json.loads(out)["rows"][-2:] == [["two\nlines\r"], ["two\\nlines"]]
 
 
 def test_query_with_having_exits_3(capsys, tmp_path):

@@ -366,12 +366,30 @@ def test_round_trip_iris_holding_characters_an_iri_may_not_hold(char):
         (literal("7", datatype="https://e.org/ns/int"), "7^^x:int", '"7"^^x:int'),
         (literal("a\\b", datatype="https://o.org/t t"), "a\\b^^<https://o.org/t t>", '"a\\\\b"^^<https://o.org/t\\u0020t>'),
         (blank("n"), "_:n", "_:n"),
+        # prefixed_name leaves an IRI in full when its local part starts with a digit.
+        (iri("https://e.org/ns/1st"), "<https://e.org/ns/1st>", "<https://e.org/ns/1st>"),
     ],
 )
 def test_term_to_text_cell_and_turtle_forms(term, cell, turtle):
     prefixes = {"x": "https://e.org/ns/"}
     assert term_to_text(term, prefixes) == cell
     assert term_to_text(term, prefixes, escape=True) == turtle
+
+
+@pytest.mark.parametrize(
+    "term, n3",
+    [
+        (literal('say "hi"\n'), '"say \\"hi\\"\\n"'),
+        (literal("colour", lang="en-GB"), '"colour"@en-GB'),
+        (literal("7", datatype="https://e.org/ns/int"), '"7"^^<https://e.org/ns/int>'),
+        (literal("a\\b", datatype="https://o.org/t t"), '"a\\\\b"^^<https://o.org/t t>'),
+        (blank("n"), "_:n"),
+        (iri("https://e.org/ns/1st"), "<https://e.org/ns/1st>"),
+    ],
+)
+def test_term_n3_forms(term, n3):
+    # The terms above: n3 never prefixes an IRI, and writes a datatype IRI as it is.
+    assert term.n3() == n3
 
 
 @pytest.mark.parametrize("label", ["a b", "x.", ""])
