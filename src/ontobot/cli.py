@@ -69,8 +69,10 @@ def render(table: ResultTable, fmt: str) -> str:
             writer.writerow([_plain_cell(cell, "csv") for cell in row])
         return buffer.getvalue()
     # A line break in a cell would split its row. A backslash is escaped first, so no two cells print alike.
-    escape = lambda text: text.replace("\\", "\\\\").replace("\n", "\\n").replace("\r", "\\r")  # noqa: E731
-    cells = [[escape(_plain_cell(cell, "table")) for cell in row] for row in table.rows]
+    cells = [
+        [_plain_cell(cell, "table").replace("\\", "\\\\").replace("\n", "\\n").replace("\r", "\\r") for cell in row]
+        for row in table.rows
+    ]
     widths = [len(name) for name in table.columns]
     for row in cells:
         for i, cell in enumerate(row):

@@ -33,10 +33,9 @@ parser's ``add`` (``Graph.insert`` for Turtle).
 
 Errors carry a :class:`ParseDiagnostic` with a 1-based line and column into
 the source text, worked out from the token's offset when the error is raised.
-A lexical error ends the token list in an ``error`` token, which carries the
-diagnostic of a bad escape as the lexer made it. Turtle raises it before
-parsing, so it is reported ahead of any syntax error; a query, when the
-parser reaches it.
+A lexical error ends the token list in an ``error`` token that carries a bad
+escape's diagnostic. Turtle raises it before parsing, so it is reported
+ahead of any syntax error; a query, when the parser reaches it.
 
 :func:`parse_turtle_into` parses into a caller's graph, so documents load
 into one union. A document's blank labels map to fresh nodes from the caller
