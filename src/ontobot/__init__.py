@@ -11,11 +11,8 @@ from ontobot.graph import (
     GraphError,
     Term,
     Triple,
-    UndeclaredPrefixError,
     blank,
-    expand,
     iri,
-    isomorphic,
     literal,
     merge_graphs,
 )
@@ -28,7 +25,6 @@ from ontobot.query import (
     Var,
     evaluate,
     parse_query,
-    parse_query_file,
 )
 from ontobot.reasoner import (
     CapabilityProfile,
@@ -52,7 +48,6 @@ from ontobot.turtle import (
     ParseDiagnostic,
     TurtleParseError,
     parse_turtle,
-    parse_turtle_file,
     serialize_turtle,
 )
 
@@ -63,11 +58,8 @@ __all__ = [
     "GraphError",
     "Term",
     "Triple",
-    "UndeclaredPrefixError",
     "blank",
-    "expand",
     "iri",
-    "isomorphic",
     "literal",
     "merge_graphs",
     "Query",
@@ -78,7 +70,6 @@ __all__ = [
     "Var",
     "evaluate",
     "parse_query",
-    "parse_query_file",
     "CapabilityProfile",
     "ChainError",
     "FeasibilityMatrix",
@@ -96,7 +87,6 @@ __all__ = [
     "ParseDiagnostic",
     "TurtleParseError",
     "parse_turtle",
-    "parse_turtle_file",
     "serialize_turtle",
     "__version__",
 ]

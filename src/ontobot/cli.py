@@ -13,9 +13,7 @@ sorted by name), falling back to the packaged fixture graphs.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 from pathlib import Path
@@ -58,10 +56,15 @@ def _plain_cell(cell: object, fmt: str) -> str:
 
 
 def render(table: ResultTable, fmt: str) -> str:
+    # Each format imports its module only when it prints, so a fresh start loads neither.
     if fmt == "json":
+        import json
+
         payload = {"id": table.id, "columns": table.columns, "rows": table.rows}
         return json.dumps(payload, indent=2) + "\n"
     if fmt == "csv":
+        import csv
+
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         writer.writerow(table.columns)

@@ -35,14 +35,6 @@ class GraphError(ValueError):
     """A structural problem with a term, triple, or graph operation."""
 
 
-class UndeclaredPrefixError(GraphError):
-    """A prefixed name used a prefix that was never declared."""
-
-    def __init__(self, prefix: str):
-        super().__init__(f"undeclared prefix: {prefix!r}")
-        self.prefix = prefix
-
-
 _STRING_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
 
 
@@ -166,20 +158,6 @@ def _check_triple(t: Triple) -> None:
         raise GraphError(f"{t.p.kind} not allowed in predicate position")
 
 
-def expand(prefixes: Mapping[str, str], qname: str) -> Term:
-    """Expand a prefixed name such as ``pko:hasStep`` against a prefix table.
-
-    Raises :class:`UndeclaredPrefixError` when the prefix is unknown.
-    """
-    prefix, sep, local = qname.partition(":")
-    if not sep:
-        raise GraphError(f"not a prefixed name (missing ':'): {qname!r}")
-    namespace = prefixes.get(prefix)
-    if namespace is None:
-        raise UndeclaredPrefixError(prefix)
-    return iri(namespace + local)
-
-
 _NO_GROUP: Mapping = MappingProxyType({})
 
 
@@ -223,10 +201,6 @@ class Graph:
                 index = self._built.get(key)
                 if index is not None:
                     index.setdefault(t[key[1]], []).append(t)
-
-    def insert_all(self, triples: Iterable[Triple]) -> None:
-        for t in triples:
-            self.insert(t)
 
     def lookup(self, s: Term | None, p: Term | None, o: Term | None) -> Collection[Triple]:
         """The triples matching the bound positions, in insertion order; ``None`` is a wildcard.
@@ -315,7 +289,8 @@ class Graph:
     def copy(self) -> "Graph":
         """An unfrozen copy with the same triples and prefixes."""
         out = Graph(self.prefixes)
-        out.insert_all(self._triples)
+        for t in self._triples:
+            out.insert(t)
         return out
 
     def __len__(self) -> int:
@@ -326,9 +301,6 @@ class Graph:
 
     def __contains__(self, t: object) -> bool:
         return t in self._triples
-
-    def triple_set(self) -> frozenset[Triple]:
-        return frozenset(self._triples)
 
     def __repr__(self) -> str:
         state = "frozen" if self._frozen else "loading"
@@ -346,71 +318,3 @@ def merge_graphs(graphs: Iterable[Graph]) -> Graph:
     for g in graphs:
         out.add_graph(g, new_blank)
     return out
-
-
-def _has_blank(t: Triple) -> bool:
-    return t.s.kind == BLANK or t.o.kind == BLANK
-
-
-def isomorphic(a: Graph, b: Graph) -> bool:
-    """True when the graphs are equal up to a bijective blank-node renaming.
-
-    Brute-force with signature pruning; intended for test-sized graphs
-    (a handful of blank nodes), not for adversarial inputs.
-    """
-    if len(a) != len(b):
-        return False
-    a_ground = {t for t in a if not _has_blank(t)}
-    b_ground = {t for t in b if not _has_blank(t)}
-    if a_ground != b_ground:
-        return False
-    a_blank_triples = [t for t in a if _has_blank(t)]
-    b_blank_triples = {t for t in b if _has_blank(t)}
-
-    def blanks_of(triples: Iterable[Triple]) -> list[Term]:
-        seen: dict[Term, None] = {}
-        for t in triples:
-            if t.s.kind == BLANK:
-                seen.setdefault(t.s)
-            if t.o.kind == BLANK:
-                seen.setdefault(t.o)
-        return list(seen)
-
-    a_blanks = blanks_of(a_blank_triples)
-    b_blanks = blanks_of(b_blank_triples)
-    if len(a_blanks) != len(b_blanks):
-        return False
-
-    def signature(node: Term, g: Graph) -> tuple:
-        out_preds = sorted(t.p.value for t in g.match(s=node))
-        in_preds = sorted(t.p.value for t in g.match(o=node))
-        return (tuple(out_preds), tuple(in_preds))
-
-    a_sigs = {n: signature(n, a) for n in a_blanks}
-    b_sigs = {n: signature(n, b) for n in b_blanks}
-    candidates = {n: [m for m in b_blanks if b_sigs[m] == a_sigs[n]] for n in a_blanks}
-    if any(not opts for opts in candidates.values()):
-        return False
-    order = sorted(a_blanks, key=lambda n: len(candidates[n]))
-
-    def rename(t: Triple, mapping: dict[Term, Term]) -> Triple:
-        s = mapping.get(t.s, t.s) if t.s.kind == BLANK else t.s
-        o = mapping.get(t.o, t.o) if t.o.kind == BLANK else t.o
-        return Triple(s, t.p, o)
-
-    def assign(i: int, mapping: dict[Term, Term], used: set[Term]) -> bool:
-        if i == len(order):
-            return all(rename(t, mapping) in b_blank_triples for t in a_blank_triples)
-        node = order[i]
-        for target in candidates[node]:
-            if target in used:
-                continue
-            mapping[node] = target
-            used.add(target)
-            if assign(i + 1, mapping, used):
-                return True
-            del mapping[node]
-            used.discard(target)
-        return False
-
-    return assign(0, {}, set())

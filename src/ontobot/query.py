@@ -226,11 +226,6 @@ def parse_query(text: str) -> Query:
     return _QueryParser(text).parse()
 
 
-def parse_query_file(path) -> Query:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_query(handle.read())
-
-
 def _order_patterns(patterns: list[TriplePattern]) -> list[TriplePattern]:
     """Greedy join order: next comes the pattern ranking highest by
     ``(connected, bound_count, -index)``, where ``bound_count`` counts constants

@@ -432,12 +432,6 @@ def parse_turtle_into(graph: Graph, text: str, new_blank: Callable[[], Term]) ->
     _TurtleParser(text, graph, new_blank).parse()
 
 
-def parse_turtle_file(path) -> Graph:
-    """Read and parse a UTF-8 ``.ttl`` file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_turtle(handle.read())
-
-
 _SAFE_LOCAL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*\Z")
 # The prefix names and language tags the lexer reads back.
 _SAFE_PREFIX_RE = re.compile(_PREFIX + r"\Z")

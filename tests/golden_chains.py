@@ -85,7 +85,8 @@ def graphs(seed: int = SEED) -> list[tuple[Graph, list[Term]]]:
                     chain(step, PKO.requiresAction, OBOT.nextAction, actions, faulty and rng.random() < 0.3)
         rng.shuffle(links)
         graph = Graph()
-        graph.insert_all(triples + links)
+        for t in triples + links:
+            graph.insert(t)
         out.append((graph.freeze(), activities))
     return out
 

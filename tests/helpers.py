@@ -1,16 +1,16 @@
 """Shared test machinery: independent oracles and random generators.
 
 The oracles here deliberately avoid the package's evaluation paths:
-`scan_match` is a plain linear scan, and `oracle_evaluate` is a naive
+`scan_match` is a plain linear scan, `oracle_evaluate` is a naive
 nested-loop join in the query's original pattern order with no indexes
-and no reordering.
+and no reordering, and `isomorphic` reads each graph in one iteration.
 """
 
 from __future__ import annotations
 
 import random
 
-from ontobot.graph import Graph, Term, Triple, blank, iri, literal
+from ontobot.graph import BLANK, Graph, Term, Triple, blank, iri, literal
 from ontobot.query import Query, TriplePattern, Var
 
 
@@ -64,6 +64,73 @@ def oracle_evaluate(query: Query, graph: Graph) -> list[tuple[Term, ...]]:
                 unique.append(row)
         return unique
     return rows
+
+
+def _has_blank(t: Triple) -> bool:
+    return t.s.kind == BLANK or t.o.kind == BLANK
+
+
+def _split(g: Graph) -> tuple[set[Triple], list[Triple], dict[Term, tuple]]:
+    """One pass over ``g``: its ground triples, its triples that hold a blank node,
+    and each blank node's signature, the sorted predicates of its outgoing and of
+    its incoming triples. Blank nodes keep their first-seen order."""
+    ground: set[Triple] = set()
+    blank_triples: list[Triple] = []
+    edges: dict[Term, tuple[list[str], list[str]]] = {}
+    for t in g:
+        if not _has_blank(t):
+            ground.add(t)
+            continue
+        blank_triples.append(t)
+        if t.s.kind == BLANK:
+            edges.setdefault(t.s, ([], []))[0].append(t.p.value)
+        if t.o.kind == BLANK:
+            edges.setdefault(t.o, ([], []))[1].append(t.p.value)
+    signatures = {node: (tuple(sorted(out)), tuple(sorted(into))) for node, (out, into) in edges.items()}
+    return ground, blank_triples, signatures
+
+
+def isomorphic(a: Graph, b: Graph) -> bool:
+    """True when the graphs are equal up to a bijective blank-node renaming
+    (RDF 1.1 Concepts, section 3.6).
+
+    Reads each graph once by iteration and never through an index, so it can
+    check what the indexes hold. Brute force with signature pruning; intended for
+    test-sized graphs (a handful of blank nodes), not for adversarial inputs.
+    """
+    if len(a) != len(b):
+        return False
+    a_ground, a_blank_triples, a_sigs = _split(a)
+    b_ground, b_blank_list, b_sigs = _split(b)
+    if a_ground != b_ground or len(a_sigs) != len(b_sigs):
+        return False
+    b_blank_triples = set(b_blank_list)
+    candidates = {n: [m for m in b_sigs if b_sigs[m] == sig] for n, sig in a_sigs.items()}
+    if any(not opts for opts in candidates.values()):
+        return False
+    order = sorted(a_sigs, key=lambda n: len(candidates[n]))
+
+    def rename(t: Triple, mapping: dict[Term, Term]) -> Triple:
+        s = mapping.get(t.s, t.s) if t.s.kind == BLANK else t.s
+        o = mapping.get(t.o, t.o) if t.o.kind == BLANK else t.o
+        return Triple(s, t.p, o)
+
+    def assign(i: int, mapping: dict[Term, Term], used: set[Term]) -> bool:
+        if i == len(order):
+            return all(rename(t, mapping) in b_blank_triples for t in a_blank_triples)
+        node = order[i]
+        for target in candidates[node]:
+            if target in used:
+                continue
+            mapping[node] = target
+            used.add(target)
+            if assign(i + 1, mapping, used):
+                return True
+            del mapping[node]
+            used.discard(target)
+        return False
+
+    return assign(0, {}, set())
 
 
 def row_key(row: tuple[Term, ...]) -> tuple:

@@ -15,7 +15,7 @@ from ontobot.graph import Graph, Triple, merge_graphs
 from ontobot.namespaces import EX, OBOT, RDF, RDFS
 from ontobot.reasoner import KnowledgeBase, load_graph
 from ontobot.schema import infer_types
-from ontobot.turtle import TurtleParseError, parse_turtle_file
+from ontobot.turtle import TurtleParseError, parse_turtle
 
 PAIRS = {
     "fixtures": (activities_path().read_text(encoding="utf-8"), robots_path().read_text(encoding="utf-8")),
@@ -31,8 +31,8 @@ def test_one_pass_union_equals_merge_then_infer(tmp_path, pair, as_graph):
     for i, text in enumerate(PAIRS[pair]):
         paths.append(tmp_path / f"{i}.ttl")
         paths[-1].write_text(text, encoding="utf-8")
-    expected = infer_types(merge_graphs([parse_turtle_file(p) for p in paths]))
-    sources = [parse_turtle_file(p) if graph else p for p, graph in zip(paths, as_graph)]
+    expected = infer_types(merge_graphs([parse_turtle(p.read_text(encoding="utf-8")) for p in paths]))
+    sources = [parse_turtle(p.read_text(encoding="utf-8")) if graph else p for p, graph in zip(paths, as_graph)]
     got = KnowledgeBase.load(*sources).graph
     assert got.frozen
     assert list(got) == list(expected)
@@ -45,7 +45,7 @@ def test_one_pass_union_without_inference_equals_merge(tmp_path, pair):
     for i, text in enumerate(PAIRS[pair]):
         paths.append(tmp_path / f"{i}.ttl")
         paths[-1].write_text(text, encoding="utf-8")
-    expected = merge_graphs([parse_turtle_file(p) for p in paths])
+    expected = merge_graphs([parse_turtle(p.read_text(encoding="utf-8")) for p in paths])
     got = load_graph(paths, infer=False)
     assert got.frozen
     assert list(got) == list(expected)
@@ -82,7 +82,7 @@ def count_calls(monkeypatch, calls: Counter) -> None:
 def test_cold_cq_parses_once_and_does_not_validate(monkeypatch, capsys):
     calls: Counter = Counter()
     count_calls(monkeypatch, calls)
-    graphs = [parse_turtle_file(activities_path()), parse_turtle_file(robots_path())]
+    graphs = [parse_turtle(path.read_text(encoding="utf-8")) for path in (activities_path(), robots_path())]
     parsed = calls["insert"]
     union = merge_graphs(graphs)
     calls.clear()

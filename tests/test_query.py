@@ -19,7 +19,6 @@ from ontobot.query import (
     Var,
     evaluate,
     parse_query,
-    parse_query_file,
 )
 
 CQ1_TEXT = query_path("cq1_object_affordances").read_text(encoding="utf-8")
@@ -45,7 +44,7 @@ def test_parse_all_fixture_queries():
         "robot_affordances": 9,
     }
     for name, count in expected_patterns.items():
-        q = parse_query_file(query_path(name))
+        q = parse_query(query_path(name).read_text(encoding="utf-8"))
         assert q.distinct is True
         assert len(q.pattern) == count, name
 
@@ -221,7 +220,8 @@ def test_adding_triples_never_removes_solutions():
         before = {tuple(s[v] for v in q.projection) for s in evaluate(q, g)}
         extended = g.copy()
         extra = random_graph(rng, max_triples=15, with_blanks=False)
-        extended.insert_all(extra)
+        for t in extra:
+            extended.insert(t)
         extended.freeze()
         after = {tuple(s[v] for v in q.projection) for s in evaluate(q, extended)}
         assert before <= after
@@ -245,7 +245,8 @@ def test_join_depth_is_not_bounded_by_the_recursion_limit():
     p = iri("https://e.org/p")
     nodes = [iri(f"https://e.org/n{i}") for i in range(n + 1)]
     g = Graph()
-    g.insert_all(Triple(nodes[i], p, nodes[i + 1]) for i in range(n))
+    for i in range(n):
+        g.insert(Triple(nodes[i], p, nodes[i + 1]))
     body = " . ".join(f"?x{i} <https://e.org/p> ?x{i + 1}" for i in range(n))
     q = parse_query(f"SELECT ?x0 ?x{n} WHERE {{ {body} }}")
     depth, frame = 0, sys._getframe()
@@ -352,9 +353,10 @@ def test_evaluate_makes_no_graph_match_calls(union, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Graph.match called")
 
-    expected = evaluate(parse_query_file(query_path("cq6_step_affordances")), union)
+    query = parse_query(query_path("cq6_step_affordances").read_text(encoding="utf-8"))
+    expected = evaluate(query, union)
     monkeypatch.setattr(Graph, "match", refuse)
-    assert evaluate(parse_query_file(query_path("cq6_step_affordances")), union) == expected
+    assert evaluate(query, union) == expected
     assert expected
 
 
@@ -407,7 +409,8 @@ def test_rows_with_equal_sort_keys_keep_the_order_they_were_found_in(distinct):
     assert plain is not typed and plain.sort_key() == typed.sort_key()
     for objects in ([plain, typed], [typed, plain]):
         g = Graph()
-        g.insert_all(Triple(_N[0], _P[0], o) for o in objects)
+        for o in objects:
+            g.insert(Triple(_N[0], _P[0], o))
         q = Query(prefixes={}, projection=["o"], distinct=distinct,
                   pattern=[TriplePattern(_N[0], _P[0], Var("o"))])
         assert [s["o"] for s in evaluate(q, g.freeze())] == objects

@@ -5,7 +5,7 @@ import pytest
 from ontobot.fixtures import query_path
 from ontobot.graph import Graph
 from ontobot.namespaces import EX, SOMA
-from ontobot.query import evaluate, parse_query_file
+from ontobot.query import evaluate, parse_query
 from ontobot.reasoner import ChainError, KnowledgeBase, UnknownEntityError
 from ontobot.turtle import parse_turtle
 
@@ -86,7 +86,7 @@ def test_cq1_unknown_label_lists_available(kb):
 
 
 def test_cq1_matches_query_engine(kb):
-    q = parse_query_file(query_path("cq1_object_affordances"))
+    q = parse_query(query_path("cq1_object_affordances").read_text(encoding="utf-8"))
     via_query = {(s["object"], s["affordance"]) for s in evaluate(q, kb.graph)}
     assert kb.objects_and_affordances("Prepare breakfast") == via_query
 
@@ -147,7 +147,7 @@ def test_cq2_broken_chain_is_an_error():
 
 
 def test_cq2_matches_query_engine(kb):
-    q = parse_query_file(query_path("cq2_action_sequence"))
+    q = parse_query(query_path("cq2_action_sequence").read_text(encoding="utf-8"))
     via_query = {
         (s["procedureLabel"].value, s["stepLabel"].value, s["actionLabel"].value)
         for s in evaluate(q, kb.graph)
@@ -187,7 +187,7 @@ def test_cq3_unknown_iri_is_an_error(kb):
 
 
 def test_cq3_matches_query_engine(kb):
-    q = parse_query_file(query_path("cq3_required_affordances"))
+    q = parse_query(query_path("cq3_required_affordances").read_text(encoding="utf-8"))
     rows = evaluate(q, kb.graph)
     for activity, label in kb.activities():
         via_query = {s["affordance"] for s in rows if s["activityLabel"].value == label}
@@ -244,7 +244,7 @@ def test_capability_profile_skips_communication_not_typed_ros_communication():
 
 
 def test_capability_profile_matches_query_engine(kb):
-    q = parse_query_file(query_path("robot_affordances"))
+    q = parse_query(query_path("robot_affordances").read_text(encoding="utf-8"))
     rows = evaluate(q, kb.graph)
     for robot, label in kb.agents():
         via_query = {s["affordance"] for s in rows if s["robotLabel"].value == label}

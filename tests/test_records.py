@@ -158,12 +158,19 @@ def test_record_methods():
     assert matrix.achievable(A, A) and not matrix.achievable(A, B)
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # -S keeps site-packages .pth files from importing either module first.
+def loaded_by_cli_import(names: set[str]) -> str:
+    """Those of ``names`` that a fresh ``import ontobot.cli`` loads, as a sorted list's repr."""
+    # -S keeps site-packages .pth files from importing any of them first.
     src = str(Path(__file__).resolve().parents[1] / "src")
-    script = (
-        f"import sys; sys.path.insert(0, {src!r}); import ontobot.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
+    script = f"import sys; sys.path.insert(0, {src!r}); import ontobot.cli; print(sorted({names!r} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    assert loaded_by_cli_import({"dataclasses", "inspect"}) == "[]"
+
+
+def test_cli_import_loads_neither_json_nor_csv():
+    # Each output format imports its module when it renders.
+    assert loaded_by_cli_import({"json", "csv"}) == "[]"
