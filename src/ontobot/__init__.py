@@ -35,15 +35,7 @@ from ontobot.reasoner import (
     TaskPlan,
     UnknownEntityError,
 )
-from ontobot.schema import (
-    ONTOBOT_VOCABULARY,
-    ValidationReport,
-    Violation,
-    Vocabulary,
-    infer_types,
-    validate,
-    vocabulary_graph,
-)
+from ontobot.schema import ValidationReport, Violation, infer_types, validate
 from ontobot.turtle import (
     ParseDiagnostic,
     TurtleParseError,
@@ -77,13 +69,10 @@ __all__ = [
     "KnowledgeBase",
     "TaskPlan",
     "UnknownEntityError",
-    "ONTOBOT_VOCABULARY",
     "ValidationReport",
     "Violation",
-    "Vocabulary",
     "infer_types",
     "validate",
-    "vocabulary_graph",
     "ParseDiagnostic",
     "TurtleParseError",
     "parse_turtle",

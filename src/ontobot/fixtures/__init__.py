@@ -6,8 +6,11 @@ their affordances, and the two activities ("Prepare breakfast",
 ordered atomic actions. ``robots.ttl`` describes the four robots (TIAGo,
 HSR, UR3, Stretch) and the node/communication/message/capability chains
 through which their capabilities enable affordances.
-``ontobot-vocab.ttl`` is the emitted vocabulary so instance files can
-import it. ``queries/`` holds the six competency questions as query files.
+``ontobot-vocab.ttl`` is the OntoBOT vocabulary: its classes, properties
+and subclass axioms. It loads beside instance files, e.g.
+``KnowledgeBase.load(vocabulary_path(), activities_path(), robots_path())``;
+``parse_turtle(vocabulary_path().read_text(encoding="utf-8"))`` gives it as
+a graph. ``queries/`` holds the six competency questions as query files.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Namespace tables for the vocabularies the engine knows about.
+"""Namespaces of the vocabularies the engine's code names terms in.
 
 A ``Namespace`` turns attribute access into interned IRI terms, so
 ``SOMA.Grasping`` is the term ``<http://www.ease-crc.org/ont/SOMA.owl#Grasping>``.
@@ -29,7 +29,6 @@ class Namespace:
 
 RDF = Namespace("http://www.w3.org/1999/02/22-rdf-syntax-ns#")
 RDFS = Namespace("http://www.w3.org/2000/01/rdf-schema#")
-XSD = Namespace("http://www.w3.org/2001/XMLSchema#")
 OBOT = Namespace("https://w3id.org/onto-bot#")
 DUL = Namespace("http://www.ontologydesignpatterns.org/ont/dul/DUL.owl#")
 SOMA = Namespace("http://www.ease-crc.org/ont/SOMA.owl#")
@@ -39,19 +38,3 @@ ROS = Namespace("http://data.mksmart.org/onto-ros/class#")
 PROV = Namespace("http://www.w3.org/ns/prov#")
 FOAF = Namespace("http://xmlns.com/foaf/0.1/")
 EX = Namespace("https://example.org/")
-
-#: Prefix table matching the declarations the fixture files use.
-STANDARD_PREFIXES: dict[str, str] = {
-    "": EX.base,
-    "rdf": RDF.base,
-    "rdfs": RDFS.base,
-    "xsd": XSD.base,
-    "obot": OBOT.base,
-    "dul": DUL.base,
-    "soma": SOMA.base,
-    "pko": PKO.base,
-    "pplan": PPLAN.base,
-    "ros": ROS.base,
-    "prov": PROV.base,
-    "foaf": FOAF.base,
-}

@@ -1,14 +1,17 @@
-"""The robot/task vocabulary, subclass inference, and structural validation.
+"""The OntoBOT subclass axioms, subclass inference, and structural validation.
 
-The vocabulary collects every class and property the engine's queries and
-reasoning touch: the four newly minted ``obot:`` classes, the six minted
-``obot:`` object properties, and the reused terms from DUL, SOMA, PKO,
-P-Plan, PROV, FOAF, and the ROS ontology, together with the subclass axioms
-that anchor the minted classes in those vocabularies.
+The OntoBOT vocabulary is the packaged Turtle file ``fixtures/ontobot-vocab.ttl``:
+the four newly minted ``obot:`` classes, the six minted ``obot:`` properties,
+reused terms from DUL, SOMA, PKO, P-Plan, PROV and the ROS ontology, and the
+six ``rdfs:subClassOf`` axioms that anchor the minted classes in DUL, PROV,
+FOAF and SOMA. It does not declare every term the fixtures and queries use
+(``pko:hasUserQuestionOccurrence`` is missing). Of the vocabulary, inference
+needs only the axioms, so the code keeps just those, as ``SUBCLASS_AXIOMS``,
+and never reads the file.
 
 ``add_inferred_types`` materializes in a loading graph (``infer_types`` in a
 copy) the RDFS consequence that an instance of a class is an instance of
-every superclass, using the vocabulary axioms and the graph's own axioms.
+every superclass, using ``SUBCLASS_AXIOMS`` and the graph's own axioms.
 
 ``validate`` runs four advisory rule groups (R1 domain/range, R2 order
 chains, R3 action connectivity, R4 label presence) and reports violations
@@ -20,89 +23,18 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from ontobot.graph import IRI, LITERAL, Graph, Term, Triple
-from ontobot.namespaces import (
-    DUL,
-    FOAF,
-    OBOT,
-    PKO,
-    PPLAN,
-    PROV,
-    RDF,
-    RDFS,
-    ROS,
-    SOMA,
-    STANDARD_PREFIXES,
-)
+from ontobot.namespaces import DUL, FOAF, OBOT, PKO, PPLAN, PROV, RDF, RDFS, ROS, SOMA
 
-OBOT_CLASSES: frozenset[Term] = frozenset(
-    {OBOT.Agent, OBOT.Environment, OBOT.Component, OBOT.Affordance}
-)
-
-OBOT_PROPERTIES: frozenset[Term] = frozenset(
+#: The vocabulary's ``rdfs:subClassOf`` axioms as ``(sub, sup)`` pairs; a test pins them to the file's.
+SUBCLASS_AXIOMS: frozenset[tuple[Term, Term]] = frozenset(
     {
-        OBOT.hasNode,
-        OBOT.enablesAffordance,
-        OBOT.hasAffordance,
-        OBOT.actsOn,
-        OBOT.requiresAffordance,
-        OBOT.nextAction,
+        (OBOT.Agent, DUL.Agent),
+        (OBOT.Agent, PROV.Agent),
+        (OBOT.Agent, FOAF.Agent),
+        (OBOT.Environment, DUL.Place),
+        (OBOT.Affordance, SOMA.Affordance),
+        (OBOT.Affordance, SOMA.PhysicalTask),
     }
-)
-
-
-class Vocabulary(NamedTuple):
-    classes: frozenset[Term]
-    properties: frozenset[Term]
-    subclass_axioms: frozenset[tuple[Term, Term]]
-
-
-ONTOBOT_VOCABULARY = Vocabulary(
-    classes=OBOT_CLASSES
-    | frozenset(
-        {
-            DUL.Agent,
-            DUL.Place,
-            SOMA.Affordance,
-            SOMA.PhysicalTask,
-            PROV.Activity,
-            PKO.Procedure,
-            PPLAN.Step,
-            PKO.Action,
-            ROS.Node,
-            ROS.CommunicationComponent,
-            ROS.Message,
-            ROS.Capability,
-            ROS.ROSCommunication,
-        }
-    ),
-    properties=OBOT_PROPERTIES
-    | frozenset(
-        {
-            DUL.hasComponent,
-            PKO.executesProcedure,
-            PKO.hasStep,
-            PKO.nextStep,
-            PKO.requiresAction,
-            PROV.wasAssociatedWith,
-            ROS.communicatesThrough,
-            ROS.hasComponent,
-            ROS.hasMessage,
-            ROS.evokes,
-            RDFS.label,
-            RDFS.subClassOf,
-            RDF.type,
-        }
-    ),
-    subclass_axioms=frozenset(
-        {
-            (OBOT.Agent, DUL.Agent),
-            (OBOT.Agent, PROV.Agent),
-            (OBOT.Agent, FOAF.Agent),
-            (OBOT.Environment, DUL.Place),
-            (OBOT.Affordance, SOMA.Affordance),
-            (OBOT.Affordance, SOMA.PhysicalTask),
-        }
-    ),
 )
 
 
@@ -128,11 +60,11 @@ def _superclass_closure(axioms: Iterable[tuple[Term, Term]]) -> dict[Term, set[T
 def add_inferred_types(g: Graph) -> None:
     """Insert into the unfrozen ``g`` every derivable ``rdf:type`` triple.
 
-    The subclass relation is the union of the OntoBOT vocabulary's axioms and
-    any ``rdfs:subClassOf`` triples present in the graph; the result is the
+    The subclass relation is the union of ``SUBCLASS_AXIOMS`` and any
+    ``rdfs:subClassOf`` triples present in the graph; the result is the
     fixpoint, so applying it twice changes nothing.
     """
-    axioms = set(ONTOBOT_VOCABULARY.subclass_axioms)
+    axioms = set(SUBCLASS_AXIOMS)
     for t in g.match(None, RDFS.subClassOf, None):
         axioms.add((t.s, t.o))
     closure = _superclass_closure(axioms)
@@ -261,21 +193,3 @@ def validate(g: Graph) -> ValidationReport:
     _check_action_connectivity(g, report)
     _check_labels(g, report)
     return report
-
-
-def vocabulary_graph() -> Graph:
-    """The OntoBOT vocabulary itself as a graph, suitable for Turtle emission."""
-    g = Graph(
-        {
-            name: base
-            for name, base in STANDARD_PREFIXES.items()
-            if name in ("rdf", "rdfs", "obot", "dul", "soma", "pko", "pplan", "ros", "prov", "foaf")
-        }
-    )
-    for cls in sorted(ONTOBOT_VOCABULARY.classes, key=Term.sort_key):
-        g.insert(Triple(cls, RDF.type, RDFS.Class))
-    for prop in sorted(ONTOBOT_VOCABULARY.properties, key=Term.sort_key):
-        g.insert(Triple(prop, RDF.type, RDF.Property))
-    for sub, sup in sorted(ONTOBOT_VOCABULARY.subclass_axioms):
-        g.insert(Triple(sub, RDFS.subClassOf, sup))
-    return g.freeze()

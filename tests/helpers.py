@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the package's evaluation paths:
 `scan_match` is a plain linear scan, `oracle_evaluate` is a naive
 nested-loop join in the query's original pattern order with no indexes
-and no reordering, and `isomorphic` reads each graph in one iteration.
+and no reordering (each pattern's candidates come from one linear scan),
+and `isomorphic` reads each graph in one iteration. `random_ontobot_graph`
+generates graphs in the fixtures' domain for the reasoner's cross-oracle.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import random
 
 from ontobot.graph import BLANK, Graph, Term, Triple, blank, iri, literal
+from ontobot.namespaces import EX, OBOT, PKO, PROV, RDF, RDFS, ROS, SOMA
 from ontobot.query import Query, TriplePattern, Var
 
 
@@ -43,13 +46,18 @@ def _unify(pattern: TriplePattern, triple: Triple, binding: dict[str, Term]) -> 
 def oracle_evaluate(query: Query, graph: Graph) -> list[tuple[Term, ...]]:
     """Projected rows from a naive nested-loop join; multiset, unsorted."""
     triples = list(graph)
+    # Each pattern's candidates: one linear scan for the triples that hold its constants.
+    candidates = [
+        [t for t in triples if all(isinstance(slot, Var) or slot == value for slot, value in zip(pattern, t))]
+        for pattern in query.pattern
+    ]
     rows: list[tuple[Term, ...]] = []
 
     def descend(i: int, binding: dict[str, Term]) -> None:
         if i == len(query.pattern):
             rows.append(tuple(binding[name] for name in query.projection))
             return
-        for t in triples:
+        for t in candidates[i]:
             extended = _unify(query.pattern[i], t, binding)
             if extended is not None:
                 descend(i + 1, extended)
@@ -227,3 +235,76 @@ def random_query(rng: random.Random, graph: Graph, max_patterns: int = 6) -> Que
     k = rng.randint(1, len(pattern_vars))
     projection = rng.sample(pattern_vars, k)
     return Query(prefixes={}, projection=projection, distinct=rng.random() < 0.5, pattern=patterns)
+
+
+AFFORDANCES = [SOMA.Grasping, SOMA.Holding, SOMA.Placing, SOMA.Pouring, SOMA.Opening, SOMA.Closing]
+
+
+def random_ontobot_graph(rng: random.Random) -> Graph:
+    """A seeded OntoBOT graph inside the fixtures' domain, where the reasoner and the
+    packaged queries must agree: every activity is a labelled ``prov:Activity`` (the
+    first one labelled "Prepare breakfast") and every robot a labelled ``obot:Agent``.
+
+    Communication components are shared between nodes, and each communication is
+    typed ``ros:ROSCommunication`` or another class. Steps share actions, an action
+    acts on zero to two components, and a component is acted on by several actions.
+    Steps and actions are chained in their listed order most of the time.
+    """
+    g = Graph({"": EX.base, "rdf": RDF.base, "rdfs": RDFS.base, "obot": OBOT.base, "soma": SOMA.base,
+               "pko": PKO.base, "prov": PROV.base, "ros": ROS.base})
+    names: dict[str, int] = {}
+
+    def new(kind: str, cls: Term | None = None, label: str | None = None) -> Term:
+        names[kind] = names.get(kind, -1) + 1
+        node = iri(f"{EX.base}{kind}{names[kind]}")
+        if cls is not None:
+            g.insert(Triple(node, RDF.type, cls))
+        if label is not None:
+            g.insert(Triple(node, RDFS.label, literal(label)))
+        return node
+
+    def link(s: Term, p: Term, pool: list[Term], low: int, high: int) -> list[Term]:
+        chosen = rng.sample(pool, min(len(pool), rng.randint(low, high)))
+        for o in chosen:
+            g.insert(Triple(s, p, o))
+        return chosen
+
+    def chain(p: Term, items: list[Term]) -> None:
+        if rng.random() < 0.7:
+            for a, b in zip(items, items[1:]):
+                g.insert(Triple(a, p, b))
+
+    capabilities = [new("capability", ROS.Capability) for _ in range(rng.randint(1, 5))]
+    for capability in capabilities:
+        link(capability, OBOT.enablesAffordance, AFFORDANCES, 1, 3)
+    messages = [new("message", ROS.Message) for _ in range(rng.randint(1, 4))]
+    for message in messages:
+        link(message, ROS.evokes, capabilities, 1, 3)
+    topics = [new("topic", ROS.CommunicationComponent) for _ in range(rng.randint(1, 4))]
+    for _ in range(rng.randint(1, 5)):
+        comm = new("comm", ROS.ROSCommunication if rng.random() < 0.75 else EX.OtherChannel)
+        link(comm, ROS.hasComponent, topics, 1, 2)
+        link(comm, ROS.hasMessage, messages, 1, 2)
+    for r in range(rng.randint(1, 4)):
+        robot = new("robot", OBOT.Agent, f"Robot {r}")
+        for _ in range(rng.randint(0, 3)):
+            node = new("node", ROS.Node)
+            g.insert(Triple(robot, OBOT.hasNode, node))
+            link(node, ROS.communicatesThrough, topics, 1, 3)
+
+    components = [new("component", OBOT.Component) for _ in range(rng.randint(1, 5))]
+    actions = [new("action", PKO.Action, f"Action {i}") for i in range(rng.randint(2, 8))]
+    for action in actions:
+        link(action, OBOT.actsOn, components, 0, 2)
+        link(action, OBOT.requiresAffordance, AFFORDANCES, 1, 2)
+    for label in ["Prepare breakfast", "Activity 1", "Activity 2"][: rng.randint(1, 3)]:
+        activity = new("activity", PROV.Activity, label)
+        for p in range(rng.randint(1, 2)):
+            procedure = new("procedure", PKO.Procedure, f"{label}, procedure {p}")
+            g.insert(Triple(activity, PKO.executesProcedure, procedure))
+            steps = [new("step", None, f"Step {i}") for i in range(rng.randint(1, 3))]
+            for step in steps:
+                g.insert(Triple(procedure, PKO.hasStep, step))
+                chain(OBOT.nextAction, link(step, PKO.requiresAction, actions, 1, 3))
+            chain(PKO.nextStep, steps)
+    return g.freeze()

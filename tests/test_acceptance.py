@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import random
 
-from helpers import isomorphic, oracle_evaluate, random_graph, random_query, row_key
+from helpers import isomorphic, oracle_evaluate, random_graph, random_ontobot_graph, random_query, row_key
+from ontobot.cli import main
 from ontobot.fixtures import query_path
 from ontobot.graph import Graph, Triple, iri
 from ontobot.namespaces import EX, RDF, RDFS, SOMA
 from ontobot.query import evaluate, parse_query
+from ontobot.reasoner import KnowledgeBase
 from ontobot.schema import infer_types
 from ontobot.turtle import parse_turtle, serialize_turtle
 
@@ -214,3 +216,46 @@ def test_criterion_10_cross_oracle_consistency(kb):
         via_q = {s["affordance"] for s in rows_r if s["robotLabel"].value == label}
         assert kb.capability_profile(robot).affordances == via_q
     _pass(10, "reasoner results equal verbatim query evaluation for CQ1-CQ3 and robot profiles")
+
+
+def test_criterion_10_random_cross_oracle(tmp_path, capsys):
+    # The same comparison on seeded graphs in the fixtures' domain, with the nested-loop
+    # oracle in place of evaluate(); the first graphs also go through the CLI.
+    q1, q3, qr = (
+        parse_query(query_path(name).read_text(encoding="utf-8"))
+        for name in ("cq1_object_affordances", "cq3_required_affordances", "robot_affordances")
+    )
+    seeds, cli_runs = 120, 0
+    for seed in range(seeds):
+        graph = random_ontobot_graph(random.Random(seed))
+        kb = KnowledgeBase.load(graph)
+        rows1, rows3, rows_r = (oracle_evaluate(q, kb.graph) for q in (q1, q3, qr))
+        for q, oracle in ((q1, rows1), (q3, rows3), (qr, rows_r)):
+            engine = [tuple(s[v] for v in q.projection) for s in evaluate(q, kb.graph)]
+            assert sorted(engine, key=row_key) == sorted(oracle, key=row_key), seed
+        assert kb.objects_and_affordances("Prepare breakfast") == set(rows1), seed
+        for activity, label in kb.activities():
+            assert kb.required_affordances(activity) == {aff for name, aff in rows3 if name.value == label}, seed
+        for robot, label in kb.agents():
+            assert kb.capability_profile(robot).affordances == {aff for name, aff in rows_r if name.value == label}, seed
+        if seed >= 20:
+            continue
+        path = tmp_path / f"{seed}.ttl"
+        path.write_text(serialize_turtle(graph), encoding="utf-8")
+        kg = ["-k", str(path)]
+        for argv in (
+            ["validate", str(path)],
+            ["cq", "1", *kg, "--activity", "Prepare breakfast"],
+            ["cq", "2", *kg, "--activity", "Prepare breakfast"],
+            ["cq", "3", *kg],
+            ["cq", "4", *kg, "--activity", "Prepare breakfast"],
+            ["cq", "5", *kg, "--robot", "Robot 0"],
+            ["cq", "6", *kg, "--robot", "Robot 0", "--activity", "Prepare breakfast"],
+            ["cq", "6", *kg, "--matrix"],
+        ):
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 4) and "internal error" not in err, (seed, argv, code, err)
+            cli_runs += 1
+    _pass(10, f"reasoner, evaluate() and the nested-loop oracle agree on {seeds} random OntoBOT graphs; "
+              f"{cli_runs} CLI runs exited 0-2 or 4")

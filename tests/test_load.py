@@ -10,7 +10,7 @@ import pytest
 from golden_cli import BLANK_ACTIVITIES, BLANK_ROBOTS, PREFIX_A, PREFIX_B
 from ontobot import schema
 from ontobot.cli import main
-from ontobot.fixtures import activities_path, robots_path
+from ontobot.fixtures import activities_path, robots_path, vocabulary_path
 from ontobot.graph import Graph, Triple, merge_graphs
 from ontobot.namespaces import EX, OBOT, RDF, RDFS
 from ontobot.reasoner import KnowledgeBase, load_graph
@@ -57,6 +57,24 @@ def test_extra_subclass_axioms_come_in_as_a_source_graph():
     instances.insert(Triple(EX.mug1, RDF.type, EX.Mug))
     kb = KnowledgeBase.load(axioms, instances)
     assert Triple(EX.mug1, RDF.type, OBOT.Component) in kb.graph
+
+
+def test_vocabulary_loads_beside_the_instance_files():
+    def answers(kb: KnowledgeBase) -> list:
+        activities, robots = kb.activities(), kb.agents()
+        out: list = [activities, robots, kb.feasibility_matrix()]
+        for activity, _ in activities:
+            out += [kb.objects_and_affordances(activity), kb.task_plan(activity), kb.required_affordances(activity)]
+            out.append(kb.capable_robots(activity))
+            out += [kb.gap_report(robot, activity) for robot, _ in robots]
+        out += [kb.can_execute_all(robot, [a for a, _ in activities]) for robot, _ in robots]
+        return out
+
+    alone = KnowledgeBase.load(activities_path(), robots_path())
+    with_vocabulary = KnowledgeBase.load(vocabulary_path(), activities_path(), robots_path())
+    assert len(with_vocabulary.graph) > len(alone.graph)
+    assert answers(with_vocabulary) == answers(alone)
+    assert with_vocabulary.report.ok
 
 
 def count_calls(monkeypatch, calls: Counter) -> None:

@@ -4,7 +4,16 @@ from __future__ import annotations
 
 import ontobot
 
-REMOVED = ("isomorphic", "expand", "UndeclaredPrefixError", "parse_turtle_file", "parse_query_file")
+REMOVED = (
+    "isomorphic",
+    "expand",
+    "UndeclaredPrefixError",
+    "parse_turtle_file",
+    "parse_query_file",
+    "vocabulary_graph",
+    "Vocabulary",
+    "ONTOBOT_VOCABULARY",
+)
 
 
 def test_star_import_exports_every_public_name_and_no_removed_one():

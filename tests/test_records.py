@@ -23,7 +23,7 @@ from ontobot.reasoner import (
     StepFeasibility,
     TaskPlan,
 )
-from ontobot.schema import ValidationReport, Violation, Vocabulary
+from ontobot.schema import ValidationReport, Violation
 from ontobot.turtle import ParseDiagnostic
 
 A, B = EX.a, EX.b
@@ -44,14 +44,6 @@ _CASES = [
         "Query(prefixes={'': 'https://example.org/'}, projection=['x'], distinct=False, "
         "pattern=[TriplePattern(s=Var(name='x'), p=Term(<https://example.org/a>), o=Term(<https://example.org/b>))])",
         MUTABLE,
-    ),
-    (
-        Vocabulary,
-        dict(classes=frozenset({A}), properties=frozenset({B}), subclass_axioms=frozenset({(A, B)})),
-        "Vocabulary(classes=frozenset({Term(<https://example.org/a>)}), "
-        "properties=frozenset({Term(<https://example.org/b>)}), "
-        "subclass_axioms=frozenset({(Term(<https://example.org/a>), Term(<https://example.org/b>))}))",
-        FROZEN,
     ),
     (
         ValidationReport,

@@ -8,22 +8,21 @@ import pytest
 from ontobot.fixtures import vocabulary_path
 from ontobot.graph import Graph, Triple, iri, literal
 from ontobot.namespaces import DUL, EX, FOAF, OBOT, PKO, PPLAN, PROV, RDF, RDFS, ROS, SOMA
-from ontobot.schema import (
-    ONTOBOT_VOCABULARY,
-    OBOT_CLASSES,
-    OBOT_PROPERTIES,
-    Violation,
-    infer_types,
-    validate,
-    vocabulary_graph,
-)
+from ontobot.schema import SUBCLASS_AXIOMS, Violation, infer_types, validate
 from ontobot.turtle import parse_turtle
+
+
+def vocabulary() -> Graph:
+    return parse_turtle(vocabulary_path().read_text(encoding="utf-8"))
 
 
 def test_minted_vocabulary_membership():
     # The newly minted namespace holds exactly these classes and properties.
-    assert OBOT_CLASSES == {OBOT.Agent, OBOT.Environment, OBOT.Component, OBOT.Affordance}
-    assert OBOT_PROPERTIES == {
+    g = vocabulary()
+    classes = {c for c in g.subjects(RDF.type, RDFS.Class) if c in OBOT}
+    properties = {p for p in g.subjects(RDF.type, RDF.Property) if p in OBOT}
+    assert classes == {OBOT.Agent, OBOT.Environment, OBOT.Component, OBOT.Affordance}
+    assert properties == {
         OBOT.hasNode,
         OBOT.enablesAffordance,
         OBOT.hasAffordance,
@@ -31,20 +30,19 @@ def test_minted_vocabulary_membership():
         OBOT.requiresAffordance,
         OBOT.nextAction,
     }
-    in_namespace_classes = {c for c in ONTOBOT_VOCABULARY.classes if c in OBOT}
-    in_namespace_properties = {p for p in ONTOBOT_VOCABULARY.properties if p in OBOT}
-    assert in_namespace_classes == OBOT_CLASSES
-    assert in_namespace_properties == OBOT_PROPERTIES
 
 
 def test_subclass_axioms_present():
-    axioms = ONTOBOT_VOCABULARY.subclass_axioms
-    assert (OBOT.Agent, DUL.Agent) in axioms
-    assert (OBOT.Agent, PROV.Agent) in axioms
-    assert (OBOT.Agent, FOAF.Agent) in axioms
-    assert (OBOT.Environment, DUL.Place) in axioms
-    assert (OBOT.Affordance, SOMA.Affordance) in axioms
-    assert (OBOT.Affordance, SOMA.PhysicalTask) in axioms
+    # Inference reads SUBCLASS_AXIOMS, never the file: the two must state the same pairs.
+    assert {(t.s, t.o) for t in vocabulary().match(None, RDFS.subClassOf, None)} == SUBCLASS_AXIOMS
+    assert SUBCLASS_AXIOMS == {
+        (OBOT.Agent, DUL.Agent),
+        (OBOT.Agent, PROV.Agent),
+        (OBOT.Agent, FOAF.Agent),
+        (OBOT.Environment, DUL.Place),
+        (OBOT.Affordance, SOMA.Affordance),
+        (OBOT.Affordance, SOMA.PhysicalTask),
+    }
 
 
 def test_infer_types_agent_superclasses():
@@ -251,12 +249,7 @@ def test_inference_can_repair_r1_violations():
     assert not [v for v in validate(infer_types(g)).violations if v.rule == "R1"]
 
 
-def test_emitted_vocabulary_file_matches_vocabulary():
-    emitted = parse_turtle(vocabulary_path().read_text(encoding="utf-8"))
-    assert set(emitted) == set(vocabulary_graph())
-
-
 def test_vocabulary_file_declares_axioms():
-    emitted = parse_turtle(vocabulary_path().read_text(encoding="utf-8"))
+    emitted = vocabulary()
     assert Triple(OBOT.Agent, RDFS.subClassOf, DUL.Agent) in emitted
     assert Triple(OBOT.Affordance, RDFS.subClassOf, SOMA.PhysicalTask) in emitted
