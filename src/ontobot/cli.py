@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from ontobot import fixtures
-from ontobot.graph import LITERAL, GraphError, Term, quoted
+from ontobot.graph import GraphError, Term
 from ontobot.query import QueryParseError, UnsupportedFeatureError, evaluate, parse_query
 from ontobot.reasoner import ChainError, KnowledgeBase, UnknownEntityError, load_graph
 from ontobot.schema import validate
@@ -115,14 +115,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     graph = load_graph(args.files, read=_read_text)
     report = validate(graph)
 
-    def text(term: Term) -> str:
-        # The cell form, with a literal quoted and escaped as Turtle, so that it cannot read as an IRI.
-        cell = term_to_text(term, graph.prefixes)
-        return quoted(term.value) + cell[len(term.value) :] if term.kind == LITERAL else cell
-
     def describe(subject) -> str:
         terms = [subject] if isinstance(subject, Term) else subject
-        return " ".join(map(text, terms))
+        return " ".join(term_to_text(term, graph.prefixes, escape=True) for term in terms)
 
     for item in report.violations:
         print(f"{item.rule}  {describe(item.subject)}  {item.message}")

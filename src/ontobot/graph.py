@@ -256,17 +256,13 @@ class Graph:
             raise GraphError(f"triples are grouped by subject (0) or object (2), not by position {position!r}")
         return MappingProxyType(self._grouped(p, position))
 
-    def subjects(self, p: Term | None = None, o: Term | None = None) -> list[Term]:
-        seen: dict[Term, None] = {}
-        for t in self.lookup(None, p, o):
-            seen.setdefault(t.s)
-        return list(seen)
+    def subjects(self, p: Term, o: Term) -> list[Term]:
+        """The subjects of ``p`` with object ``o``, in insertion order; distinct, as the triples are."""
+        return [t[0] for t in self.lookup(None, p, o)]
 
-    def objects(self, s: Term | None = None, p: Term | None = None) -> list[Term]:
-        seen: dict[Term, None] = {}
-        for t in self.lookup(s, p, None):
-            seen.setdefault(t.o)
-        return list(seen)
+    def objects(self, s: Term, p: Term) -> list[Term]:
+        """The objects of ``s`` through ``p``, in insertion order; distinct, as the triples are."""
+        return [t[2] for t in self.lookup(s, p, None)]
 
     def fold_prefixes(self, prefixes: Mapping[str, str]) -> None:
         """Bind each name of ``prefixes`` that this graph does not bind yet."""

@@ -216,7 +216,7 @@ class KnowledgeBase:
         self.graph = graph
         self._report: ValidationReport | None = None
         # Reversed, so that a node's first literal label is the one kept.
-        labels = reversed(graph.match(None, RDFS.label, None))
+        labels = reversed(graph.lookup(None, RDFS.label, None))
         self._labels = {t.s: t.o.value for t in labels if t.o.is_literal}
         self._activities = {node: self.label_of(node) for node in graph.subjects(RDF.type, PROV.Activity)}
         self._agents = {node: self.label_of(node) for node in graph.subjects(RDF.type, OBOT.Agent)}
@@ -270,12 +270,12 @@ class KnowledgeBase:
 
     def _ordered(self, owner: Term, member: Term, link: Term, property_name: str) -> list[Term]:
         members, name = self.graph.objects(owner, member), self.label_of(owner)
-        own_links = (t for m in members for t in self.graph.match(m, link, None))
+        own_links = (t for m in members for t in self.graph.lookup(m, link, None))
         try:
             return _chain_order(members, own_links, property_name, name)
         except ChainError:
             # Which fault is met first depends on link order: name the one graph order meets first.
-            return _chain_order(members, self.graph.match(None, link, None), property_name, name)
+            return _chain_order(members, self.graph.lookup(None, link, None), property_name, name)
 
     def _action_affordances(self, action: Term) -> frozenset[Term]:
         return frozenset(self.graph.objects(action, OBOT.requiresAffordance))

@@ -4,8 +4,8 @@ The OntoBOT vocabulary is the packaged Turtle file ``fixtures/ontobot-vocab.ttl`
 the four newly minted ``obot:`` classes, the six minted ``obot:`` properties,
 reused terms from DUL, SOMA, PKO, P-Plan, PROV and the ROS ontology, and the
 six ``rdfs:subClassOf`` axioms that anchor the minted classes in DUL, PROV,
-FOAF and SOMA. It does not declare every term the fixtures and queries use
-(``pko:hasUserQuestionOccurrence`` is missing). Of the vocabulary, inference
+FOAF and SOMA. It declares every predicate, and every class used with ``a``,
+that the packaged fixtures and queries use. Of the vocabulary, inference
 needs only the axioms, so the code keeps just those, as ``SUBCLASS_AXIOMS``,
 and never reads the file.
 
@@ -65,10 +65,10 @@ def add_inferred_types(g: Graph) -> None:
     fixpoint, so applying it twice changes nothing.
     """
     axioms = set(SUBCLASS_AXIOMS)
-    for t in g.match(None, RDFS.subClassOf, None):
+    for t in g.lookup(None, RDFS.subClassOf, None):
         axioms.add((t.s, t.o))
     closure = _superclass_closure(axioms)
-    for t in g.match(None, RDF.type, None):
+    for t in g.match(None, RDF.type, None):  # a copy: the inserts below append to the list lookup returns
         for sup in closure.get(t.o, ()):
             g.insert(Triple(t.s, RDF.type, sup))
 
@@ -104,21 +104,21 @@ def _is_affordance(g: Graph, term: Term) -> bool:
 
 
 def _check_domain_range(g: Graph, out: ValidationReport) -> None:
-    for t in g.match(None, OBOT.actsOn, None):
+    for t in g.lookup(None, OBOT.actsOn, None):
         if t.o.kind == LITERAL:
             out.violations.append(Violation("R1", t, "obot:actsOn target must be a component, not a literal"))
         elif Triple(t.o, RDF.type, OBOT.Component) not in g:
             out.violations.append(Violation("R1", t, "obot:actsOn target is not typed obot:Component"))
     for prop, label in ((OBOT.requiresAffordance, "obot:requiresAffordance"), (OBOT.enablesAffordance, "obot:enablesAffordance")):
-        for t in g.match(None, prop, None):
+        for t in g.lookup(None, prop, None):
             if not _is_affordance(g, t.o):
                 out.violations.append(Violation("R1", t, f"{label} object is not an affordance IRI"))
-    for t in g.match(None, OBOT.hasNode, None):
+    for t in g.lookup(None, OBOT.hasNode, None):
         if Triple(t.s, RDF.type, OBOT.Agent) not in g:
             out.violations.append(Violation("R1", t, "obot:hasNode subject is not typed obot:Agent"))
         if t.o.kind == LITERAL or Triple(t.o, RDF.type, ROS.Node) not in g:
             out.violations.append(Violation("R1", t, "obot:hasNode object is not typed ros:Node"))
-    for t in g.match(None, DUL.hasComponent, None):
+    for t in g.lookup(None, DUL.hasComponent, None):
         if Triple(t.s, RDF.type, OBOT.Environment) not in g:
             out.violations.append(Violation("R1", t, "dul:hasComponent subject is not typed obot:Environment"))
         if t.o.kind == LITERAL or Triple(t.o, RDF.type, OBOT.Component) not in g:
@@ -129,7 +129,7 @@ def _check_order_chains(g: Graph, out: ValidationReport) -> None:
     for prop, label in ((PKO.nextStep, "pko:nextStep"), (OBOT.nextAction, "obot:nextAction")):
         succ: dict[Term, list[Term]] = {}
         pred: dict[Term, list[Term]] = {}
-        for t in g.match(None, prop, None):
+        for t in g.lookup(None, prop, None):
             succ.setdefault(t.s, []).append(t.o)
             pred.setdefault(t.o, []).append(t.s)
         for node, followers in succ.items():
@@ -164,7 +164,7 @@ def _check_order_chains(g: Graph, out: ValidationReport) -> None:
 
 def _check_action_connectivity(g: Graph, out: ValidationReport) -> None:
     actions: dict[Term, None] = {}
-    for t in g.match(None, PKO.requiresAction, None):
+    for t in g.lookup(None, PKO.requiresAction, None):
         if t.o.kind != LITERAL:
             actions.setdefault(t.o)
     for action in actions:

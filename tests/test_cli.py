@@ -79,6 +79,22 @@ def test_validate_quotes_a_literal_so_it_does_not_read_as_an_iri(capsys, tmp_pat
     )
 
 
+def test_validate_writes_an_iri_as_turtle_so_a_record_stays_one_line(capsys, tmp_path):
+    kg = tmp_path / "iri.ttl"
+    kg.write_text(
+        "@prefix pko: <https://w3id.org/pko#> .\n"
+        "<https://e.org/s> pko:requiresAction <https://e.org/act\\u000Aion> .\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run(capsys, "validate", str(kg))
+    assert code == 1
+    assert out.splitlines() == [
+        "R3  <https://e.org/act\\u000Aion>  action requires no affordance",
+        "R3  <https://e.org/act\\u000Aion>  warning: action has no obot:actsOn target",
+        "FAIL: 1 violations, 1 warnings",
+    ]
+
+
 def test_validate_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "validate", "/no/such/file.ttl")
     assert code == 2
@@ -161,6 +177,16 @@ def test_interrupt_is_not_an_internal_error(monkeypatch):
     monkeypatch.setattr(cli, "cmd_validate", interrupted)
     with pytest.raises(KeyboardInterrupt):
         main(["validate", "x.ttl"])
+
+
+@pytest.mark.parametrize("argv, code", [(["cq", "7"], 2), ([], 2), (["--help"], 0)])
+def test_usage_error_returns_its_exit_code(capsys, argv, code):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code:  # argparse's wording differs across Python versions; its usage line does not
+        assert captured.err.startswith("usage: ontobot")
+    else:
+        assert captured.out.startswith("usage: ontobot")
 
 
 # -- query --------------------------------------------------------------------

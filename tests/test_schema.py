@@ -5,9 +5,10 @@ import random
 
 import pytest
 
-from ontobot.fixtures import vocabulary_path
+from ontobot.fixtures import activities_path, queries_dir, robots_path, vocabulary_path
 from ontobot.graph import Graph, Triple, iri, literal
 from ontobot.namespaces import DUL, EX, FOAF, OBOT, PKO, PPLAN, PROV, RDF, RDFS, ROS, SOMA
+from ontobot.query import Var, parse_query
 from ontobot.schema import SUBCLASS_AXIOMS, Violation, infer_types, validate
 from ontobot.turtle import parse_turtle
 
@@ -253,3 +254,16 @@ def test_vocabulary_file_declares_axioms():
     emitted = vocabulary()
     assert Triple(OBOT.Agent, RDFS.subClassOf, DUL.Agent) in emitted
     assert Triple(OBOT.Affordance, RDFS.subClassOf, SOMA.PhysicalTask) in emitted
+
+
+def test_vocabulary_file_declares_every_term_the_fixtures_and_queries_use():
+    graphs = [parse_turtle(path.read_text(encoding="utf-8")) for path in (activities_path(), robots_path())]
+    patterns = [t for g in graphs for t in g]
+    for path in sorted(queries_dir().glob("*.rq")):
+        patterns += parse_query(path.read_text(encoding="utf-8")).pattern
+    predicates = {t.p for t in patterns if not isinstance(t.p, Var)}
+    classes = {t.o for t in patterns if t.p is RDF.type and not isinstance(t.o, Var)}
+    vocab = vocabulary()
+    assert len(predicates) == 18 and len(classes) == 12
+    assert predicates - set(vocab.subjects(RDF.type, RDF.Property)) == set()
+    assert classes - set(vocab.subjects(RDF.type, RDFS.Class)) == set()
