@@ -19,7 +19,6 @@ from ontobot.graph import (
 from ontobot.query import (
     Query,
     QueryParseError,
-    Solution,
     TriplePattern,
     UnsupportedFeatureError,
     Var,
@@ -56,7 +55,6 @@ __all__ = [
     "merge_graphs",
     "Query",
     "QueryParseError",
-    "Solution",
     "TriplePattern",
     "UnsupportedFeatureError",
     "Var",

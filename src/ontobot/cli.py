@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 validation violations, 2 I/O (output stdout cannot
 encode included) or parse errors, or a ``cq 2`` order chain that cannot be
 ordered, 3 unsupported query feature, 4 unknown entity (activity/robot label),
-5 internal error: any other exception, reported as one line on stderr.
+5 internal error: any other exception. Every error after the arguments
+parse is one stderr line, ``ontobot: `` and its message, with a line break in
+the message (from a label, an IRI or a path) written as ``\\n`` or ``\\r``.
 
 When no ``-k`` files are given, graphs are loaded from the directory named
 by the ``ONTOBOT_FIXTURES`` environment variable (every ``*.ttl`` in it,
@@ -269,11 +271,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     # UnicodeEncodeError: stdout (or the file system) cannot encode a character.
     except (_Fail, UnsupportedFeatureError, UnknownEntityError, QueryParseError, TurtleParseError,
             GraphError, ChainError, OSError, UnicodeEncodeError) as exc:
-        print(f"ontobot: {exc}", file=sys.stderr)
-        return _EXIT_CODES.get(type(exc), EXIT_INPUT)
+        message, code = str(exc), _EXIT_CODES.get(type(exc), EXIT_INPUT)
     except Exception as exc:  # a fault of the program: one line, not a traceback
-        print(f"ontobot: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        message, code = f"internal error: {type(exc).__name__}: {exc}", EXIT_INTERNAL
+    # One line: backslashes stay as they are, so no message without a line break changes.
+    print("ontobot: " + message.replace("\n", "\\n").replace("\r", "\\r"), file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:

@@ -207,21 +207,15 @@ class Graph:
 
         All three bound: a membership test. The predicate and one of
         subject/object: that predicate's group. Subject and object: the
-        smaller of their buckets, the other position checked by identity. One
-        position: its bucket. None: all triples. The result may be an index's
-        own storage: never change it, and copy it before inserting (``match``).
+        subject's bucket, filtered by the object. One position: its bucket.
+        None: all triples. The result may be an index's own storage: never
+        change it, and copy it before inserting (``match``).
         """
         if p is None:
             if s is None:
                 return self._triples.keys() if o is None else self._grouped(None, 2).get(o, ())
-            if o is None:
-                return self._grouped(None, 0).get(s, ())
-            by_s, by_o = self._grouped(None, 0).get(s), self._grouped(None, 2).get(o)
-            if by_s is None or by_o is None:
-                return ()
-            if len(by_s) <= len(by_o):
-                return [t for t in by_s if t[2] is o]
-            return [t for t in by_o if t[0] is s]
+            by_s = self._grouped(None, 0).get(s, ())
+            return by_s if o is None else [t for t in by_s if t[2] is o]
         if s is None:
             return self._by_p.get(p, ()) if o is None else self._grouped(p, 2).get(o, ())
         if o is None:

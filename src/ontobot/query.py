@@ -29,12 +29,13 @@ query compiles. A variable repeated within a pattern becomes an identity
 check. The join walks the steps depth first over an explicit stack of
 candidate iterators, writing into the row, and emits the projected slots at
 the last step. Results are deduplicated on the projected terms when DISTINCT
-is set and returned sorted by the projected terms' lexical forms, so
-evaluation is fully deterministic.
+is set and returned as plain dicts sorted by the projected terms' lexical
+forms, so evaluation is fully deterministic.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import Callable, Collection, Iterator, NamedTuple, Union
 
@@ -76,13 +77,6 @@ class Query(NamedTuple):
     projection: list[str]
     distinct: bool
     pattern: list[TriplePattern]
-
-
-class Solution(dict):
-    """One result row: variable name -> bound term. Treat as immutable."""
-
-    def __hash__(self) -> int:  # type: ignore[override]
-        return hash(frozenset(self.items()))
 
 
 _UNSUPPORTED_KEYWORDS = {
@@ -231,48 +225,42 @@ def _order_patterns(patterns: list[TriplePattern]) -> list[TriplePattern]:
     ``(connected, bound_count, -index)``, where ``bound_count`` counts constants
     and bound variables and ``connected`` means one of its variables is bound
     (true for every pattern in the first round). Ranks only rise, so binding a
-    variable moves just the patterns that use it, between eight bit sets of
-    waiting pattern indexes, one per rank; the next pattern is the lowest bit
-    of the highest non-empty set.
+    variable pushes a fresh ``(-rank, index)`` entry onto one heap for each
+    waiting pattern that uses it; a popped entry whose rank no longer matches
+    its pattern's is stale, and skipped.
     """
-    n = len(patterns)
-    if not n:
-        return []
-    rank = [3] * n  # the bound positions, and 4 more once connected
+    rank = [3] * len(patterns)  # the bound positions, and 4 more once connected; -1 once placed
     uses: dict[str, list[int]] = {}  # one entry per occurrence
-    waiting = [0] * 8
     for index, pat in enumerate(patterns):
         for t in pat:
             if isinstance(t, Var):
                 rank[index] -= 1
                 uses.setdefault(t.name, []).append(index)
-        waiting[rank[index]] |= 1 << index
-    index = max(range(n), key=lambda i: (rank[i], -i))
+    heap = [(-r, index) for index, r in enumerate(rank)]
+    heapify(heap)
     ordered: list[TriplePattern] = []
     bound: set[str] = set()
-    while True:
-        waiting[rank[index]] ^= 1 << index
+    while heap:
+        negated, index = heappop(heap)
+        if -negated != rank[index]:
+            continue
+        rank[index] = -1
         ordered.append(patterns[index])
         for t in patterns[index]:
             if isinstance(t, Var) and t.name not in bound:
                 bound.add(t.name)
                 for other in uses[t.name]:
-                    bit = 1 << other
-                    if waiting[rank[other]] & bit:  # not placed yet
-                        waiting[rank[other]] ^= bit
+                    if rank[other] >= 0:  # not placed yet
                         rank[other] = 4 + rank[other] % 4 + 1  # connected, one more bound
-                        waiting[rank[other]] |= bit
-        top = next((members for members in reversed(waiting) if members), 0)
-        if not top:
-            return ordered
-        index = (top & -top).bit_length() - 1
+                        heappush(heap, (-rank[other], other))
+    return ordered
 
 
 _HIT: tuple[None] = (None,)  # the root step's one candidate, which binds nothing
 
 
-def evaluate(query: Query, graph: Graph) -> list[Solution]:
-    """All solutions of the query over the graph, deterministically ordered.
+def evaluate(query: Query, graph: Graph) -> list[dict[str, Term]]:
+    """All solutions of the query over the graph, each a dict from projected variable name to term.
 
     Rows are sorted by the projected terms' lexical forms; with DISTINCT
     set, each projected row appears exactly once.
@@ -356,4 +344,4 @@ def evaluate(query: Query, graph: Graph) -> list[Solution]:
     if len(rows) > 1:  # each distinct term's sort_key() is built once
         keys = {term: term.sort_key() for term in {term for cells in rows for term in cells}}
         rows.sort(key=lambda row: tuple(map(keys.__getitem__, row)))
-    return [Solution(zip(query.projection, row)) for row in rows]
+    return [dict(zip(query.projection, row)) for row in rows]

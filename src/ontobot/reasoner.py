@@ -209,11 +209,12 @@ class KnowledgeBase:
 
     The label map and the activity and agent maps are built at construction;
     each activity's top-level steps and each robot's capability profile on
-    first request, and kept. Task plans are ordered on every call.
+    first request, and kept, so the graph is frozen. Task plans are ordered on
+    every call.
     """
 
     def __init__(self, graph: Graph):
-        self.graph = graph
+        self.graph = graph.freeze()
         self._report: ValidationReport | None = None
         # Reversed, so that a node's first literal label is the one kept.
         labels = reversed(graph.lookup(None, RDFS.label, None))

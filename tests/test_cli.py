@@ -170,6 +170,41 @@ def test_internal_error_exits_5_with_one_line_message(capsys, monkeypatch, argv)
     assert err == "ontobot: internal error: KeyError: 'lost'\n"
 
 
+def test_chain_error_holding_line_breaks_is_one_stderr_line(capsys, tmp_path):
+    kg = tmp_path / "fork.ttl"
+    kg.write_text(
+        "@prefix : <https://e.org/> .\n"
+        "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+        "@prefix pko: <https://w3id.org/pko#> .\n"
+        "@prefix prov: <http://www.w3.org/ns/prov#> .\n"
+        ':act a prov:Activity ; rdfs:label "Forked" ; pko:executesProcedure :proc .\n'
+        ':proc rdfs:label "P\\nQ" ; pko:hasStep <https://e.org/s\\u000A1> , :s2 , :s3 .\n'
+        "<https://e.org/s\\u000A1> pko:nextStep :s2 , :s3 .\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "cq", "2", "-k", str(kg), "--activity", "Forked")
+    assert (code, out) == (2, "")
+    assert err == "ontobot: cannot order pko:nextStep chain of P\\nQ: fork at <https://e.org/s\\n1>\n"
+
+
+def test_unreadable_path_holding_a_line_break_is_one_stderr_line(capsys, tmp_path):
+    missing = tmp_path / "no\nsuch.ttl"
+    code, out, err = run(capsys, "cq", "2", "-k", str(missing), "--activity", "Forked")
+    assert (code, out) == (2, "")
+    shown = str(missing).replace("\n", "\\n")
+    assert err == f"ontobot: cannot read {shown}: No such file or directory\n"
+
+
+def test_internal_error_holding_line_breaks_is_one_stderr_line(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("two\nlines\r")
+
+    monkeypatch.setattr(cli, "cmd_cq", broken)
+    code, out, err = run(capsys, "cq", "4", "--activity", "Prepare breakfast")
+    assert (code, out) == (5, "")
+    assert err == "ontobot: internal error: RuntimeError: two\\nlines\\r\n"
+
+
 def test_interrupt_is_not_an_internal_error(monkeypatch):
     def interrupted(args):
         raise KeyboardInterrupt

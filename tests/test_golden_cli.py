@@ -71,11 +71,13 @@ FRESH = (
 )
 
 
-def run_fresh(argv: list[str], env: dict[str, str], cwd: Path) -> dict:
-    """Run ``python -m ontobot.cli`` as a new process, with the ontobot these tests import."""
+def run_fresh(
+    argv: list[str], env: dict[str, str], cwd: Path, entry: tuple[str, ...] = ("-m", "ontobot.cli")
+) -> dict:
+    """Run ``python -m ontobot.cli`` (or another ``entry``) as a new process, with the ontobot these tests import."""
     full_env = {key: value for key, value in os.environ.items() if key != "ONTOBOT_FIXTURES"}
     full_env.update(PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), PYTHONIOENCODING="utf-8", **env)
-    done = subprocess.run([sys.executable, "-m", "ontobot.cli", *argv], cwd=cwd, env=full_env, capture_output=True)
+    done = subprocess.run([sys.executable, *entry, *argv], cwd=cwd, env=full_env, capture_output=True)
     return {
         "exit": done.returncode,
         "stdout": done.stdout.decode("utf-8").splitlines(keepends=True),
@@ -90,6 +92,15 @@ def test_fresh_process_matches_corpus(inputs):
         case = recorded[name]
         expected = {key: case[key] for key in ("exit", "stdout", "stderr")}
         assert run_fresh(case["argv"], case["env"], inputs) == expected, name
+
+
+@pytest.mark.parametrize("name", ["defaults-cq4", "exit4-cq-unknown-activity"])
+def test_console_script_entrypoint_matches_corpus(inputs, name):
+    # The installed ``ontobot`` script calls cli.entrypoint, which hands main's exit code to the shell.
+    case = next(c for c in RECORDED if c["name"] == name)
+    expected = {key: case[key] for key in ("exit", "stdout", "stderr")}
+    entry = ("-c", "from ontobot.cli import entrypoint; entrypoint()")
+    assert run_fresh(case["argv"], case["env"], inputs, entry) == expected
 
 
 def test_fresh_process_validates_the_vocabulary_with_both_fixtures(inputs):

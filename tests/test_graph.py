@@ -239,6 +239,8 @@ def test_a_load_builds_no_index_beyond_the_predicate_index():
     assert g._built == {}
     g.match(EX.drawer, OBOT.hasAffordance, None)
     assert list(g._built) == [(OBOT.hasAffordance, 0)]
+    g.match(EX.drawer, None, SOMA.Opening)  # reads the subject's bucket; the object index stays unbuilt
+    assert list(g._built) == [(OBOT.hasAffordance, 0), (None, 0)]
 
 
 def test_two_bound_match_returns_a_fresh_list():

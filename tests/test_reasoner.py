@@ -3,8 +3,8 @@ from __future__ import annotations
 import pytest
 
 from ontobot.fixtures import query_path
-from ontobot.graph import Graph
-from ontobot.namespaces import EX, SOMA
+from ontobot.graph import Graph, GraphError, Triple, literal
+from ontobot.namespaces import EX, OBOT, PROV, RDF, RDFS, SOMA
 from ontobot.query import evaluate, parse_query
 from ontobot.reasoner import ChainError, KnowledgeBase, UnknownEntityError
 from ontobot.turtle import parse_turtle
@@ -179,6 +179,18 @@ def test_cq3_accepts_full_iri_string(kb):
 def test_cq3_activity_without_actions_is_empty():
     kb = mini_kb(':act a prov:Activity ; rdfs:label "Idle" .')
     assert kb.required_affordances("Idle") == frozenset()
+
+
+def test_knowledge_base_freezes_the_graph_it_is_given():
+    # Its label, activity and agent maps are built once, so a later insert would leave them stale.
+    graph = Graph()
+    graph.insert(Triple(EX.act, RDF.type, PROV.Activity))
+    graph.insert(Triple(EX.act, RDFS.label, literal("Idle")))
+    kb = KnowledgeBase(graph)
+    assert kb.graph is graph and graph.frozen
+    with pytest.raises(GraphError):
+        graph.insert(Triple(EX.bot, RDF.type, OBOT.Agent))
+    assert kb.activities() == [(EX.act, "Idle")]
 
 
 def test_cq3_unknown_iri_is_an_error(kb):
