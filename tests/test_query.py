@@ -66,6 +66,26 @@ def test_unsupported_features_are_named():
     assert excinfo.value.feature == "GROUP BY"
 
 
+def test_lexical_error_after_an_unsupported_clause_is_not_reached():
+    # Unlike Turtle, a query raises a lexical error, a bad escape included, only when the parser reaches it.
+    with pytest.raises(UnsupportedFeatureError) as excinfo:
+        parse_query('PREFIX : <https://e.org/> SELECT ?x WHERE { ?x :p ?y . } HAVING (?y > "\\q")')
+    assert (excinfo.value.feature, excinfo.value.line, excinfo.value.column) == ("HAVING", 1, 58)
+
+
+def test_dot_digit_in_a_local_name():
+    # A local name may hold a dot, so ':c.5' is one name here too, not ':c' and a statement dot.
+    q = parse_query("PREFIX : <https://e.org/> SELECT ?x WHERE { ?x :b :c.5 }")
+    assert q.pattern == [TriplePattern(Var("x"), iri("https://e.org/b"), iri("https://e.org/c.5"))]
+
+
+def test_trailing_blank_lines_are_lexed_fast():
+    start = time.perf_counter()
+    q = parse_query("PREFIX : <https://e.org/> SELECT ?x WHERE { ?x :b :c }" + "\n" * 5000)
+    assert time.perf_counter() - start < 0.3
+    assert len(q.pattern) == 1
+
+
 def test_empty_pattern_is_a_syntax_error():
     with pytest.raises(QueryParseError) as excinfo:
         parse_query("SELECT ?x WHERE { }")
@@ -99,6 +119,9 @@ def test_projected_variable_must_occur_in_pattern():
         ),
         pytest.param("SELECT ?x ?x WHERE { ?x ?p ?o }", 1, 11, "duplicate variable in projection: ?x", id="duplicate-projection"),
         pytest.param("@base <https://e.org/> . SELECT ?x WHERE { ?x ?p ?o }", 1, 1, "unsupported construct: @base", id="base"),
+        # Line breaks as CR LF, and a byte order mark, which is not text: neither moves the column.
+        pytest.param("PREFIX : <https://e.org/>\r\nSELECT ?x\r\nWHERE { ?x :p ² }\r\n", 3, 15, "unexpected character: '²'", id="crlf"),
+        pytest.param("\ufeffPREFIX : <https://e.org/>\nSELECT ?x\nWHERE { ?x :p ² }\n", 3, 15, "unexpected character: '²'", id="bom"),
     ],
 )
 def test_syntax_error_carries_position(text, line, column, message):

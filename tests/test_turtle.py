@@ -171,6 +171,13 @@ def test_blank_labels_are_document_scoped():
         # Two faults in one token: the first is reported.
         pytest.param('@prefix : <https://e.org/> .\n:a :b "a\\qb\\u12G4" .', 2, 7, "unknown escape sequence: \\q", id="unknown-then-invalid"),
         pytest.param('@prefix : <https://e.org/> .\n:a :b "a\\u12G4\\qb" .', 2, 7, "invalid \\u escape", id="invalid-then-unknown"),
+        # Line breaks as CR LF, and a byte order mark, which is not text: neither moves the column.
+        pytest.param("@prefix : <https://e.org/> .\r\n:a :b :c .\r\n:d :e ?x .\r\n", 3, 7, "unexpected character: '?'", id="crlf"),
+        pytest.param("\ufeff@prefix : <https://e.org/> .\n:a :b :c .\n:d :e ?x .\n", 3, 7, "unexpected character: '?'", id="bom"),
+        # '.5' is a number in Turtle, but a local name may hold a dot: ':c.5' is one name, and the '.' is missing.
+        pytest.param("@prefix : <https://e.org/> .\n:a :b :c.5", 2, 11, "expected '.' at end of statement", id="dot-digit-in-local"),
+        # A bad escape is a lexical error, so it is reported ahead of the syntax error before it.
+        pytest.param('@prefix : <https://e.org/> .\n:a :b :c :d .\n:e :f "\\q" .', 3, 7, "unknown escape sequence: \\q", id="escape-after-syntax-error"),
     ],
 )
 def test_diagnostic_position(text, line, column, message):
@@ -200,6 +207,30 @@ def test_lexical_error_is_found_fast_and_outside_comments(text, line, column, me
     d = diag(text)
     assert time.perf_counter() - start < 0.3
     assert (d.line, d.column, d.message) == (line, column, message)
+
+
+def test_comment_without_final_line_break_holds_no_tokens():
+    g = parse_turtle("@prefix : <https://e.org/> .\n:a :b :c . # :d :e :f .")
+    assert len(g) == 1
+
+
+def test_trailing_blank_lines_are_lexed_fast():
+    start = time.perf_counter()
+    g = parse_turtle("@prefix : <https://e.org/> .\n:a :b :c ." + "\n" * 5000)
+    assert time.perf_counter() - start < 0.3
+    assert len(g) == 1
+
+
+@pytest.mark.parametrize(
+    "text, obj",
+    [
+        pytest.param("@prefix : <https://e.org/> .\n:a:b:c.", iri("https://e.org/c"), id="pnames"),
+        pytest.param('@prefix : <https://e.org/> .\n:a :b "x"@en.', literal("x", lang="en"), id="language-tag"),
+        pytest.param("<https://e.org/a><https://e.org/b><https://e.org/c>.", iri("https://e.org/c"), id="iris"),
+    ],
+)
+def test_tokens_need_no_blanks_between_them(text, obj):
+    assert list(parse_turtle(text)) == [Triple(iri("https://e.org/a"), iri("https://e.org/b"), obj)]
 
 
 def test_escapes_decode():
