@@ -14,9 +14,10 @@ Triple patterns are Turtle statements with variables, so the parser is the
 Turtle statement parser (``turtle._StatementParser``) with the lexer's
 variables switched on. It adds only variables, the unsupported keywords,
 SELECT/WHERE and the ``}``-terminated pattern. The query is lexed into one
-token list first, but a lexical error is raised only when the parser reaches
-it, and the parser never reaches tokens past an unsupported clause, so e.g.
-``HAVING (?y > 1)`` reports HAVING rather than a lexical error on '>'.
+list of plain token strings first, but a lexical error is raised only when
+the parser reaches it, and the parser never reaches tokens past an
+unsupported clause, so e.g. ``HAVING (?y > 1)`` reports HAVING rather than a
+lexical error on '>'.
 
 Evaluation compiles the query once, then runs it over one flat row.
 Patterns are greedily ordered by bound-term count, preferring patterns
@@ -40,7 +41,7 @@ from operator import itemgetter
 from typing import Callable, Collection, Iterator, NamedTuple, Union
 
 from ontobot.graph import Graph, Term
-from ontobot.turtle import ParseDiagnostic, Token, _StatementParser
+from ontobot.turtle import ParseDiagnostic, _kind, _StatementParser, _unescape, _value
 
 
 class QueryParseError(Exception):
@@ -111,7 +112,7 @@ class _QueryParser(_StatementParser):
         "number": "numeric literals are not supported in query patterns",
         "boolean": "boolean literals are not supported in query patterns",
     }
-    list_ends = frozenset({("dot", "."), ("punct", "}")})
+    list_ends = frozenset({".", "}"})
     triple = TriplePattern
 
     def __init__(self, text: str):
@@ -119,100 +120,104 @@ class _QueryParser(_StatementParser):
         self.pattern: list[TriplePattern] = []
         self.add = self.pattern.append
 
-    def check_unsupported(self, tok: Token) -> None:
-        if tok[0] == "word" and tok[1].upper() in _UNSUPPORTED_KEYWORDS:
-            feature = tok[1].upper()
+    def check_unsupported(self, at: int) -> None:
+        feature = _keyword(self.tokens[at])
+        if feature in _UNSUPPORTED_KEYWORDS:
             if feature in ("GROUP", "ORDER", "NOT"):
-                follower = self.peek()
-                if follower[0] == "word":
-                    feature = f"{feature} {follower[1].upper()}"
-            raise UnsupportedFeatureError(feature, *self.location(tok[2]))
-
-    def keyword(self, tok: Token) -> str:
-        return tok[1].upper() if tok[0] == "word" else ""
+                follower = _keyword(self.peek())
+                if follower:
+                    feature = f"{feature} {follower}"
+            raise UnsupportedFeatureError(feature, *self.location(at))
 
     def parse(self) -> Query:
         self.parse_prologue()
-        tok = self.next()
-        self.check_unsupported(tok)
-        if self.keyword(tok) != "SELECT":
-            self.fail("expected SELECT", tok[2])
+        at, tok = self.at, self.next()
+        self.check_unsupported(at)
+        if _keyword(tok) != "SELECT":
+            self.fail("expected SELECT", at)
         distinct = False
-        if self.keyword(self.peek()) == "DISTINCT":
+        if _keyword(self.peek()) == "DISTINCT":
             self.next()
             distinct = True
         projection: list[str] = []
-        while self.peek()[0] == "var":
-            _, name, pos = self.next()
+        while _kind(self.peek()) == "var":
+            at, name = self.at, self.next()[1:]
             if name in projection:
-                self.fail(f"duplicate variable in projection: ?{name}", pos)
+                self.fail(f"duplicate variable in projection: ?{name}", at)
             projection.append(name)
         if not projection:
-            tok = self.next()
-            if tok[:2] == ("punct", "*"):
-                self.fail("projection '*' is not supported; list the variables", tok[2])
-            self.check_unsupported(tok)
-            self.fail("expected at least one projected variable", tok[2])
-        tok = self.next()
-        if self.keyword(tok) == "WHERE":
-            tok = self.next()
-        if tok[:2] != ("punct", "{"):
-            self.check_unsupported(tok)
-            self.fail("expected '{' opening the graph pattern", tok[2])
-        self.parse_group(tok[2])
-        kind, value, pos = tok = self.next()
-        self.check_unsupported(tok)
-        if kind != "eof":
-            self.fail(f"unexpected content after '}}': {value!r}", pos)
+            at, tok = self.at, self.next()
+            if tok == "*":
+                self.fail("projection '*' is not supported; list the variables", at)
+            self.check_unsupported(at)
+            self.fail("expected at least one projected variable", at)
+        at, tok = self.at, self.next()
+        if _keyword(tok) == "WHERE":
+            at, tok = self.at, self.next()
+        if tok != "{":
+            self.check_unsupported(at)
+            self.fail("expected '{' opening the graph pattern", at)
+        self.parse_group(at)
+        at, tok = self.at, self.next()
+        self.check_unsupported(at)
+        if tok:
+            self.fail(f"unexpected content after '}}': {_value(tok)!r}", at)
         pattern_vars = {
             t.name for pat in self.pattern for t in (pat.s, pat.p, pat.o) if isinstance(t, Var)
         }
         for name in projection:
             if name not in pattern_vars:
-                self.fail(f"projected variable ?{name} does not occur in the pattern", pos)
+                self.fail(f"projected variable ?{name} does not occur in the pattern", at)
         return Query(prefixes=self.prefixes, projection=projection, distinct=distinct, pattern=self.pattern)
 
     def parse_prologue(self) -> None:
         while True:
             tok = self.peek()
-            if self.keyword(tok) == "PREFIX" or tok[0] == "prefix_directive":
+            if _keyword(tok) == "PREFIX" or tok == "@prefix":
                 self.next()
-                kind, name, pos = self.next()
-                if kind != "pname" or name[1]:
-                    self.fail("expected a prefix name ending in ':'", pos)
-                self.bind(name[0], self.expect("iriref", "a namespace IRI in angle brackets")[1])
-                if self.peek()[0] == "dot":
+                at, name = self.at, self.next()
+                prefix, _, local = name.partition(":")
+                if _kind(name) != "pname" or local:
+                    self.fail("expected a prefix name ending in ':'", at)
+                self.bind(prefix, _unescape(self.expect("iriref", "a namespace IRI in angle brackets")))
+                if self.peek() == ".":
                     self.next()
-            elif tok[0] == "base_directive":
-                self.fail("unsupported construct: @base", tok[2])
+            elif tok == "@base":
+                self.fail("unsupported construct: @base", self.at)
             else:
                 return
 
-    def parse_group(self, open_pos: int) -> None:
+    def parse_group(self, open_at: int) -> None:
         while True:
-            kind, value, _ = self.peek()
-            if (kind, value) == ("punct", "}"):
+            tok = self.peek()
+            if tok == "}":
                 self.next()
                 break
-            if kind == "eof":
-                self.fail("unterminated graph pattern (missing '}')", open_pos)
+            if not tok:
+                self.fail("unterminated graph pattern (missing '}')", open_at)
             subject = self.parse_term("subject")
             self.parse_predicate_object_list(subject)
-            kind, value, pos = tok = self.peek()
-            if kind == "dot":
+            at, tok = self.at, self.peek()
+            if tok == ".":
                 self.next()
-            elif (kind, value) != ("punct", "}") and kind != "eof":
+            elif tok != "}" and tok:
                 self.next()  # check_unsupported reads the token after it
-                self.check_unsupported(tok)
-                self.fail("expected '.' or '}' after a triple pattern", pos)
+                self.check_unsupported(at)
+                self.fail("expected '.' or '}' after a triple pattern", at)
         if not self.pattern:
-            self.fail("empty graph pattern", open_pos)
+            self.fail("empty graph pattern", open_at)
 
-    def dialect_term(self, tok: Token, position: str) -> PatternTerm:
-        self.check_unsupported(tok)
-        if tok[0] == "var":
-            return Var(tok[1])
-        return super().dialect_term(tok, position)
+    def dialect_term(self, at: int, position: str) -> PatternTerm:
+        self.check_unsupported(at)
+        tok = self.tokens[at]
+        if _kind(tok) == "var":
+            return Var(tok[1:])
+        return super().dialect_term(at, position)
+
+
+def _keyword(tok: str) -> str:
+    """A word token in upper case; empty for any other token."""
+    return tok.upper() if _kind(tok) == "word" else ""
 
 
 def parse_query(text: str) -> Query:

@@ -13,29 +13,35 @@ knowledge-graph files need none of them.
 
 Query patterns are Turtle triples with variables added, so one lexer and one
 statement parser serve both languages. The lexer is one alternation regex;
-it turns a document into one list of ``(kind, value, pos)`` tuples that the
-parser walks by index. A parser class that sets ``variables`` also gets
-``?x``/``$x`` variables and ``*``, and a ``.`` before a digit then stays a
-statement dot. :class:`_StatementParser` holds the shared grammar: token
-lookahead, IRIs, prefixed names, ``a``, string literals and their suffixes,
-and the ``;``/``,`` predicate-object list. :class:`_TurtleParser` adds blank
-nodes and ``@prefix … .``; ``ontobot.query`` adds variables and SELECT/WHERE.
+one ``findall`` turns a document into a list of plain token strings that the
+parser walks by index. The grammar works out a token's kind from its text
+(``_kind``) only where it branches. A parser class that sets ``variables``
+also gets ``?x``/``$x`` variables and ``*``, and a ``.`` before a digit then
+stays a statement dot. :class:`_StatementParser` holds the shared grammar:
+token lookahead, IRIs, prefixed names, ``a``, string literals and their
+suffixes, and the ``;``/``,`` predicate-object list. :class:`_TurtleParser`
+adds blank nodes and ``@prefix … .``; ``ontobot.query`` adds variables and
+SELECT/WHERE.
 
 The statement grammar is one loop over the token list with a local index:
 ``_TurtleParser.parse`` reads each subject and its closing ``.``, and
 ``parse_predicate_object_list`` the predicates, objects, ``,`` and ``;``.
-It reads common tokens inline: a pname or blank label already resolved,
-``a``, a string literal with no ``@lang`` or ``^^``, and the separators. It
-hands any other token to ``parse_term`` at that index, so each diagnostic,
-first pname resolution, new blank label and literal suffix comes from one
-place, and no token is read twice. Each triple goes straight to the
-parser's ``add`` (``Graph.insert`` for Turtle).
+It reads common tokens inline: a pname, IRI or blank label already
+resolved, ``a``, a string literal with no ``@lang`` or ``^^``, and the
+separators. Pnames, IRIs and blank labels resolve through one memo from
+token text to term, which each prefix binding clears. The loop hands any
+other token to ``parse_term`` at that index, so each diagnostic, first
+resolution, new blank label and literal suffix comes from one place, and no
+token is read twice. Each triple goes straight to the parser's ``add``
+(``Graph.insert`` for Turtle).
 
 Errors carry a :class:`ParseDiagnostic` with a 1-based line and column into
-the source text, worked out from the token's offset when the error is raised.
-A lexical error ends the token list in an ``error`` token that carries a bad
-escape's diagnostic. Turtle raises it before parsing, so it is reported
-ahead of any syntax error; a query, when the parser reaches it.
+the source text. Tokens carry no offsets: a diagnostic finds its token's
+offset by lexing the text again with ``finditer``, only when it is raised.
+The first lexical error, a bad escape included, ends the token list in an
+``_ERROR`` token, and its diagnostic is kept. Turtle raises it before
+parsing, so it is reported ahead of any syntax error; a query, when the
+parser reaches it.
 
 :func:`parse_turtle_into` parses into a caller's graph, so documents load
 into one union. A document's blank labels map to fresh nodes from the caller
@@ -47,7 +53,7 @@ from __future__ import annotations
 
 import re
 from functools import cache
-from itertools import count
+from itertools import count, islice
 from typing import Callable, Mapping, NamedTuple, NoReturn
 
 from ontobot.graph import (
@@ -82,9 +88,6 @@ class TurtleParseError(Exception):
         self.diagnostic = diagnostic
 
 
-# (kind, value, offset of the token's first character in the source text)
-Token = tuple[str, object, int]
-
 _ESCAPES = {
     "t": "\t",
     "b": "\b",
@@ -110,24 +113,24 @@ _STRING_BODY = r'(?:[^"\\\n]|\\[\s\S])*'
 def _lexer(variables: bool) -> re.Pattern:
     """One alternation over a dialect's tokens, after the W3C Turtle terminals.
 
-    Each token is a group named after its kind and takes the blanks after it;
-    a comment, or blanks at the start, match unnamed, so no token can reach
-    into a comment. Order decides only a number before a dot and a pname
-    before a word. No alternative backtracks more than linearly.
+    Its one group is a token, and the match takes the blanks and comments
+    before it. Each step of that gap is one blank or a comment to its line's
+    end, so the gap cannot give text back to a token. The last branches take
+    the rest of the text from the first character that no token fits (the
+    error token) and the end. Order decides only a number before a dot and a
+    pname before a word. No alternative backtracks more than linearly.
     """
     # '.5' is a number in Turtle; in a query the '.' ends a pattern.
     number, punct = (r"[+-]?\d+\.?\d*", "*") if variables else (r"[+-]?\d+\.?\d*|\.\d+", "")
     return re.compile(
-        rf"(?:(?P<pname>(?P<prefix>{_PREFIX}):"
-        + r"(?P<local>(?:[A-Za-z0-9_](?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?)?))|[ \t\r\n]+|#[^\n]*"
-        + (r"|[?$](?P<var>\w+)" if variables else "")
-        + rf"|(?P<number>(?:{number})(?:[eE][+-]?\d+)?)"
-        + rf'|<(?P<iriref>{_IRI_BODY})>|"(?!"")(?P<string>{_STRING_BODY})"'
-        + rf"|@(?P<langtag>{_LANGTAG})|(?P<dtype_sep>\^\^)"
-        + rf"|_:(?P<blank>{_BLANK_LABEL})|(?P<dot>\.)|(?P<semi>;)|(?P<comma>,)"
-        + rf"|(?P<punct>[()\[\]{{}}{punct}])"
-        + r"|(?P<kw_a>a)(?![A-Za-z0-9_\-])|(?P<boolean>true|false)(?![A-Za-z0-9_\-])"
-        + r"|(?P<word>[A-Za-z][A-Za-z0-9_\-]*))[ \t\r\n]*"
+        r"[ \t\r\n]*(?:#[^\n]*(?![^\n])[ \t\r\n]*)*("
+        + rf"{_PREFIX}:(?:[A-Za-z0-9_](?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?)?"
+        + (r"|[?$]\w+" if variables else "")
+        + rf"|(?:{number})(?:[eE][+-]?\d+)?"
+        + rf'|<{_IRI_BODY}>|"(?!""){_STRING_BODY}"'
+        + rf"|@{_LANGTAG}|\^\^|_:{_BLANK_LABEL}|[.;,()\[\]{{}}{punct}]"
+        + r"|[A-Za-z][A-Za-z0-9_\-]*"
+        + r"|[^ \t\r\n#][\s\S]*|\Z)"
     )
 
 
@@ -137,8 +140,66 @@ def _escape_pattern() -> re.Pattern:
     return re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|[\s\S]|\Z)")
 
 
+def _unescape(tok: str) -> str:
+    """The body of a string or IRI token with its escapes decoded; a bad escape raises ``ValueError``."""
+    body = tok[1:-1]
+    if "\\" not in body:
+        return body
+    iri_mode = tok[0] == "<"
+
+    def one(m: re.Match) -> str:
+        e, hexdigits = m[0][1:2], m[1] or m[2]
+        if hexdigits:
+            code = int(hexdigits, 16)
+            if code <= 0x10FFFF and not 0xD800 <= code <= 0xDFFF:  # a Unicode scalar value
+                return chr(code)
+        if not e:
+            raise ValueError("dangling escape")
+        if e in "uU":
+            raise ValueError(f"invalid \\{e} escape")
+        if iri_mode or e not in _ESCAPES:
+            raise ValueError(f"unknown escape sequence: \\{e}")
+        return _ESCAPES[e]
+
+    return _escape_pattern().sub(one, body)
+
+
 _DIRECTIVES = {"prefix": "prefix_directive", "base": "base_directive"}
-_LITERAL_SUFFIXES = ("langtag", "dtype_sep")
+# The kinds that a token's first character decides.
+_SIGILS = {"": "eof", "<": "iriref", '"': "string", "_": "blank", "?": "var", "$": "var"}
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+
+
+def _kind(tok: str) -> str:
+    """A token's kind, from its text, where the grammar branches on it; punctuation is its own kind."""
+    c = tok[:1]
+    if c in _SIGILS:
+        return _SIGILS[c]
+    if c == "@":
+        return _DIRECTIVES.get(tok[1:], "langtag")
+    if ":" in tok:
+        return "pname"
+    if c in _LETTERS:
+        return "kw_a" if tok == "a" else "boolean" if tok in ("true", "false") else "word"
+    return "number" if c in "+-" or c.isdigit() or (c == "." and tok != ".") else tok
+
+
+def _value(tok: str) -> object:
+    """A token's value, as a diagnostic quotes it: without its sigil, unescaped, or a pname's two parts."""
+    kind = _kind(tok)
+    if kind == "pname":
+        return tuple(tok.split(":", 1))
+    if kind in ("iriref", "string"):
+        return _unescape(tok)
+    if kind == "blank":
+        return tok[2:]
+    return tok[1:] if tok[:1] in ("@", "?", "$") else tok
+
+
+# Stands in the token list for the first lexical error; no token holds a line break.
+_ERROR = "\n"
+# A string token followed by a token with one of these starts may carry a suffix.
+_SUFFIX_STARTS = frozenset("@^")
 _RDF_TYPE = RDF.type
 _LEX_ERRORS = {
     "@": "malformed '@' directive or language tag",
@@ -153,21 +214,25 @@ _UNSUPPORTED_PUNCT = {
 }
 
 
+def _line_column(text: str, pos: int) -> tuple[int, int]:
+    """The 1-based line and column of an offset into a text."""
+    return text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos)
+
+
 class _StatementParser:
     """The lexer and the statement grammar that Turtle and queries share.
 
     A subclass sets ``error`` (the exception a diagnostic raises),
     ``variables`` (the query dialect's tokens), ``rejected`` (messages for
-    term tokens its dialect refuses), ``list_ends`` (the ``(kind, value)`` of
-    the tokens that may close a ``;`` list) and ``triple`` (the tuple each
-    parsed triple is built as), and gives each instance ``add``, which takes
-    that tuple.
+    term kinds its dialect refuses), ``list_ends`` (the tokens that may close
+    a ``;`` list) and ``triple`` (the tuple each parsed triple is built as),
+    and gives each instance ``add``, which takes that tuple.
     """
 
     error: type[Exception] = TurtleParseError
     variables = False
     rejected: Mapping[str, str] = {}
-    list_ends: frozenset[tuple[str, object]] = frozenset({("dot", "."), ("eof", None)})
+    list_ends: frozenset[str] = frozenset({".", ""})
     triple: Callable[[Term, Term, Term], tuple] = Triple
     add: Callable[[tuple], None]
 
@@ -176,192 +241,177 @@ class _StatementParser:
             text = text[1:]
         self.text = text
         self.prefixes: dict[str, str] = {}
-        self.pnames: dict[tuple[str, str], Term] = {}  # resolved under the current prefixes
+        # Pname, IRI and blank-label tokens, resolved under the current prefixes.
+        self.terms: dict[str, Term] = {}
         self.blank_labels: dict[str, Term] = {}  # stays empty in a dialect without blank nodes
+        self.lex_exc: Exception | None = None
         self.tokens = self.lex()
         self.at = 0
 
-    def location(self, pos: int) -> tuple[int, int]:
-        """The 1-based line and column of an offset into the source text."""
-        return self.text.count("\n", 0, pos) + 1, pos - self.text.rfind("\n", 0, pos)
+    def location(self, at: int) -> tuple[int, int]:
+        """The 1-based line and column of the token at index ``at``, lexed again to find it."""
+        m = next(islice(_lexer(self.variables).finditer(self.text + "\n"), at, None))
+        return _line_column(self.text, min(m.start(1), len(self.text)))  # the end lies past the added line break
 
-    def fail(self, message: str, pos: int) -> NoReturn:
-        raise self.error(ParseDiagnostic(*self.location(pos), message))
+    def fail(self, message: str, at: int) -> NoReturn:
+        raise self.error(ParseDiagnostic(*self.location(at), message))
 
     # -- lexer ---------------------------------------------------------------
 
-    def lex(self) -> list[Token]:
-        """The tokens of the source text, ending in ``eof``, or in ``error`` where none fits."""
-        text, match, tokens = self.text, _lexer(self.variables).match, []
-        pos, end = 0, len(text)
-        while pos < end:
-            m = match(text, pos)
-            if m is None:
-                break
-            kind = m.lastgroup
-            if kind == "pname":
-                tokens.append((kind, m.group("prefix", "local"), pos))
-            elif kind is not None:  # None: blanks or a comment
-                value = m[kind]
-                if kind == "langtag":
-                    kind = _DIRECTIVES.get(value, kind)
-                elif "\\" in value:  # only an IRI or a string can hold one
+    def lex(self) -> list[str]:
+        """The token texts, ending in an empty eof token, or in ``_ERROR`` at the first lexical error.
+
+        The text is lexed with a line break added, so it ends in blanks: after
+        the last token come two empty matches (the blanks, then the end), and
+        after the error token, which takes the rest of the text, only one.
+        """
+        text = self.text
+        tokens = _lexer(self.variables).findall(text + "\n")
+        stop = None
+        if tokens[-2]:
+            stop = len(tokens) - 2
+            self.lex_exc = self.no_token_fits(len(text) + 1 - len(tokens[-2]))
+        if "\\" in text:  # only a string or an IRI can hold an escape
+            for at, tok in enumerate(tokens[:stop]):
+                if "\\" in tok and tok[0] in '"<':
                     try:
-                        value = self._unescape(value, pos, iri_mode=kind == "iriref")
-                    except self.error as exc:
-                        tokens.append(("error", exc, pos))
-                        return tokens
-                tokens.append((kind, value, pos))
-            pos = m.end()
-        tokens.append(("eof" if pos == end else "error", None, pos))
+                        _unescape(tok)
+                    except ValueError as exc:
+                        stop = at
+                        self.lex_exc = self.error(ParseDiagnostic(*self.location(at), str(exc)))
+                        break
+        if stop is not None:
+            tokens[stop:] = [_ERROR]
         return tokens
 
-    def lex_error(self, tok: Token) -> NoReturn:
-        """Raise the diagnostic of an ``error`` token: its bad escape, or the text where no token fits."""
-        exc, pos = tok[1:]
-        if exc is not None:
-            raise exc
+    def no_token_fits(self, pos: int) -> Exception:
+        """The diagnostic for the text at ``pos``, where no token fits."""
         text, c = self.text, self.text[pos]
         # An IRI that reached its '>', or a string its closing quote, would have lexed.
         if c == "<":
             end = re.compile(_IRI_BODY).match(text, pos + 1).end()
-            self.fail("unterminated IRI" if end == len(text) else f"invalid character in IRI: {text[end]!r}", pos)
-        if c == '"':
-            if text.startswith('"""', pos):
-                self.fail("unsupported construct: triple-quoted string", pos)
-            self.fail("unterminated string literal", pos)
-        if c in "?$" and self.variables:
-            self.fail("empty variable name", pos)
-        self.fail(_LEX_ERRORS.get(c) or f"unexpected character: {c!r}", pos)
-
-    def _unescape(self, raw: str, pos: int, iri_mode: bool) -> str:
-        def one(m: re.Match) -> str:
-            e, hexdigits = m[0][1:2], m[1] or m[2]
-            if hexdigits:
-                code = int(hexdigits, 16)
-                if code <= 0x10FFFF and not 0xD800 <= code <= 0xDFFF:  # a Unicode scalar value
-                    return chr(code)
-            if not e:
-                self.fail("dangling escape", pos)
-            if e in "uU":
-                self.fail(f"invalid \\{e} escape", pos)
-            if iri_mode or e not in _ESCAPES:
-                self.fail(f"unknown escape sequence: \\{e}", pos)
-            return _ESCAPES[e]
-
-        return _escape_pattern().sub(one, raw)
+            message = "unterminated IRI" if end == len(text) else f"invalid character in IRI: {text[end]!r}"
+        elif c == '"':
+            triple_quoted = text.startswith('"""', pos)
+            message = "unsupported construct: triple-quoted string" if triple_quoted else "unterminated string literal"
+        elif c in "?$" and self.variables:
+            message = "empty variable name"
+        else:
+            message = _LEX_ERRORS.get(c) or f"unexpected character: {c!r}"
+        return self.error(ParseDiagnostic(*_line_column(text, pos), message))
 
     # -- grammar -------------------------------------------------------------
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         tok = self.tokens[self.at]
-        if tok[0] == "error":
-            self.lex_error(tok)
+        if tok == _ERROR:
+            raise self.lex_exc
         return tok
 
-    def next(self) -> Token:
+    def next(self) -> str:
         tok = self.tokens[self.at]
-        if tok[0] != "eof":
-            if tok[0] == "error":
-                self.lex_error(tok)
+        if tok:
+            if tok == _ERROR:
+                raise self.lex_exc
             self.at += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.next()
-        if tok[0] != kind:
-            self.fail(f"expected {what}", tok[2])
+    def expect(self, kind: str, what: str) -> str:
+        at, tok = self.at, self.next()
+        if _kind(tok) != kind:
+            self.fail(f"expected {what}", at)
         return tok
 
     def bind(self, prefix: str, namespace: str) -> None:
         self.prefixes[prefix] = namespace
-        self.pnames.clear()
+        self.terms.clear()
+        self.terms.update(self.blank_labels)
 
-    def resolve_pname(self, tok: Token) -> Term:
-        term = self.pnames.get(tok[1])
+    def resolve(self, tok: str, at: int) -> Term:
+        """The IRI of a pname or IRI token."""
+        term = self.terms.get(tok)
         if term is None:
-            (prefix, local), pos = tok[1], tok[2]
-            if prefix not in self.prefixes:
-                self.fail(f"undeclared prefix: {prefix!r}", pos)
-            term = self.pnames[tok[1]] = iri(self.prefixes[prefix] + local)
+            if tok[0] == "<":
+                term = iri(_unescape(tok))
+            else:
+                prefix, _, local = tok.partition(":")
+                if prefix not in self.prefixes:
+                    self.fail(f"undeclared prefix: {prefix!r}", at)
+                term = iri(self.prefixes[prefix] + local)
+            self.terms[tok] = term
         return term
 
     def parse_term(self, position: str) -> Term:
-        kind, value, pos = tok = self.next()
-        if kind == "pname":
-            return self.resolve_pname(tok)
+        at, tok = self.at, self.next()
+        kind = _kind(tok)
+        if kind in ("pname", "iriref"):
+            return self.resolve(tok, at)
         # The statement loop reads a predicate 'a', and a string with no '@lang' or '^^', itself.
         if kind == "kw_a":
-            self.fail("keyword 'a' is only valid as a predicate", pos)
+            self.fail("keyword 'a' is only valid as a predicate", at)
         if kind == "string":
             if position != "object":
-                self.fail(f"literal not allowed in {position} position", pos)
-            kind, suffix, _ = self.next()
-            if kind == "langtag":
-                return literal(value, lang=suffix)
-            dt_tok = self.next()  # after '^^'
-            if dt_tok[0] == "iriref":
-                return literal(value, datatype=dt_tok[1])
-            if dt_tok[0] == "pname":
-                return literal(value, datatype=self.resolve_pname(dt_tok).value)
-            self.fail("expected a datatype IRI after '^^'", dt_tok[2])
-        if kind == "iriref":
-            return iri(value)
+                self.fail(f"literal not allowed in {position} position", at)
+            value, suffix = _unescape(tok), self.tokens[self.at]
+            if _kind(suffix) == "langtag":
+                self.at += 1
+                return literal(value, lang=suffix[1:])
+            if suffix != "^^":
+                return literal(value)
+            self.at += 1
+            at, dt = self.at, self.next()
+            if _kind(dt) in ("pname", "iriref"):
+                return literal(value, datatype=self.resolve(dt, at).value)
+            self.fail("expected a datatype IRI after '^^'", at)
         if kind in self.rejected:
-            self.fail(self.rejected[kind], pos)
-        if kind == "punct":
-            construct = _UNSUPPORTED_PUNCT.get(value)
-            if construct:
-                self.fail(f"unsupported construct: {construct} {value!r}", pos)
-            self.fail(f"unexpected {value!r}", pos)
-        return self.dialect_term(tok, position)
+            self.fail(self.rejected[kind], at)
+        if tok in _UNSUPPORTED_PUNCT:
+            self.fail(f"unsupported construct: {_UNSUPPORTED_PUNCT[tok]} {tok!r}", at)
+        if tok in ("{", "}", "*"):
+            self.fail(f"unexpected {tok!r}", at)
+        return self.dialect_term(at, position)
 
-    def dialect_term(self, tok: Token, position: str) -> Term:
+    def dialect_term(self, at: int, position: str) -> Term:
         """A term of a kind only one dialect has; the base class has none."""
-        kind, value, pos = tok
-        found = "end of input" if kind == "eof" else repr(value)
-        self.fail(f"expected {'an' if position == 'object' else 'a'} {position}, found {found}", pos)
+        found = repr(_value(self.tokens[at])) if self.tokens[at] else "end of input"
+        self.fail(f"expected {'an' if position == 'object' else 'a'} {position}, found {found}", at)
 
     def parse_predicate_object_list(self, subject: Term) -> None:
         """Read predicates and objects with their ``,`` and ``;`` from ``self.at``, adding each triple."""
-        tokens, pnames, blanks = self.tokens, self.pnames, self.blank_labels
+        tokens, terms = self.tokens, self.terms
         add, triple, list_ends = self.add, self.triple, self.list_ends
         i = self.at
         while True:
-            kind, value, _ = tokens[i]
-            predicate = _RDF_TYPE if kind == "kw_a" else pnames.get(value) if kind == "pname" else None
-            if predicate is None:
+            tok = tokens[i]
+            predicate = _RDF_TYPE if tok == "a" else terms.get(tok)
+            if predicate is None or tok[0] == "_":  # a blank node is no predicate
                 self.at = i
                 predicate = self.parse_term("predicate")
                 i = self.at
             else:
                 i += 1
             while True:
-                kind, value, _ = tokens[i]
-                if kind == "pname":
-                    obj = pnames.get(value)
-                elif kind == "blank":
-                    obj = blanks.get(value)
-                elif kind == "string" and tokens[i + 1][0] not in _LITERAL_SUFFIXES:
-                    obj = literal(value)
+                tok = tokens[i]
+                obj = terms.get(tok)
+                if obj is not None:
+                    i += 1
+                elif tok[:1] == '"' and "\\" not in tok and tokens[i + 1][:1] not in _SUFFIX_STARTS:
+                    obj = literal(tok[1:-1])
+                    i += 1
                 else:
-                    obj = None
-                if obj is None:
                     self.at = i
                     obj = self.parse_term("object")
                     i = self.at
-                else:
-                    i += 1
                 add(triple(subject, predicate, obj))
-                if tokens[i][0] != "comma":
+                if tokens[i] != ",":
                     break
                 i += 1
-            if tokens[i][0] != "semi":
+            if tokens[i] != ";":
                 break
             # Tolerate trailing ';' before what closes the list
-            while tokens[i][0] == "semi":
+            while tokens[i] == ";":
                 i += 1
-            if tokens[i][:2] in list_ends:
+            if tokens[i] in list_ends:
                 break
         self.at = i
 
@@ -374,52 +424,55 @@ class _TurtleParser(_StatementParser):
 
     def __init__(self, text: str, graph: Graph, new_blank: Callable[[], Term]):
         super().__init__(text)
-        if self.tokens[-1][0] == "error":  # a lexical error anywhere is reported ahead of any syntax error
-            self.lex_error(self.tokens[-1])
+        if self.lex_exc is not None:  # a lexical error anywhere is reported ahead of any syntax error
+            raise self.lex_exc
         self.graph = graph
         self.add = graph.insert
         self.new_blank = new_blank
 
     def parse(self) -> Graph:
-        tokens, pnames, blanks = self.tokens, self.pnames, self.blank_labels
+        tokens, terms = self.tokens, self.terms
         while True:
-            kind, value, pos = tokens[self.at]
-            if kind == "eof":
-                break
-            if kind == "prefix_directive":
-                self.at += 1
-                self.parse_prefix()
-                continue
-            if kind == "base_directive":
-                self.fail("unsupported construct: @base", pos)
-            subject = pnames.get(value) if kind == "pname" else blanks.get(value) if kind == "blank" else None
+            at = self.at
+            tok = tokens[at]
+            subject = terms.get(tok)
             if subject is None:
+                if not tok:
+                    break
+                if tok == "@prefix":
+                    self.at += 1
+                    self.parse_prefix()
+                    continue
+                if tok == "@base":
+                    self.fail("unsupported construct: @base", at)
                 subject = self.parse_term("subject")
             else:
                 self.at += 1
             self.parse_predicate_object_list(subject)
-            kind, _, pos = tokens[self.at]
-            if kind != "dot":
-                self.fail("expected '.' at end of statement", pos)
+            if tokens[self.at] != ".":
+                self.fail("expected '.' at end of statement", self.at)
             self.at += 1
         self.graph.fold_prefixes(self.prefixes)
         return self.graph
 
     def parse_prefix(self) -> None:
-        _, (prefix, local), pos = self.expect("pname", "a prefix name ending in ':'")
+        at = self.at
+        prefix, _, local = self.expect("pname", "a prefix name ending in ':'").partition(":")
         if local:
-            self.fail("prefix declaration must end in ':'", pos)
-        namespace = self.expect("iriref", "a namespace IRI in angle brackets")[1]
-        self.expect("dot", "'.' after prefix declaration")
+            self.fail("prefix declaration must end in ':'", at)
+        namespace = _unescape(self.expect("iriref", "a namespace IRI in angle brackets"))
+        self.expect(".", "'.' after prefix declaration")
         self.bind(prefix, namespace)
 
-    def dialect_term(self, tok: Token, position: str) -> Term:
-        kind, label, pos = tok
-        if kind == "blank":
+    def dialect_term(self, at: int, position: str) -> Term:
+        label = self.tokens[at]
+        if _kind(label) == "blank":
             if position == "predicate":
-                self.fail("blank node not allowed in predicate position", pos)
-            return self.blank_labels.get(label) or self.blank_labels.setdefault(label, self.new_blank())
-        return super().dialect_term(tok, position)
+                self.fail("blank node not allowed in predicate position", at)
+            term = self.blank_labels.get(label) or self.blank_labels.setdefault(label, self.new_blank())
+            self.terms[label] = term
+            return term
+        return super().dialect_term(at, position)
 
 
 def parse_turtle(text: str) -> Graph:

@@ -150,13 +150,18 @@ def test_record_methods():
     assert matrix.achievable(A, A) and not matrix.achievable(A, B)
 
 
-def loaded_by_cli_import(names: set[str]) -> str:
-    """Those of ``names`` that a fresh ``import ontobot.cli`` loads, as a sorted list's repr."""
-    # -S keeps site-packages .pth files from importing any of them first.
+def after_cli_import(expression: str) -> str:
+    """What ``expression`` prints in a fresh process, right after ``import ontobot.cli``."""
+    # -S keeps site-packages .pth files from importing any module first.
     src = str(Path(__file__).resolve().parents[1] / "src")
-    script = f"import sys; sys.path.insert(0, {src!r}); import ontobot.cli; print(sorted({names!r} & set(sys.modules)))"
+    script = f"import sys; sys.path.insert(0, {src!r}); import ontobot.cli; print({expression})"
     result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True)
     return result.stdout.strip()
+
+
+def loaded_by_cli_import(names: set[str]) -> str:
+    """Those of ``names`` that a fresh ``import ontobot.cli`` loads, as a sorted list's repr."""
+    return after_cli_import(f"sorted({names!r} & set(sys.modules))")
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
@@ -166,3 +171,9 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
 def test_cli_import_loads_neither_json_nor_csv():
     # Each output format imports its module when it renders.
     assert loaded_by_cli_import({"json", "csv"}) == "[]"
+
+
+def test_cli_import_compiles_no_lexer_pattern():
+    # Compiling a dialect's lexer costs about 1 ms, which a command that parses nothing need not pay.
+    patterns = "ontobot.turtle._lexer, ontobot.turtle._escape_pattern"
+    assert after_cli_import(f"[f.cache_info().currsize for f in ({patterns})]") == "[0, 0]"

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import importlib
 import random
+import re
 import time
 from collections import Counter
 
@@ -13,6 +15,8 @@ from ontobot.namespaces import OBOT, RDF, RDFS, SOMA
 from ontobot.turtle import (
     TurtleParseError,
     _StatementParser,
+    _escape_pattern,
+    _lexer,
     parse_turtle,
     serialize_turtle,
     term_to_text,
@@ -231,6 +235,27 @@ def test_trailing_blank_lines_are_lexed_fast():
 )
 def test_tokens_need_no_blanks_between_them(text, obj):
     assert list(parse_turtle(text)) == [Triple(iri("https://e.org/a"), iri("https://e.org/b"), obj)]
+
+
+def _opcodes(node, parser):
+    """The names of the opcodes in a parsed pattern, nested ones included."""
+    if isinstance(node, parser.SubPattern):
+        for op, av in node:
+            yield str(op)
+            yield from _opcodes(av, parser)
+    elif isinstance(node, (list, tuple)):
+        for item in node:
+            yield from _opcodes(item, parser)
+
+
+@pytest.mark.parametrize("pattern", [_lexer(False), _lexer(True), _escape_pattern()], ids=["turtle", "query", "escape"])
+def test_lexer_patterns_use_no_syntax_python_3_10_lacks(pattern):
+    # Python 3.10's re has no atomic groups or possessive quantifiers; a lexer that needs
+    # either would fail to compile there.
+    parser = getattr(re, "_parser", None) or importlib.import_module("sre_parse")
+    opcodes = set(_opcodes(parser.parse(pattern.pattern, pattern.flags), parser))
+    assert "SUBPATTERN" in opcodes  # the walk reaches into groups
+    assert not opcodes & {"ATOMIC_GROUP", "POSSESSIVE_REPEAT"}
 
 
 def test_escapes_decode():
