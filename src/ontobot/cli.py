@@ -134,7 +134,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     union = load_graph(_kg_paths(args), infer=False, read=_read_text)
-    query = parse_query(_read_text(args.query_file))
+    try:
+        query = parse_query(_read_text(args.query_file))
+    except QueryParseError as exc:
+        raise QueryParseError(exc.diagnostic, args.query_file) from None
     solutions = evaluate(query, union)
     prefixes = dict(union.prefixes)
     prefixes.update(query.prefixes)

@@ -45,8 +45,8 @@ from ontobot.turtle import ParseDiagnostic, _kind, _StatementParser, _unescape, 
 
 
 class QueryParseError(Exception):
-    def __init__(self, diagnostic: ParseDiagnostic):
-        super().__init__(str(diagnostic))
+    def __init__(self, diagnostic: ParseDiagnostic, source: object = None):
+        super().__init__(str(diagnostic) if source is None else f"{source}: {diagnostic}")
         self.diagnostic = diagnostic
 
 

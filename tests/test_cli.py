@@ -318,6 +318,15 @@ def test_query_syntax_error_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_query_syntax_error_names_the_query_file(capsys, tmp_path):
+    # As a Turtle parse error names its file.
+    q = tmp_path / "broken.rq"
+    q.write_text("SELECT ?x\nWHERE { ?x }", encoding="utf-8")
+    code, _, err = run(capsys, "query", *kg_args(), "-f", str(q))
+    assert code == 2
+    assert err == f"ontobot: {q}: line 2, column 12: unexpected '}}'\n"
+
+
 # -- cq -----------------------------------------------------------------------
 
 
