@@ -164,7 +164,7 @@ def _unescape(tok: str) -> str:
     return _escape_pattern().sub(one, body)
 
 
-_DIRECTIVES = {"prefix": "prefix_directive", "base": "base_directive"}
+_DIRECTIVES = frozenset({"prefix", "base"})  # after an '@', not language tags
 # The kinds that a token's first character decides.
 _SIGILS = {"": "eof", "<": "iriref", '"': "string", "_": "blank", "?": "var", "$": "var"}
 _LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
@@ -176,7 +176,7 @@ def _kind(tok: str) -> str:
     if c in _SIGILS:
         return _SIGILS[c]
     if c == "@":
-        return _DIRECTIVES.get(tok[1:], "langtag")
+        return "directive" if tok[1:] in _DIRECTIVES else "langtag"
     if ":" in tok:
         return "pname"
     if c in _LETTERS:
