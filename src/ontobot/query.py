@@ -8,7 +8,9 @@ lists, the ``a`` keyword, and string literals. Patterns are separated by
 
 Anything beyond that subset (FILTER, OPTIONAL, UNION, GROUP BY, HAVING,
 ORDER BY, ...) raises :class:`UnsupportedFeatureError` naming the feature,
-distinct from plain syntax errors so callers can report it separately.
+distinct from plain syntax errors so callers can report it separately. The
+parser's ``fail`` names it: a syntax error at such a keyword, wherever it
+stands, becomes the feature.
 
 Triple patterns are Turtle statements with variables, so the parser is the
 Turtle statement parser (``turtle._StatementParser``) with the lexer's
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
-from typing import Callable, Collection, Iterator, NamedTuple, Union
+from typing import Callable, Collection, Iterator, NamedTuple, NoReturn, Union
 
 from ontobot.graph import Graph, Term
 from ontobot.turtle import ParseDiagnostic, _kind, _StatementParser, _unescape, _value
@@ -120,19 +122,21 @@ class _QueryParser(_StatementParser):
         self.pattern: list[TriplePattern] = []
         self.add = self.pattern.append
 
-    def check_unsupported(self, at: int) -> None:
+    def fail(self, message: str, at: int) -> NoReturn:
+        """Name the unsupported feature whose keyword stands at ``at``, or raise the syntax error."""
         feature = _keyword(self.tokens[at])
         if feature in _UNSUPPORTED_KEYWORDS:
             if feature in ("GROUP", "ORDER", "NOT"):
-                follower = _keyword(self.peek())
+                self.at = at + 1
+                follower = _keyword(self.peek())  # a lexical error there is raised
                 if follower:
                     feature = f"{feature} {follower}"
             raise UnsupportedFeatureError(feature, *self.location(at))
+        super().fail(message, at)
 
     def parse(self) -> Query:
         self.parse_prologue()
         at, tok = self.at, self.next()
-        self.check_unsupported(at)
         if _keyword(tok) != "SELECT":
             self.fail("expected SELECT", at)
         distinct = False
@@ -149,17 +153,14 @@ class _QueryParser(_StatementParser):
             at, tok = self.at, self.next()
             if tok == "*":
                 self.fail("projection '*' is not supported; list the variables", at)
-            self.check_unsupported(at)
             self.fail("expected at least one projected variable", at)
         at, tok = self.at, self.next()
         if _keyword(tok) == "WHERE":
             at, tok = self.at, self.next()
         if tok != "{":
-            self.check_unsupported(at)
             self.fail("expected '{' opening the graph pattern", at)
         self.parse_group(at)
         at, tok = self.at, self.next()
-        self.check_unsupported(at)
         if tok:
             self.fail(f"unexpected content after '}}': {_value(tok)!r}", at)
         pattern_vars = {
@@ -201,14 +202,11 @@ class _QueryParser(_StatementParser):
             if tok == ".":
                 self.next()
             elif tok != "}" and tok:
-                self.next()  # check_unsupported reads the token after it
-                self.check_unsupported(at)
                 self.fail("expected '.' or '}' after a triple pattern", at)
         if not self.pattern:
             self.fail("empty graph pattern", open_at)
 
     def dialect_term(self, at: int, position: str) -> PatternTerm:
-        self.check_unsupported(at)
         tok = self.tokens[at]
         if _kind(tok) == "var":
             return Var(tok[1:])

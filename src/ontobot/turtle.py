@@ -29,7 +29,7 @@ The statement grammar is one loop over the token list with a local index:
 It reads common tokens inline: a pname, IRI or blank label already
 resolved, ``a``, a string literal with no ``@lang`` or ``^^``, and the
 separators. Pnames, IRIs and blank labels resolve through one memo from
-token text to term, which each prefix binding clears. The loop hands any
+token text to term, from which a prefix binding drops the pnames. The loop hands any
 other token to ``parse_term`` at that index, so each diagnostic, first
 resolution, new blank label and literal suffix comes from one place, and no
 token is read twice. Each triple goes straight to the parser's ``add``
@@ -243,7 +243,6 @@ class _StatementParser:
         self.prefixes: dict[str, str] = {}
         # Pname, IRI and blank-label tokens, resolved under the current prefixes.
         self.terms: dict[str, Term] = {}
-        self.blank_labels: dict[str, Term] = {}  # stays empty in a dialect without blank nodes
         self.lex_exc: Exception | None = None
         self.tokens = self.lex()
         self.at = 0
@@ -324,8 +323,9 @@ class _StatementParser:
 
     def bind(self, prefix: str, namespace: str) -> None:
         self.prefixes[prefix] = namespace
-        self.terms.clear()
-        self.terms.update(self.blank_labels)
+        # Only pnames depend on the prefixes; in place, as the statement loop holds the memo.
+        for tok in [tok for tok in self.terms if tok[0] not in "_<"]:
+            del self.terms[tok]
 
     def resolve(self, tok: str, at: int) -> Term:
         """The IRI of a pname or IRI token."""
@@ -469,8 +469,7 @@ class _TurtleParser(_StatementParser):
         if _kind(label) == "blank":
             if position == "predicate":
                 self.fail("blank node not allowed in predicate position", at)
-            term = self.blank_labels.get(label) or self.blank_labels.setdefault(label, self.new_blank())
-            self.terms[label] = term
+            term = self.terms[label] = self.new_blank()  # a label in the memo never reaches here
             return term
         return super().dialect_term(at, position)
 

@@ -64,6 +64,21 @@ def test_unsupported_features_are_named():
     with pytest.raises(UnsupportedFeatureError) as excinfo:
         parse_query(base + "} GROUP BY ?x")
     assert excinfo.value.feature == "GROUP BY"
+    # Named wherever the keyword stands in place of what the grammar expects.
+    for text, feature, column in [
+        ("PREFIX FILTER <e:> SELECT ?x { ?x ?p ?o }", "FILTER", 8),
+        ("PREFIX x: FILTER SELECT ?x { ?x ?p ?o }", "FILTER", 11),
+        ('PREFIX x: <e:> SELECT ?x { ?x x:p "v"^^FILTER }', "FILTER", 40),
+        ('PREFIX x: <e:> SELECT ?x { ?x x:p "v"^^GROUP BY }', "GROUP BY", 40),
+    ]:
+        with pytest.raises(UnsupportedFeatureError) as excinfo:
+            parse_query(text)
+        assert (excinfo.value.feature, excinfo.value.line, excinfo.value.column) == (feature, 1, column)
+    # The token after GROUP or ORDER is lexed first, so its lexical error is raised.
+    for keyword in ("GROUP", "ORDER"):
+        with pytest.raises(QueryParseError) as excinfo:
+            parse_query(f"SELECT ?x {{ ?x ?p ?o }} {keyword} ²")
+        assert str(excinfo.value) == "line 1, column 30: unexpected character: '²'"
 
 
 def test_lexical_error_after_an_unsupported_clause_is_not_reached():
