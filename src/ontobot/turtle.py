@@ -184,11 +184,9 @@ def _kind(tok: str) -> str:
     return "number" if c in "+-" or c.isdigit() or (c == "." and tok != ".") else tok
 
 
-def _value(tok: str) -> object:
-    """A token's value, as a diagnostic quotes it: without its sigil, unescaped, or a pname's two parts."""
+def _value(tok: str) -> str:
+    """A token's value, as a diagnostic quotes it: without its sigil, or unescaped."""
     kind = _kind(tok)
-    if kind == "pname":
-        return tuple(tok.split(":", 1))
     if kind in ("iriref", "string"):
         return _unescape(tok)
     if kind == "blank":

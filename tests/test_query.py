@@ -133,6 +133,11 @@ def test_projected_variable_must_occur_in_pattern():
             "expected '.' or '}' after a triple pattern", id="missing-dot",
         ),
         pytest.param("SELECT ?x ?x WHERE { ?x ?p ?o }", 1, 11, "duplicate variable in projection: ?x", id="duplicate-projection"),
+        # A prefixed name is quoted as its text.
+        pytest.param(
+            "PREFIX rdfs: <https://e.org/> SELECT ?x WHERE { ?x ?p ?o } rdfs:label", 1, 60,
+            "unexpected content after '}': 'rdfs:label'", id="content-after-pattern",
+        ),
         pytest.param("@base <https://e.org/> . SELECT ?x WHERE { ?x ?p ?o }", 1, 1, "unsupported construct: @base", id="base"),
         # Line breaks as CR LF, and a byte order mark, which is not text: neither moves the column.
         pytest.param("PREFIX : <https://e.org/>\r\nSELECT ?x\r\nWHERE { ?x :p ² }\r\n", 3, 15, "unexpected character: '²'", id="crlf"),
