@@ -15,7 +15,8 @@ never sees one half built.
 Terms are interned through the ``iri`` / ``blank`` / ``literal`` factories:
 building the same term twice, or calling ``Term(...)``, yields the same object,
 so equality is always a single pointer comparison and terms work as set and
-dict keys.
+dict keys. A new term enters the table in one ``setdefault``, so threads that
+build it at once all get the one object.
 """
 
 from __future__ import annotations
@@ -72,8 +73,7 @@ class Term:
         term.value = value
         term.lang = lang
         term.datatype = datatype
-        _interned[key] = term
-        return term
+        return _interned.setdefault(key, term)
 
     def __reduce__(self) -> tuple:
         # copy and pickle rebuild through __new__, so they return the interned term.

@@ -3,7 +3,10 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import sys
+import threading
 import time
+import uuid
 
 import pytest
 
@@ -184,6 +187,34 @@ def test_every_construction_returns_the_interned_term():
         assert pickle.loads(pickle.dumps(term)) is term
     triple = Triple(iri("https://example.org/a"), OBOT.hasAffordance, lit)
     assert pickle.loads(pickle.dumps(triple)) == triple
+
+
+def test_threads_interning_the_same_terms_get_one_object_each():
+    # Four threads intern the same fresh IRIs at once, switching as often as the interpreter allows.
+    # Each key must come back as one object everywhere, or identity joins silently miss.
+    threads, rounds, size = 4, 20, 300
+    barrier = threading.Barrier(threads)
+    values: list[str] = []
+    results: list[list[Term]] = [[] for _ in range(threads)]
+
+    def work(slot: int) -> None:
+        barrier.wait()
+        results[slot] = [iri(value) for value in values]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(rounds):
+            values[:] = [f"https://e.org/{uuid.uuid4().hex}/{n}" for n in range(size)]
+            workers = [threading.Thread(target=work, args=(slot,)) for slot in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join()
+            for value, *interned in zip(values, *results):
+                assert all(term is iri(value) for term in interned), value
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_term_rejects_malformed_parts():
