@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,3 +44,21 @@ def test_every_fixture_file_matches_a_package_data_glob():
     shipped = [*fixtures_dir().rglob("*.ttl"), *fixtures_dir().rglob("*.rq")]
     assert shipped
     assert [path for path in shipped if path not in selected] == []
+
+
+def test_the_package_imports_only_the_standard_library():
+    # ontobot installs with no dependencies, so every absolute import names itself or the standard library.
+    sources = sorted(Path(ontobot.__file__).resolve().parent.rglob("*.py"))
+    assert sources
+    allowed = {"ontobot", "__future__", *sys.stdlib_module_names}
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names if name.partition(".")[0] not in allowed]
+    assert outside == []
