@@ -198,7 +198,7 @@ def test_threads_interning_the_same_terms_get_one_object_each():
     results: list[list[Term]] = [[] for _ in range(threads)]
 
     def work(slot: int) -> None:
-        barrier.wait()
+        barrier.wait(timeout=30)
         results[slot] = [iri(value) for value in values]
 
     interval = sys.getswitchinterval()
@@ -210,7 +210,8 @@ def test_threads_interning_the_same_terms_get_one_object_each():
             for worker in workers:
                 worker.start()
             for worker in workers:
-                worker.join()
+                worker.join(timeout=30)
+                assert not worker.is_alive()
             for value, *interned in zip(values, *results):
                 assert all(term is iri(value) for term in interned), value
     finally:
