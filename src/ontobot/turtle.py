@@ -25,14 +25,14 @@ SELECT/WHERE.
 
 The statement grammar is one loop over the token list with a local index:
 ``_TurtleParser.parse`` reads each subject and its closing ``.``, and
-``parse_predicate_object_list`` the predicates, objects, ``,`` and ``;``.
-It reads common tokens inline: a pname, IRI or blank label already
-resolved, ``a``, a string literal with no ``@lang`` or ``^^``, and the
-separators. Pnames, IRIs and blank labels resolve through one memo from
-token text to term, from which a prefix binding drops the pnames. The loop hands any
-other token to ``parse_term`` at that index, so each diagnostic, first
-resolution, new blank label and literal suffix comes from one place, and no
-token is read twice. Each triple goes straight to the parser's ``add``
+``parse_predicate_object_list`` the predicates, objects, ``,`` and ``;``. It
+reads common tokens inline: a pname, IRI or blank label already resolved,
+``a``, a string literal with no ``@lang`` or ``^^``, and the separators.
+Pnames, IRIs and blank labels resolve through one memo from token text to
+term, from which a prefix binding drops the pnames. The loop hands any other
+token to ``parse_term`` at that index, so each diagnostic, first resolution,
+new blank label and literal suffix comes from one place, and no token is
+read twice. Each triple goes straight to the parser's ``add``
 (``Graph.insert`` for Turtle).
 
 Errors carry a :class:`ParseDiagnostic` with a 1-based line and column into

@@ -195,7 +195,7 @@ def test_threads_interning_the_same_terms_get_one_object_each():
     threads, rounds, size = 4, 20, 300
     barrier = threading.Barrier(threads)
     values: list[str] = []
-    results: list[list[Term]] = [[] for _ in range(threads)]
+    results: list[list[Term]] = []
 
     def work(slot: int) -> None:
         barrier.wait(timeout=30)
@@ -206,12 +206,14 @@ def test_threads_interning_the_same_terms_get_one_object_each():
     try:
         for _ in range(rounds):
             values[:] = [f"https://e.org/{uuid.uuid4().hex}/{n}" for n in range(size)]
+            results[:] = [[]] * threads
             workers = [threading.Thread(target=work, args=(slot,)) for slot in range(threads)]
             for worker in workers:
                 worker.start()
             for worker in workers:
                 worker.join(timeout=30)
                 assert not worker.is_alive()
+            assert [len(interned) for interned in results] == [size] * threads
             for value, *interned in zip(values, *results):
                 assert all(term is iri(value) for term in interned), value
     finally:
