@@ -7,10 +7,10 @@ predicate index. Every other index is built from those on first use and kept
 exact by later inserts: the subject and object indexes over all triples, and
 the groups, each one predicate's triples keyed by their subject or by their
 object. ``Graph.lookup`` is the one place that picks which of these answers
-a pattern, from the positions it binds; ``match``, ``subjects``/``objects``
-and the compiled query steps all read through it. An index is built in a
-local dict and published with one assignment, so a reader of a frozen graph
-never sees one half built.
+a pattern, from the positions it binds; ``subjects``/``objects`` and the
+compiled query steps all read through it. An index is built in a local dict
+and published with one assignment, so a reader of a frozen graph never sees
+one half built.
 
 Terms are interned through the ``iri`` / ``blank`` / ``literal`` factories:
 building the same term twice, or calling ``Term(...)``, yields the same object,
@@ -164,7 +164,7 @@ _NO_GROUP: Mapping = MappingProxyType({})
 class Graph:
     """A set of triples with a prefix table, positional indexes and groups.
 
-    Insertion order is preserved, so iteration and ``match`` results are
+    Insertion order is preserved, so iteration and ``lookup`` results are
     deterministic for a given build sequence. After :meth:`freeze` the graph
     rejects further inserts.
     """
@@ -209,7 +209,7 @@ class Graph:
         subject/object: that predicate's group. Subject and object: the
         subject's bucket, filtered by the object. One position: its bucket.
         None: all triples. The result may be an index's own storage: never
-        change it, and copy it before inserting (``match``).
+        change it, and copy it (``list(...)``) before inserting while reading it.
         """
         if p is None:
             if s is None:
@@ -221,10 +221,6 @@ class Graph:
         if o is None:
             return self._grouped(p, 0).get(s, ())
         return (Triple(s, p, o),) if (s, p, o) in self._triples else ()
-
-    def match(self, s: Term | None = None, p: Term | None = None, o: Term | None = None) -> list[Triple]:
-        """All triples matching the bound positions, as a fresh list; ``None`` is a wildcard."""
-        return list(self.lookup(s, p, o))
 
     def _grouped(self, p: Term | None, position: int) -> Mapping[Term, list[Triple]]:
         # p's triples, or all triples when p is None, keyed by their term at position; built on first use.

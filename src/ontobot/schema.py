@@ -68,7 +68,7 @@ def add_inferred_types(g: Graph) -> None:
     for t in g.lookup(None, RDFS.subClassOf, None):
         axioms.add((t.s, t.o))
     closure = _superclass_closure(axioms)
-    for t in g.match(None, RDF.type, None):  # a copy: the inserts below append to the list lookup returns
+    for t in list(g.lookup(None, RDF.type, None)):  # a copy: the inserts below append to what lookup returns
         for sup in closure.get(t.o, ()):
             g.insert(Triple(t.s, RDF.type, sup))
 

@@ -6,6 +6,8 @@ nested-loop join in the query's original pattern order with no indexes
 and no reordering (each pattern's candidates come from one linear scan),
 and `isomorphic` reads each graph in one iteration. `random_ontobot_graph`
 generates graphs in the fixtures' domain for the reasoner's cross-oracle.
+`record_calls` counts the graph reads that the work-bound tests hold to the
+size of the answer.
 """
 
 from __future__ import annotations
@@ -27,6 +29,26 @@ def scan_match(graph: Graph, s: Term | None, p: Term | None, o: Term | None) -> 
         for t in graph
         if (s is None or t.s == s) and (p is None or t.p == p) and (o is None or t.o == o)
     }
+
+
+def record_calls(monkeypatch, *names: str) -> list[tuple[str, object]]:
+    """Wrap each named `Graph` method so that every call appends (name, result) to the returned list.
+
+    Pass a `monkeypatch.context()` to stop recording where the context ends.
+    """
+    calls: list[tuple[str, object]] = []
+
+    def recording(name: str, method):
+        def wrapper(graph: Graph, *args):
+            found = method(graph, *args)
+            calls.append((name, found))
+            return found
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(Graph, name, recording(name, getattr(Graph, name)))
+    return calls
 
 
 def _unify(pattern: TriplePattern, triple: Triple, binding: dict[str, Term]) -> dict[str, Term] | None:

@@ -69,24 +69,24 @@ def test_frozen_graph_rejects_inserts():
 
 
 def test_match_empty_graph_all_wildcards():
-    assert Graph().match() == []
+    assert list(Graph().lookup(None, None, None)) == []
 
 
 def test_match_drawer_affordances(activities):
-    objects = {t.o for t in activities.match(EX.drawer, OBOT.hasAffordance, None)}
+    objects = {t.o for t in activities.lookup(EX.drawer, OBOT.hasAffordance, None)}
     assert objects == {SOMA.Opening, SOMA.Closing}
 
 
 def test_match_agents(robots):
-    subjects = {t.s for t in robots.match(None, RDF.type, OBOT.Agent)}
+    subjects = {t.s for t in robots.lookup(None, RDF.type, OBOT.Agent)}
     assert subjects == {EX.tiago, EX.hsr, EX.ur3, EX.stretch}
 
 
 def test_match_fully_bound(activities):
     t = Triple(EX.drawer, OBOT.hasAffordance, SOMA.Opening)
-    assert activities.match(*t) == [t]
+    assert list(activities.lookup(*t)) == [t]
     absent = Triple(EX.drawer, OBOT.hasAffordance, SOMA.Pouring)
-    assert activities.match(*absent) == []
+    assert list(activities.lookup(*absent)) == []
 
 
 def test_match_agrees_with_linear_scan_oracle():
@@ -100,12 +100,12 @@ def test_match_agrees_with_linear_scan_oracle():
             s = anchor.s if rng.random() < 0.5 else None
             p = anchor.p if rng.random() < 0.5 else None
             o = anchor.o if rng.random() < 0.5 else None
-            assert set(g.match(s, p, o)) == scan_match(g, s, p, o)
+            assert set(g.lookup(s, p, o)) == scan_match(g, s, p, o)
 
 
 def test_match_is_deterministic(activities):
-    first = activities.match(None, OBOT.requiresAffordance, None)
-    second = activities.match(None, OBOT.requiresAffordance, None)
+    first = list(activities.lookup(None, OBOT.requiresAffordance, None))
+    second = list(activities.lookup(None, OBOT.requiresAffordance, None))
     assert first == second
 
 
@@ -113,9 +113,9 @@ def test_index_consistency():
     rng = random.Random(7)
     g = random_graph(rng, max_triples=120)
     for t in g:
-        assert t in g.match(s=t.s)
-        assert t in g.match(p=t.p)
-        assert t in g.match(o=t.o)
+        assert t in g.lookup(t.s, None, None)
+        assert t in g.lookup(None, t.p, None)
+        assert t in g.lookup(None, None, t.o)
 
 
 def test_merge_keeps_document_blanks_distinct():
@@ -252,17 +252,17 @@ def test_match_agrees_in_order_with_a_scan_as_the_graph_grows():
             g.insert(Triple(rng.choice(subjects), rng.choice(pools["predicates"]), rng.choice(objects)))
             for _ in range(rng.randint(0, 2)):
                 s, p, o = (term if rng.random() < 0.5 else None for term in draw())
-                assert g.match(s, p, o) == list(g.lookup(s, p, o)) == ordered_scan(g, s, p, o)
+                assert list(g.lookup(s, p, o)) == ordered_scan(g, s, p, o)
         g.freeze()
         for _ in range(20):  # each of the 8 bound-position combinations
             terms = draw()
             for mask in range(8):
                 s, p, o = (term if mask >> i & 1 else None for i, term in enumerate(terms))
-                assert g.match(s, p, o) == list(g.lookup(s, p, o)) == ordered_scan(g, s, p, o)
+                assert list(g.lookup(s, p, o)) == ordered_scan(g, s, p, o)
         for t in g:
-            assert g.match(t.s, t.p, t.o) == list(g.lookup(t.s, t.p, t.o)) == [t]
-            assert g.match(t.s, t.p, None) == ordered_scan(g, t.s, t.p, None)
-            assert g.match(None, t.p, t.o) == ordered_scan(g, None, t.p, t.o)
+            assert list(g.lookup(t.s, t.p, t.o)) == [t]
+            assert list(g.lookup(t.s, t.p, None)) == ordered_scan(g, t.s, t.p, None)
+            assert list(g.lookup(None, t.p, t.o)) == ordered_scan(g, None, t.p, t.o)
             assert g.objects(t.s, t.p) == list(dict.fromkeys(x.o for x in ordered_scan(g, t.s, t.p, None)))
             assert g.subjects(t.p, t.o) == list(dict.fromkeys(x.s for x in ordered_scan(g, None, t.p, t.o)))
 
@@ -271,18 +271,10 @@ def test_a_load_builds_no_index_beyond_the_predicate_index():
     # Parsing and inference insert into the triple set and the predicate index only.
     g = load_graph([activities_path(), robots_path()])
     assert g._built == {}
-    g.match(EX.drawer, OBOT.hasAffordance, None)
+    g.lookup(EX.drawer, OBOT.hasAffordance, None)
     assert list(g._built) == [(OBOT.hasAffordance, 0)]
-    g.match(EX.drawer, None, SOMA.Opening)  # reads the subject's bucket; the object index stays unbuilt
+    g.lookup(EX.drawer, None, SOMA.Opening)  # reads the subject's bucket; the object index stays unbuilt
     assert list(g._built) == [(OBOT.hasAffordance, 0), (None, 0)]
-
-
-def test_two_bound_match_returns_a_fresh_list():
-    g = Graph()
-    g.insert(Triple(EX.a, OBOT.hasAffordance, SOMA.Opening))
-    first = g.match(EX.a, OBOT.hasAffordance, None)
-    first.clear()
-    assert g.match(EX.a, OBOT.hasAffordance, None) == [Triple(EX.a, OBOT.hasAffordance, SOMA.Opening)]
 
 
 def test_group_view_is_read_only_and_agrees_with_match(activities):
@@ -291,7 +283,7 @@ def test_group_view_is_read_only_and_agrees_with_match(activities):
         assert view
         for term, triples in view.items():
             bound = (term, None) if position == 0 else (None, term)
-            assert list(triples) == activities.match(bound[0], OBOT.requiresAffordance, bound[1])
+            assert list(triples) == list(activities.lookup(bound[0], OBOT.requiresAffordance, bound[1]))
         with pytest.raises(TypeError):
             view[EX.drawer] = []  # type: ignore[index]
     assert dict(activities.group(EX.unknownPredicate, 0)) == {}
@@ -315,11 +307,11 @@ def test_two_bound_match_reads_only_its_own_triples():
         g.insert(Triple(s, p, target))
     g.insert(Triple(EX.z, p, o))
     g.freeze()
-    assert len(g.match(s, p, None)) == 3 and len(g.match(None, p, o)) == 2  # builds both groups
+    assert len(g.lookup(s, p, None)) == 3 and len(g.lookup(None, p, o)) == 2  # builds both groups
     start = time.perf_counter()
     for _ in range(2000):
-        g.match(s, p, None)
-        g.match(None, p, o)
+        g.lookup(s, p, None)
+        g.lookup(None, p, o)
     assert time.perf_counter() - start < 0.3
 
 
@@ -327,7 +319,7 @@ def test_oracles_do_not_read_the_groups(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an oracle read an index")
 
-    for name in ("_grouped", "group", "lookup", "match"):
+    for name in ("_grouped", "group", "lookup"):
         monkeypatch.setattr(Graph, name, refuse)
     rng = random.Random(5)
     for _ in range(20):

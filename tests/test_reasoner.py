@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import record_calls
 from ontobot.fixtures import query_path
 from ontobot.graph import Graph, GraphError, Triple, literal
 from ontobot.namespaces import EX, OBOT, PROV, RDF, RDFS, SOMA
@@ -423,44 +424,27 @@ def test_granting_an_affordance_never_shrinks_feasibility(kb, activities, robots
 def test_graph_lookups_grow_linearly_with_robots(monkeypatch, ask):
     # Counted on the first call to a fresh knowledge base, so the count covers
     # deriving the facts it keeps; twice the robots may at most double it.
-    match = Graph.match
-    calls = []
-
-    def counting_match(graph, *pattern):
-        calls.append(pattern)
-        return match(graph, *pattern)
-
     counts = []
     for n in (8, 16):
         kb = copies_kb(n)
-        monkeypatch.setattr(Graph, "match", counting_match)
-        calls.clear()
-        first = ask(kb)
+        with monkeypatch.context() as patch:
+            calls = record_calls(patch, "lookup")
+            first = ask(kb)
         counts.append(len(calls))
-        monkeypatch.setattr(Graph, "match", match)
         assert ask(kb) == first
     assert counts[1] <= 2 * counts[0], counts
 
 
 def test_task_plan_reads_triples_bounded_by_the_plan(monkeypatch):
     # The same plan in a graph of twice the copies: the triples its first call
-    # reads through Graph.match must not grow with the graph.
-    match = Graph.match
-    read = []
-
-    def counting_match(graph, *pattern):
-        found = match(graph, *pattern)
-        read.append(len(found))
-        return found
-
+    # reads through Graph.lookup must not grow with the graph.
     sums = []
     for n in (8, 16):
         kb = copies_kb(n)
-        monkeypatch.setattr(Graph, "match", counting_match)
-        read.clear()
-        first = kb.task_plan("Activity 0")
-        sums.append(sum(read))
-        monkeypatch.setattr(Graph, "match", match)
+        with monkeypatch.context() as patch:
+            calls = record_calls(patch, "lookup")
+            first = kb.task_plan("Activity 0")
+        sums.append(sum(len(found) for _, found in calls))
         assert kb.task_plan("Activity 0") == first
     assert [[a.label for s in p.steps for a in s.actions] for p in first.procedures] == [
         ["Grasp cup 0", "Hold cup 0", "Raise cup 0"], ["Tilt cup 0"]

@@ -35,7 +35,7 @@ def test_minted_vocabulary_membership():
 
 def test_subclass_axioms_present():
     # Inference reads SUBCLASS_AXIOMS, never the file: the two must state the same pairs.
-    assert {(t.s, t.o) for t in vocabulary().match(None, RDFS.subClassOf, None)} == SUBCLASS_AXIOMS
+    assert {(t.s, t.o) for t in vocabulary().lookup(None, RDFS.subClassOf, None)} == SUBCLASS_AXIOMS
     assert SUBCLASS_AXIOMS == {
         (OBOT.Agent, DUL.Agent),
         (OBOT.Agent, PROV.Agent),
