@@ -152,7 +152,7 @@ def _chain_order(
     no cycles, and no disconnected pieces.
     """
     items = list(items)
-    if len(items) <= 1:
+    if not items:
         return items
     members = set(items)
     succ: dict[Term, Term] = {}

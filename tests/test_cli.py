@@ -187,6 +187,23 @@ def test_chain_error_holding_line_breaks_is_one_stderr_line(capsys, tmp_path):
     assert err == "ontobot: cannot order pko:nextStep chain of P\\nQ: fork at <https://e.org/s\\n1>\n"
 
 
+def test_cq2_one_step_linked_to_itself_exits_2(capsys, tmp_path):
+    kg = tmp_path / "loop.ttl"
+    kg.write_text(
+        "@prefix : <https://e.org/> .\n"
+        "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+        "@prefix pko: <https://w3id.org/pko#> .\n"
+        "@prefix prov: <http://www.w3.org/ns/prov#> .\n"
+        ':act a prov:Activity ; rdfs:label "Looped" ; pko:executesProcedure :proc .\n'
+        ':proc rdfs:label "Proc" ; pko:hasStep :step .\n'
+        ":step pko:nextStep :step .\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "cq", "2", "-k", str(kg), "--activity", "Looped")
+    assert (code, out) == (2, "")
+    assert err == "ontobot: cannot order pko:nextStep chain of Proc: chain contains a cycle\n"
+
+
 def test_unreadable_path_holding_a_line_break_is_one_stderr_line(capsys, tmp_path):
     missing = tmp_path / "no\nsuch.ttl"
     code, out, err = run(capsys, "cq", "2", "-k", str(missing), "--activity", "Forked")

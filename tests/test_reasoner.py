@@ -133,18 +133,44 @@ def test_cq2_single_action_step_without_chain():
 
 
 def test_cq2_broken_chain_is_an_error():
-    kb = mini_kb(
-        """
-        :act a prov:Activity ; rdfs:label "Broken" ; pko:executesProcedure :proc .
-        :proc a pko:Procedure ; rdfs:label "Loop" ; pko:hasStep :s1 , :s2 .
-        :s1 a pplan:Step ; rdfs:label "One" ; pko:nextStep :s2 .
-        :s2 a pplan:Step ; rdfs:label "Two" ; pko:nextStep :s1 .
-        """
-    )
-    with pytest.raises(ChainError) as excinfo:
-        kb.task_plan("Broken")
-    assert "pko:nextStep" in str(excinfo.value)
-    assert "cycle" in str(excinfo.value)
+    cycles = [
+        (
+            """
+            :proc pko:hasStep :s1 , :s2 .
+            :s1 a pplan:Step ; rdfs:label "One" ; pko:nextStep :s2 .
+            :s2 a pplan:Step ; rdfs:label "Two" ; pko:nextStep :s1 .
+            """,
+            "pko:nextStep",
+        ),
+        # A chain of one member that links to itself is a cycle too.
+        (
+            """
+            :proc pko:hasStep :step .
+            :step a pplan:Step ; rdfs:label "Only" ; pko:nextStep :step .
+            """,
+            "pko:nextStep",
+        ),
+        (
+            """
+            :proc pko:hasStep :step .
+            :step a pplan:Step ; rdfs:label "Only" ; pko:requiresAction :action .
+            :action a pko:Action ; rdfs:label "Do it" ; obot:nextAction :action .
+            """,
+            "obot:nextAction",
+        ),
+    ]
+    for body, property_name in cycles:
+        kb = mini_kb(
+            """
+            :act a prov:Activity ; rdfs:label "Broken" ; pko:executesProcedure :proc .
+            :proc a pko:Procedure ; rdfs:label "Loop" .
+            """
+            + body
+        )
+        with pytest.raises(ChainError) as excinfo:
+            kb.task_plan("Broken")
+        assert property_name in str(excinfo.value)
+        assert "cycle" in str(excinfo.value)
 
 
 def test_cq2_matches_query_engine(kb):
