@@ -70,6 +70,8 @@ def test_object_and_predicate_lists_hand_expansion():
         ("<https://example.org/milk> <https://example.org/v> :cup .", [(milk, v, cup)]),
         # A blank label names the same node wherever it is used in the document.
         ("_:b :v _:b , _:c . :cup :v _:b .", [(b0, v, b0), (b0, v, b1), (cup, v, b0)]),
+        # A label may go on with '-': _:a-b names a node of its own, not _:a.
+        ("_:a-b :v _:a .", [(b0, v, b1)]),
         (
             ":milk :v :cup ; a soma:Grasping ; ; rdfs:label :cup ; .",
             [(milk, v, cup), (milk, RDF.type, SOMA.Grasping), (milk, RDFS.label, cup)],
@@ -166,6 +168,7 @@ def test_blank_labels_are_document_scoped():
         # Term faults no fixture reaches, and every message _unescape raises.
         pytest.param('@prefix : <https://e.org/> .\n:a :b "x"^^_:d .', 2, 12, "expected a datatype IRI after '^^'", id="blank-datatype"),
         pytest.param("@prefix : <https://e.org/> .\n:a _:b :c .", 2, 4, "blank node not allowed in predicate position", id="blank-predicate"),
+        pytest.param("@prefix : <https://e.org/> .\n:a :b <https://e.org/a b> .", 2, 7, "invalid character in IRI: ' '", id="space-in-iri"),
         pytest.param("@prefix : <https://e.org/> .\n:a :b <https://e.org/a\\> .", 2, 7, "dangling escape", id="dangling-escape"),
         pytest.param("@prefix : <https://e.org/> .\n:a :b <https://e.org/\\u12G4> .", 2, 7, "invalid \\u escape", id="u-not-hex"),
         pytest.param('@prefix : <https://e.org/> .\n:a :b "\\u12" .', 2, 7, "invalid \\u escape", id="u-cut-short"),
@@ -259,10 +262,10 @@ def test_lexer_patterns_use_no_syntax_python_3_10_lacks(pattern):
 
 
 def test_escapes_decode():
-    g = parse_turtle('<https://e.org/a\\u0020b> <https://e.org/p> "\\t\\"\\\\\\U0001F600\\u00e9\\n" .')
+    g = parse_turtle('<https://e.org/a\\u0020b> <https://e.org/p> "\\t\\"\\\\\\U0001F600\\u00e9\\n\\b\\f\\r\\\'" .')
     t = next(iter(g))
     assert t.s == iri("https://e.org/a b")
-    assert t.o == literal('\t"\\\U0001F600é\n')
+    assert t.o == literal('\t"\\\U0001F600é\n\b\f\r\'')
 
 
 def test_undeclared_prefix_diagnostic():
