@@ -2,12 +2,12 @@
 
 Graphs are append-only while documents load into them and are then frozen,
 after which they are immutable and safe for concurrent readers. A load keeps
-each triple in two places: the triple set, in insertion order, and the
-predicate index. Every other index is built from those on first use and kept
-exact by later inserts: the subject and object indexes over all triples, and
-the groups, each one predicate's triples keyed by their subject or by their
-object. ``Graph.lookup`` is the one place that picks which of these answers
-a pattern, from the positions it binds; ``subjects``/``objects`` and the
+each triple in one place: the triple set, in insertion order. Every index is
+built from it on first use and kept exact by later inserts: the predicate
+index, the subject and object indexes over all triples, and the groups, each
+one predicate's triples keyed by their subject or by their object.
+``Graph.lookup`` is the one place that picks which of these answers a
+pattern, from the positions it binds; ``subjects``/``objects`` and the
 compiled query steps all read through it. An index is built in a local dict
 and published with one assignment, so a reader of a frozen graph never sees
 one half built.
@@ -151,13 +151,6 @@ class Triple(NamedTuple):
         return f"{self.s.n3()} {self.p.n3()} {self.o.n3()} ."
 
 
-def _check_triple(t: Triple) -> None:
-    if t.s.kind == LITERAL:
-        raise GraphError("literal not allowed in subject position")
-    if t.p.kind != IRI:
-        raise GraphError(f"{t.p.kind} not allowed in predicate position")
-
-
 _NO_GROUP: Mapping = MappingProxyType({})
 
 
@@ -169,12 +162,12 @@ class Graph:
     rejects further inserts.
     """
 
-    __slots__ = ("_triples", "_by_p", "_built", "prefixes", "_frozen")
+    __slots__ = ("_triples", "_built", "prefixes", "_frozen")
 
     def __init__(self, prefixes: Mapping[str, str] | None = None):
         self._triples: dict[Triple, None] = {}
-        self._by_p: dict[Term, list[Triple]] = {}
-        # (predicate, or None for all triples; position 0 or 2) -> {term at that position: triples}
+        # (predicate, or None for all triples; position) -> {term at that position: triples}.
+        # (None, 1) is the predicate index; a predicate's groups are keyed by position 0 or 2.
         self._built: dict[tuple[Term | None, int], dict[Term, list[Triple]]] = {}
         self.prefixes: dict[str, str] = dict(prefixes or {})
         self._frozen = False
@@ -191,16 +184,29 @@ class Graph:
         """Add one triple. Re-inserting an existing triple is a no-op."""
         if self._frozen:
             raise GraphError("graph is frozen; no further inserts allowed")
-        _check_triple(t)
+        if t.s.kind == LITERAL:
+            raise GraphError("literal not allowed in subject position")
+        if t.p.kind != IRI:
+            raise GraphError(f"{t.p.kind} not allowed in predicate position")
         if t in self._triples:
             return
         self._triples[t] = None
-        self._by_p.setdefault(t.p, []).append(t)
         if self._built:  # none is built while a document loads
-            for key in ((None, 0), (None, 2), (t.p, 0), (t.p, 2)):
+            for key in ((None, 0), (None, 1), (None, 2), (t.p, 0), (t.p, 2)):
                 index = self._built.get(key)
                 if index is not None:
                     index.setdefault(t[key[1]], []).append(t)
+
+    def loader(self) -> Callable[[Triple], object]:
+        """A callable that adds one triple as ``insert`` does, for a batch that reads nothing back.
+
+        While the graph is unfrozen and holds no index, it is the triple set's
+        own ``setdefault``: one write per triple, and no check that the subject
+        is no literal and the predicate an IRI, so the caller guarantees both
+        (the Turtle grammar and a graph's own triples do). Otherwise it is
+        ``insert``, which refuses a frozen graph and keeps each index exact.
+        """
+        return self.insert if self._frozen or self._built else self._triples.setdefault
 
     def lookup(self, s: Term | None, p: Term | None, o: Term | None) -> Collection[Triple]:
         """The triples matching the bound positions, in insertion order; ``None`` is a wildcard.
@@ -217,7 +223,7 @@ class Graph:
             by_s = self._grouped(None, 0).get(s, ())
             return by_s if o is None else [t for t in by_s if t[2] is o]
         if s is None:
-            return self._by_p.get(p, ()) if o is None else self._grouped(p, 2).get(o, ())
+            return self._grouped(None, 1).get(p, ()) if o is None else self._grouped(p, 2).get(o, ())
         if o is None:
             return self._grouped(p, 0).get(s, ())
         return (Triple(s, p, o),) if (s, p, o) in self._triples else ()
@@ -226,7 +232,7 @@ class Graph:
         # p's triples, or all triples when p is None, keyed by their term at position; built on first use.
         index = self._built.get((p, position))
         if index is None:
-            source = self._triples if p is None else self._by_p.get(p)
+            source = self._triples if p is None else self._grouped(None, 1).get(p)
             if source is None:  # an unknown predicate keeps nothing
                 return _NO_GROUP
             index = {}
@@ -263,6 +269,7 @@ class Graph:
         """Insert ``g``'s triples, its blank nodes renamed by ``new_blank``, and fold in its prefixes."""
         self.fold_prefixes(g.prefixes)
         relabel: dict[Term, Term] = {}
+        add = self.loader()  # g holds only well-formed triples
 
         def fresh(term: Term) -> Term:
             if term.kind != BLANK:
@@ -270,7 +277,7 @@ class Graph:
             return relabel.get(term) or relabel.setdefault(term, new_blank())
 
         for t in g:
-            self.insert(Triple(fresh(t.s), t.p, fresh(t.o)))
+            add(Triple(fresh(t.s), t.p, fresh(t.o)))
 
     def copy(self) -> "Graph":
         """An unfrozen copy with the same triples and prefixes."""

@@ -38,6 +38,7 @@ forms, so evaluation is fully deterministic.
 
 from __future__ import annotations
 
+from functools import partial
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
 from typing import Callable, Collection, Iterator, NamedTuple, NoReturn, Union
@@ -115,7 +116,7 @@ class _QueryParser(_StatementParser):
         "boolean": "boolean literals are not supported in query patterns",
     }
     list_ends = frozenset({".", "}"})
-    triple = TriplePattern
+    triple = staticmethod(partial(tuple.__new__, TriplePattern))
 
     def __init__(self, text: str):
         super().__init__(text)

@@ -33,7 +33,8 @@ term, from which a prefix binding drops the pnames. The loop hands any other
 token to ``parse_term`` at that index, so each diagnostic, first resolution,
 new blank label and literal suffix comes from one place, and no token is
 read twice. Each triple goes straight to the parser's ``add``
-(``Graph.insert`` for Turtle).
+(``Graph.loader`` for Turtle: one write into the triple set while the graph
+holds no index).
 
 Errors carry a :class:`ParseDiagnostic` with a 1-based line and column into
 the source text. Tokens carry no offsets: a diagnostic finds its token's
@@ -52,7 +53,7 @@ the graph's when it ends. A failed ``parse_turtle`` returns no partial graph.
 from __future__ import annotations
 
 import re
-from functools import cache
+from functools import cache, partial
 from itertools import count, islice
 from typing import Callable, Mapping, NamedTuple, NoReturn
 
@@ -100,13 +101,15 @@ _ESCAPES = {
 }
 
 _IRI_BODY = r'[^> "<{}|^`\n]*'
-_PREFIX = r"(?:[A-Za-z][A-Za-z0-9_\-]*)?"
+_NAME = r"[A-Za-z][A-Za-z0-9_\-]*"  # a prefix name, and a word such as 'a' or 'true'
+_PREFIX = rf"(?:{_NAME})?"
 _LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 _BLANK_LABEL = r"[A-Za-z0-9_][A-Za-z0-9_\-]*"
 # A backslash escapes any one character here; _unescape judges the escape.
-# No character matches both branches, so a string without its closing quote
-# fails in time linear in its length.
-_STRING_BODY = r'(?:[^"\\\n]|\\[\s\S])*'
+# Each run of plain characters is followed by an escape or by the end, so a
+# string without its closing quote fails in time linear in its length.
+_STRING_BODY = r'[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*'
+_LOCAL = r"(?:[A-Za-z0-9_](?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?)?"
 
 
 @cache  # compiled on first use: about 1 ms each, which an import need not pay
@@ -117,19 +120,19 @@ def _lexer(variables: bool) -> re.Pattern:
     before it. Each step of that gap is one blank or a comment to its line's
     end, so the gap cannot give text back to a token. The last branches take
     the rest of the text from the first character that no token fits (the
-    error token) and the end. Order decides only a number before a dot and a
-    pname before a word. No alternative backtracks more than linearly.
+    error token) and the end. The commonest tokens come first: punctuation,
+    then pnames. Order still decides that a pname goes before a word; in
+    Turtle, the dot's lookahead leaves a dot before a digit to the number
+    branch. No alternative backtracks more than linearly.
     """
     # '.5' is a number in Turtle; in a query the '.' ends a pattern.
-    number, punct = (r"[+-]?\d+\.?\d*", "*") if variables else (r"[+-]?\d+\.?\d*|\.\d+", "")
+    punct, number = (r"[.;,()\[\]{}*]", r"[+-]?\d+\.?\d*") if variables else (r"[;,()\[\]{}]|\.(?!\d)", r"[+-]?\d+\.?\d*|\.\d+")
     return re.compile(
         r"[ \t\r\n]*(?:#[^\n]*(?![^\n])[ \t\r\n]*)*("
-        + rf"{_PREFIX}:(?:[A-Za-z0-9_](?:[A-Za-z0-9_\-.]*[A-Za-z0-9_\-])?)?"
+        + rf"{punct}|{_NAME}:{_LOCAL}|:{_LOCAL}"
         + (r"|[?$]\w+" if variables else "")
-        + rf"|(?:{number})(?:[eE][+-]?\d+)?"
-        + rf'|<{_IRI_BODY}>|"(?!""){_STRING_BODY}"'
-        + rf"|@{_LANGTAG}|\^\^|_:{_BLANK_LABEL}|[.;,()\[\]{{}}{punct}]"
-        + r"|[A-Za-z][A-Za-z0-9_\-]*"
+        + rf'|"(?!""){_STRING_BODY}"|<{_IRI_BODY}>|(?:{number})(?:[eE][+-]?\d+)?'
+        + rf"|@{_LANGTAG}|\^\^|_:{_BLANK_LABEL}|{_NAME}"
         + r"|[^ \t\r\n#][\s\S]*|\Z)"
     )
 
@@ -223,15 +226,17 @@ class _StatementParser:
     A subclass sets ``error`` (the exception a diagnostic raises),
     ``variables`` (the query dialect's tokens), ``rejected`` (messages for
     term kinds its dialect refuses), ``list_ends`` (the tokens that may close
-    a ``;`` list) and ``triple`` (the tuple each parsed triple is built as),
-    and gives each instance ``add``, which takes that tuple.
+    a ``;`` list) and ``triple`` (which builds each parsed triple from a
+    plain ``(s, p, o)`` tuple), and gives each instance ``add``, which takes
+    the built triple.
     """
 
     error: type[Exception] = TurtleParseError
     variables = False
     rejected: Mapping[str, str] = {}
     list_ends: frozenset[str] = frozenset({".", ""})
-    triple: Callable[[Term, Term, Term], tuple] = Triple
+    # tuple.__new__ builds the NamedTuple in C, with no Python frame per triple.
+    triple: Callable[[tuple], tuple] = staticmethod(partial(tuple.__new__, Triple))
     add: Callable[[tuple], None]
 
     def __init__(self, text: str):
@@ -400,7 +405,7 @@ class _StatementParser:
                     self.at = i
                     obj = self.parse_term("object")
                     i = self.at
-                add(triple(subject, predicate, obj))
+                add(triple((subject, predicate, obj)))
                 if tokens[i] != ",":
                     break
                 i += 1
@@ -425,7 +430,7 @@ class _TurtleParser(_StatementParser):
         if self.lex_exc is not None:  # a lexical error anywhere is reported ahead of any syntax error
             raise self.lex_exc
         self.graph = graph
-        self.add = graph.insert
+        self.add = graph.loader()  # the grammar yields no literal subject and no non-IRI predicate
         self.new_blank = new_blank
 
     def parse(self) -> Graph:

@@ -19,6 +19,7 @@ from ontobot.graph import (
     Term,
     Triple,
     blank,
+    blank_minter,
     iri,
     literal,
     merge_graphs,
@@ -26,6 +27,7 @@ from ontobot.graph import (
 from ontobot.fixtures import activities_path, robots_path
 from ontobot.namespaces import EX, OBOT, RDF, SOMA
 from ontobot.reasoner import load_graph
+from ontobot.turtle import parse_turtle, parse_turtle_into
 
 
 def test_insert_is_idempotent():
@@ -234,6 +236,11 @@ def ordered_scan(graph: Graph, s: Term | None, p: Term | None, o: Term | None) -
     return [t for t in graph if (s is None or t.s is s) and (p is None or t.p is p) and (o is None or t.o is o)]
 
 
+def bound_patterns(t: Triple) -> list[tuple[Term | None, Term | None, Term | None]]:
+    """The patterns that bind one or two of the positions of ``t``."""
+    return [(t.s, None, None), (None, t.p, None), (None, None, t.o), (t.s, t.p, None), (None, t.p, t.o), (t.s, None, t.o)]
+
+
 def test_match_agrees_in_order_with_a_scan_as_the_graph_grows():
     # Lookups between inserts build indexes and groups that later inserts must keep exact.
     rng = random.Random(20261018)
@@ -268,13 +275,72 @@ def test_match_agrees_in_order_with_a_scan_as_the_graph_grows():
 
 
 def test_a_load_builds_no_index_beyond_the_predicate_index():
-    # Parsing and inference insert into the triple set and the predicate index only.
+    # Parsing writes each triple into the triple set only; inference reads the predicate index alone.
+    assert load_graph([activities_path(), robots_path()], infer=False)._built == {}
     g = load_graph([activities_path(), robots_path()])
-    assert g._built == {}
+    assert list(g._built) == [(None, 1)]
     g.lookup(EX.drawer, OBOT.hasAffordance, None)
-    assert list(g._built) == [(OBOT.hasAffordance, 0)]
+    assert list(g._built) == [(None, 1), (OBOT.hasAffordance, 0)]
     g.lookup(EX.drawer, None, SOMA.Opening)  # reads the subject's bucket; the object index stays unbuilt
-    assert list(g._built) == [(OBOT.hasAffordance, 0), (None, 0)]
+    assert list(g._built) == [(None, 1), (OBOT.hasAffordance, 0), (None, 0)]
+
+
+def test_a_parse_into_a_graph_with_built_indexes_keeps_them_exact():
+    # Once a graph holds an index, a parse into it must insert through every index, not around them.
+    g = Graph()
+    new_blank = blank_minter("b")
+    parse_turtle_into(g, activities_path().read_text(encoding="utf-8"), new_blank)
+    before = list(g)
+    for t in before:  # builds the predicate index, both whole-graph indexes and every group
+        for pattern in bound_patterns(t):
+            g.lookup(*pattern)
+    assert {(None, 0), (None, 1), (None, 2), (OBOT.hasAffordance, 0), (OBOT.hasAffordance, 2)} <= set(g._built)
+    parse_turtle_into(g, robots_path().read_text(encoding="utf-8"), new_blank)
+    assert len(g) > len(before) and list(g)[: len(before)] == before
+    for t in g:
+        for pattern in bound_patterns(t):
+            assert list(g.lookup(*pattern)) == ordered_scan(g, *pattern)
+
+
+def test_a_parse_into_a_frozen_graph_raises_graph_error():
+    text = activities_path().read_text(encoding="utf-8")
+    for g in (Graph().freeze(), parse_turtle(text)):  # one empty, one holding the document already
+        size = len(g)
+        with pytest.raises(GraphError, match=r"^graph is frozen; no further inserts allowed$"):
+            parse_turtle_into(g, text, blank_minter("b"))
+        assert len(g) == size
+
+
+def test_threads_reading_a_fresh_graph_see_complete_predicate_lists():
+    # The predicate index is built on first use: four threads that build it at once, switching as often
+    # as the interpreter allows, must each read every predicate's triples, in insertion order.
+    threads, rounds = 4, 20
+    text = activities_path().read_text(encoding="utf-8") + robots_path().read_text(encoding="utf-8")
+    barrier = threading.Barrier(threads)
+    results: list[list[list[Triple]]] = []
+
+    def work(g: Graph, predicates: list[Term], slot: int) -> None:
+        barrier.wait(timeout=30)
+        results[slot] = [list(g.lookup(None, p, None)) for p in predicates]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(rounds):
+            g = parse_turtle(text)
+            predicates = list(dict.fromkeys(t.p for t in g))
+            expected = [ordered_scan(g, None, p, None) for p in predicates]
+            assert g._built == {}
+            results[:] = [[]] * threads
+            workers = [threading.Thread(target=work, args=(g, predicates, slot)) for slot in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+                assert not worker.is_alive()
+            assert results == [expected] * threads
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_group_view_is_read_only_and_agrees_with_match(activities):
