@@ -160,6 +160,7 @@ def test_syntax_error_carries_position(text, line, column, message):
         pytest.param("SELECT ?x WHERE { ?x <p> # a comment\n² }", 2, 1, "unexpected character: '²'", id="after-comment"),
         pytest.param("SELECT ?x WHERE { ?x <p>" + " " * 24 + "² }", 1, 49, "unexpected character: '²'", id="after-blanks"),
         pytest.param('SELECT ?x WHERE { ?x <p> "' + "x" * 24, 1, 26, "unterminated string literal", id="unterminated-string"),
+        pytest.param('SELECT ?x WHERE { ?x <p> "' + '\\"' * 24, 1, 26, "unterminated string literal", id="unterminated-string-of-escaped-quotes"),
         pytest.param("SELECT ?x WHERE { ?x <p> <https://e.org/" + "x" * 24, 1, 26, "unterminated IRI", id="unterminated-iri"),
         pytest.param("PREFIX : <https://e.org/> SELECT ?x WHERE { ?x :p :c" + "." * 24 + "d² }", 1, 78, "unexpected character: '²'", id="dots-in-local"),
     ],

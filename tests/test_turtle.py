@@ -8,10 +8,12 @@ from collections import Counter
 
 import pytest
 
+from golden_parse import cases
 from helpers import isomorphic, random_graph
 from ontobot.fixtures import activities_path, robots_path
 from ontobot.graph import Graph, GraphError, Triple, blank, iri, literal
 from ontobot.namespaces import OBOT, RDF, RDFS, SOMA
+from ontobot.query import QueryParseError, TriplePattern, UnsupportedFeatureError, parse_query
 from ontobot.turtle import (
     TurtleParseError,
     _StatementParser,
@@ -205,6 +207,7 @@ def test_diagnostic_position(text, line, column, message):
         pytest.param("# see <\n?x", 2, 1, "unexpected character: '?'", id="after-comment-ending-in-a-token-start"),
         pytest.param(" " * 24 + "?", 1, 25, "unexpected character: '?'", id="after-blanks"),
         pytest.param('@prefix : <https://e.org/> .\n:a :b "' + "x" * 24, 2, 7, "unterminated string literal", id="unterminated-string"),
+        pytest.param('@prefix : <https://e.org/> .\n:a :b "' + '\\"' * 24, 2, 7, "unterminated string literal", id="unterminated-string-of-escaped-quotes"),
         pytest.param("@prefix : <https://e.org/> .\n:a :b <https://e.org/" + "x" * 24, 2, 7, "unterminated IRI", id="unterminated-iri"),
         pytest.param("@prefix : <https://e.org/> .\n:a :b :c" + "." * 24 + "?", 2, 33, "unexpected character: '?'", id="dots-after-local"),
     ],
@@ -238,6 +241,60 @@ def test_trailing_blank_lines_are_lexed_fast():
 )
 def test_tokens_need_no_blanks_between_them(text, obj):
     assert list(parse_turtle(text)) == [Triple(iri("https://e.org/a"), iri("https://e.org/b"), obj)]
+
+
+END = ["", ""]  # the blanks after the last token, then the end of the text
+
+
+# Token lists written by hand from the grammar, one case or more per branch of each dialect's lexer.
+@pytest.mark.parametrize(
+    "variables, text, tokens",
+    [
+        pytest.param(False, "( ) [ ] { } ; , .", ["(", ")", "[", "]", "{", "}", ";", ",", ".", *END], id="turtle-punctuation"),
+        pytest.param(False, ":a :b :c.", [":a", ":b", ":c", ".", *END], id="turtle-dot-ending-a-statement"),
+        pytest.param(False, "ex:a-b.c :x : ex: :c..", ["ex:a-b.c", ":x", ":", "ex:", ":c", ".", ".", *END], id="turtle-pnames"),
+        pytest.param(False, "a true PREFIX a:b true:x PREFIX:", ["a", "true", "PREFIX", "a:b", "true:x", "PREFIX:", *END], id="turtle-words-and-pnames"),
+        pytest.param(False, '"x # y \\"q\\"" ""', ['"x # y \\"q\\""', '""', *END], id="turtle-strings"),
+        pytest.param(False, "<https://e.org/a#b><>", ["<https://e.org/a#b>", "<>", *END], id="turtle-iris"),
+        pytest.param(False, "12 -3 +4.5 1. .5 6e7 -8.9E-10", ["12", "-3", "+4.5", "1.", ".5", "6e7", "-8.9E-10", *END], id="turtle-numbers"),
+        pytest.param(False, ':a :b .5.', [":a", ":b", ".5", ".", *END], id="turtle-dot-before-a-digit"),
+        pytest.param(False, '"x"@en-GB "1"^^ex:t @prefix', ['"x"', "@en-GB", '"1"', "^^", "ex:t", "@prefix", *END], id="turtle-tags-and-datatypes"),
+        pytest.param(False, "_:b1 _:a-b._:c", ["_:b1", "_:a-b", ".", "_:c", *END], id="turtle-blank-labels"),
+        pytest.param(False, "# :a :b\n:c # \"x\n\t", [":c", *END], id="turtle-comments-and-blanks"),
+        pytest.param(False, ":a ?x :b .", [":a", "?x :b .\n", ""], id="turtle-error-takes-the-rest"),
+        pytest.param(False, ":a :b * .", [":a", ":b", "* .\n", ""], id="turtle-star-is-an-error"),
+        pytest.param(True, "( ) [ ] { } ; , . *", ["(", ")", "[", "]", "{", "}", ";", ",", ".", "*", *END], id="query-punctuation"),
+        pytest.param(True, "?x $y ?o.5 .5", ["?x", "$y", "?o", ".", "5", ".", "5", *END], id="query-variables-and-a-dot-before-a-digit"),
+        pytest.param(True, "SELECT ?s WHERE{?s a ex:C;:p :c.}", ["SELECT", "?s", "WHERE", "{", "?s", "a", "ex:C", ";", ":p", ":c", ".", "}", *END], id="query-words-and-pnames"),
+        pytest.param(True, 'PREFIX : <e:> "a # b\\"" 12 -3.5e2 "x"@en "y"^^<t>', ["PREFIX", ":", "<e:>", '"a # b\\""', "12", "-3.5e2", '"x"', "@en", '"y"', "^^", "<t>", *END], id="query-terms"),
+        pytest.param(True, "_:b # c\n", ["_:b", *END], id="query-blank-label-and-comment"),
+        pytest.param(True, "?x > 1", ["?x", "> 1\n", ""], id="query-error-takes-the-rest"),
+        pytest.param(True, "? x", ["? x\n", ""], id="query-empty-variable-is-an-error"),
+    ],
+)
+def test_lexer_tokens_match_hand_written_lists(variables, text, tokens):
+    assert _lexer(variables).findall(text + "\n") == tokens
+
+
+def test_every_parsed_triple_is_well_formed():
+    # A load writes parsed triples into the triple set unchecked, so the grammar alone must keep
+    # literals out of the subject and all but IRIs out of the predicate: insert would refuse them.
+    parsed = {"turtle": 0, "query": 0}
+    for _, dialect, text in cases():
+        try:
+            result = list(parse_turtle(text)) if dialect == "turtle" else parse_query(text).pattern
+        except (TurtleParseError, QueryParseError, UnsupportedFeatureError):
+            continue
+        parsed[dialect] += 1
+        if dialect == "turtle":
+            fresh = Graph()
+            for t in result:
+                assert type(t) is Triple
+                fresh.insert(t)
+            assert list(fresh) == result
+        else:
+            assert all(type(pattern) is TriplePattern for pattern in result)
+    assert min(parsed.values()) > 100
 
 
 def _opcodes(node, parser):
