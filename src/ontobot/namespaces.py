@@ -2,6 +2,8 @@
 
 A ``Namespace`` turns attribute access into interned IRI terms, so
 ``SOMA.Grasping`` is the term ``<http://www.ease-crc.org/ont/SOMA.owl#Grasping>``.
+A term is made on its first read and kept on the instance, so every later
+read of the same name is a plain attribute hit.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ class Namespace:
         self.base = base
 
     def __getattr__(self, name: str) -> Term:
+        # Reached only for a name not yet kept. The term is interned, so threads that race here store one object.
         if name.startswith("_"):
             raise AttributeError(name)
-        return iri(self.base + name)
+        term = self.__dict__[name] = iri(self.base + name)
+        return term
 
     def __contains__(self, term: object) -> bool:
         return isinstance(term, Term) and term.kind == "iri" and term.value.startswith(self.base)

@@ -37,12 +37,6 @@ SUBCLASS_AXIOMS: frozenset[tuple[Term, Term]] = frozenset(
     }
 )
 
-# The terms the rules read for each triple, minted once here rather than through a Namespace each time.
-_TYPE, _LABEL, _ACTS_ON, _REQUIRES_AFFORDANCE = RDF.type, RDFS.label, OBOT.actsOn, OBOT.requiresAffordance
-_COMPONENT, _AGENT, _ENVIRONMENT, _NODE = OBOT.Component, OBOT.Agent, OBOT.Environment, ROS.Node
-_OBOT_AFFORDANCE, _SOMA_AFFORDANCE = OBOT.Affordance, SOMA.Affordance
-
-
 def _superclass_closure(axioms: Iterable[tuple[Term, Term]]) -> dict[Term, set[Term]]:
     """Reflexive-transitive closure of the subclass relation."""
     direct: dict[Term, set[Term]] = {}
@@ -105,28 +99,29 @@ def _is_affordance(g: Graph, term: Term) -> bool:
         return False
     if term in SOMA:
         return True
-    return (term, _TYPE, _OBOT_AFFORDANCE) in g or (term, _TYPE, _SOMA_AFFORDANCE) in g
+    return (term, RDF.type, OBOT.Affordance) in g or (term, RDF.type, SOMA.Affordance) in g
 
 
 def _check_domain_range(g: Graph, out: ValidationReport) -> None:
-    for t in g.lookup(None, _ACTS_ON, None):
+    for t in g.lookup(None, OBOT.actsOn, None):
         if t.o.kind == LITERAL:
             out.violations.append(Violation("R1", t, "obot:actsOn target must be a component, not a literal"))
-        elif (t.o, _TYPE, _COMPONENT) not in g:
+        elif (t.o, RDF.type, OBOT.Component) not in g:
             out.violations.append(Violation("R1", t, "obot:actsOn target is not typed obot:Component"))
-    for prop, label in ((_REQUIRES_AFFORDANCE, "obot:requiresAffordance"), (OBOT.enablesAffordance, "obot:enablesAffordance")):
+    for prop, label in ((OBOT.requiresAffordance, "obot:requiresAffordance"),
+                        (OBOT.enablesAffordance, "obot:enablesAffordance")):
         for t in g.lookup(None, prop, None):
             if not _is_affordance(g, t.o):
                 out.violations.append(Violation("R1", t, f"{label} object is not an affordance IRI"))
     for t in g.lookup(None, OBOT.hasNode, None):
-        if (t.s, _TYPE, _AGENT) not in g:
+        if (t.s, RDF.type, OBOT.Agent) not in g:
             out.violations.append(Violation("R1", t, "obot:hasNode subject is not typed obot:Agent"))
-        if t.o.kind == LITERAL or (t.o, _TYPE, _NODE) not in g:
+        if t.o.kind == LITERAL or (t.o, RDF.type, ROS.Node) not in g:
             out.violations.append(Violation("R1", t, "obot:hasNode object is not typed ros:Node"))
     for t in g.lookup(None, DUL.hasComponent, None):
-        if (t.s, _TYPE, _ENVIRONMENT) not in g:
+        if (t.s, RDF.type, OBOT.Environment) not in g:
             out.violations.append(Violation("R1", t, "dul:hasComponent subject is not typed obot:Environment"))
-        if t.o.kind == LITERAL or (t.o, _TYPE, _COMPONENT) not in g:
+        if t.o.kind == LITERAL or (t.o, RDF.type, OBOT.Component) not in g:
             out.violations.append(Violation("R1", t, "dul:hasComponent object is not typed obot:Component"))
 
 
@@ -173,10 +168,10 @@ def _check_action_connectivity(g: Graph, out: ValidationReport) -> None:
         if t.o.kind != LITERAL:
             actions.setdefault(t.o)
     for action in actions:
-        affordances = g.objects(action, _REQUIRES_AFFORDANCE)
+        affordances = g.objects(action, OBOT.requiresAffordance)
         if not affordances:
             out.violations.append(Violation("R3", action, "action requires no affordance"))
-        targets = g.objects(action, _ACTS_ON)
+        targets = g.objects(action, OBOT.actsOn)
         if len(targets) > 1:
             out.violations.append(Violation("R3", action, f"action has {len(targets)} obot:actsOn targets (at most 1 allowed)"))
         elif not targets:
@@ -185,8 +180,8 @@ def _check_action_connectivity(g: Graph, out: ValidationReport) -> None:
 
 def _check_labels(g: Graph, out: ValidationReport) -> None:
     for cls, label in ((PROV.Activity, "prov:Activity"), (PPLAN.Step, "pplan:Step"), (PKO.Action, "pko:Action")):
-        for node in g.subjects(_TYPE, cls):
-            if not g.objects(node, _LABEL):
+        for node in g.subjects(RDF.type, cls):
+            if not g.objects(node, RDFS.label):
                 out.violations.append(Violation("R4", node, f"{label} instance has no rdfs:label"))
 
 

@@ -201,7 +201,6 @@ def _value(tok: str) -> str:
 _ERROR = "\n"
 # A string token followed by a token with one of these starts may carry a suffix.
 _SUFFIX_STARTS = frozenset("@^")
-_RDF_TYPE = RDF.type
 _LEX_ERRORS = {
     "@": "malformed '@' directive or language tag",
     "^": "expected '^^'",
@@ -386,7 +385,7 @@ class _StatementParser:
         i = self.at
         while True:
             tok = tokens[i]
-            predicate = _RDF_TYPE if tok == "a" else terms.get(tok)
+            predicate = RDF.type if tok == "a" else terms.get(tok)
             if predicate is None or tok[0] == "_":  # a blank node is no predicate
                 self.at = i
                 predicate = self.parse_term("predicate")

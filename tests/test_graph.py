@@ -25,7 +25,7 @@ from ontobot.graph import (
     merge_graphs,
 )
 from ontobot.fixtures import activities_path, robots_path
-from ontobot.namespaces import EX, OBOT, RDF, SOMA
+from ontobot.namespaces import EX, OBOT, RDF, SOMA, Namespace
 from ontobot.reasoner import load_graph
 from ontobot.turtle import parse_turtle, parse_turtle_into
 
@@ -189,25 +189,51 @@ def test_every_construction_returns_the_interned_term():
         assert pickle.loads(pickle.dumps(term)) is term
     triple = Triple(iri("https://example.org/a"), OBOT.hasAffordance, lit)
     assert pickle.loads(pickle.dumps(triple)) == triple
+    base = f"https://e.org/{uuid.uuid4().hex}#"
+    assert Namespace(base).drawer is iri(base + "drawer")
+
+
+def test_namespace_keeps_each_term_it_mints(monkeypatch):
+    base = f"https://e.org/{uuid.uuid4().hex}#"
+    ns = Namespace(base)
+    drawer = ns.drawer
+    assert vars(ns) == {"base": base, "drawer": drawer}
+    # A kept term is a plain attribute: reading it again never reaches __getattr__.
+    monkeypatch.setattr(Namespace, "__getattr__", lambda self, name: pytest.fail(f"minted {name} again"))
+    assert ns.drawer is drawer is iri(base + "drawer")
+    monkeypatch.undo()
+    # A private name is no term, and is not kept.
+    with pytest.raises(AttributeError):
+        ns._drawer
+    assert vars(ns) == {"base": base, "drawer": drawer}
+    assert ns.base == base
+    assert drawer in ns and ns.cup in ns
+    assert iri("https://e.org/drawer") not in ns and literal(base + "drawer") not in ns
+    assert repr(ns) == f"Namespace({base!r})"
 
 
 def test_threads_interning_the_same_terms_get_one_object_each():
-    # Four threads intern the same fresh IRIs at once, switching as often as the interpreter allows.
+    # Four threads intern the same fresh IRIs at once, switching as often as the interpreter allows:
+    # first by reading their names from one fresh Namespace, which keeps what it mints, then by iri().
     # Each key must come back as one object everywhere, or identity joins silently miss.
     threads, rounds, size = 4, 20, 300
     barrier = threading.Barrier(threads)
+    names = [f"n{n}" for n in range(size)]
     values: list[str] = []
     results: list[list[Term]] = []
 
     def work(slot: int) -> None:
         barrier.wait(timeout=30)
-        results[slot] = [iri(value) for value in values]
+        read = [getattr(namespace, name) for name in names]
+        results[slot] = read + [iri(value) for value in values]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(rounds):
-            values[:] = [f"https://e.org/{uuid.uuid4().hex}/{n}" for n in range(size)]
+            base = f"https://e.org/{uuid.uuid4().hex}/"
+            values[:] = [base + name for name in names]
+            namespace = Namespace(base)
             results[:] = [[]] * threads
             workers = [threading.Thread(target=work, args=(slot,)) for slot in range(threads)]
             for worker in workers:
@@ -215,8 +241,8 @@ def test_threads_interning_the_same_terms_get_one_object_each():
             for worker in workers:
                 worker.join(timeout=30)
                 assert not worker.is_alive()
-            assert [len(interned) for interned in results] == [size] * threads
-            for value, *interned in zip(values, *results):
+            assert [len(interned) for interned in results] == [2 * size] * threads
+            for value, *interned in zip(values + values, *results):
                 assert all(term is iri(value) for term in interned), value
     finally:
         sys.setswitchinterval(interval)

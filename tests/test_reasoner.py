@@ -5,7 +5,7 @@ import pytest
 from helpers import record_calls
 from ontobot.fixtures import query_path
 from ontobot.graph import Graph, GraphError, Triple, literal
-from ontobot.namespaces import EX, OBOT, PROV, RDF, RDFS, SOMA
+from ontobot.namespaces import EX, OBOT, PROV, RDF, RDFS, SOMA, Namespace
 from ontobot.query import evaluate, parse_query
 from ontobot.reasoner import ChainError, KnowledgeBase, UnknownEntityError
 from ontobot.turtle import parse_turtle
@@ -476,6 +476,33 @@ def test_task_plan_reads_triples_bounded_by_the_plan(monkeypatch):
         ["Grasp cup 0", "Hold cup 0", "Raise cup 0"], ["Tilt cup 0"]
     ]
     assert sums[0] == sums[1], sums
+
+
+def test_warm_questions_mint_no_vocabulary_terms(monkeypatch, kb):
+    # A Namespace keeps each term it mints, so once a round of CQ1-CQ6 and the matrix
+    # has read every term it names, a second round never reaches Namespace.__getattr__.
+    breakfast, hsr = "Prepare breakfast", "HSR"
+
+    def ask_all() -> None:
+        kb.objects_and_affordances(breakfast)
+        kb.task_plan(breakfast)
+        kb.required_affordances(breakfast)
+        kb.capable_robots(breakfast)
+        kb.can_execute_all(hsr, [breakfast, "Reorganise the kitchen"])
+        kb.gap_report(hsr, breakfast)
+        kb.feasibility_matrix()
+
+    ask_all()
+    minted: list[str] = []
+    mint = Namespace.__getattr__
+
+    def counting(namespace: Namespace, name: str):
+        minted.append(name)
+        return mint(namespace, name)
+
+    monkeypatch.setattr(Namespace, "__getattr__", counting)
+    ask_all()
+    assert minted == []
 
 
 def test_kept_facts_are_handed_out_read_only(activities, robots):
