@@ -4,10 +4,11 @@ A :class:`KnowledgeBase` is the frozen union of an activity graph and a
 robot graph with subclass inference applied, built in one pass by
 :func:`load_graph`; its validation report is computed on first access and
 kept. The graph never changes, so each fact is derived once: labels,
-activities and agents at construction; each activity's top-level steps and
-each robot's capability profile on first request, as one CLI run asks one
-question. Task plans are ordered on every call from their members' own
-links; a faulty chain is re-read in graph order to name its first fault.
+activities, agents and their name indexes at construction; each activity's
+top-level steps and required set and each robot's capability profile on
+first request, as one CLI run asks one question. Task plans are ordered on
+every call from their members' own links; a faulty chain is re-read in
+graph order to name its first fault.
 On top of it this module answers the six competency questions:
 
 1. which components and affordances an activity involves,
@@ -179,6 +180,16 @@ def _chain_order(
     return ordered
 
 
+def _name_index(instances: Mapping[Term, str]) -> dict[str, Term]:
+    """Each label, then each IRI string not already a key, to the first instance in load order."""
+    index: dict[str, Term] = {}
+    for node, label in instances.items():
+        index.setdefault(label, node)
+    for node in instances:
+        index.setdefault(node.value, node)
+    return index
+
+
 GraphSource = Union[Graph, str, "os.PathLike[str]"]
 
 
@@ -207,10 +218,11 @@ def load_graph(sources: Iterable[GraphSource], infer: bool = True,
 class KnowledgeBase:
     """Frozen, inference-closed union of knowledge graphs; its report is validated on first access.
 
-    The label map and the activity and agent maps are built at construction;
-    each activity's top-level steps and each robot's capability profile on
-    first request, and kept, so the graph is frozen. Task plans are ordered on
-    every call.
+    The label map, activity and agent maps and their name indexes are built
+    at construction; each activity's top-level steps and required set and each
+    robot's capability profile on first request, and kept, so the graph is
+    frozen. A name is a label or full IRI: a label beats an equal IRI, and the
+    first in load order wins a repeated one. Task plans are ordered per call.
     """
 
     def __init__(self, graph: Graph):
@@ -221,8 +233,10 @@ class KnowledgeBase:
         self._labels = {t.s: t.o.value for t in labels if t.o.is_literal}
         self._activities = {node: self.label_of(node) for node in graph.subjects(RDF.type, PROV.Activity)}
         self._agents = {node: self.label_of(node) for node in graph.subjects(RDF.type, OBOT.Agent)}
+        self._activity_names, self._agent_names = _name_index(self._activities), _name_index(self._agents)
         # activity -> ((procedure, label, actions beneath it, their required affordances), ...)
         self._steps: dict[Term, tuple[tuple[Term, str, tuple[Term, ...], frozenset[Term]], ...]] = {}
+        self._required: dict[Term, frozenset[Term]] = {}  # activity -> the union of its steps' sets
         self._profiles: dict[Term, CapabilityProfile] = {}
 
     @classmethod
@@ -248,24 +262,21 @@ class KnowledgeBase:
     def agents(self) -> list[tuple[Term, str]]:
         return list(self._agents.items())
 
-    def _resolve(self, wanted: Term | str, kind: str, instances: dict[Term, str]) -> Term:
+    def _resolve(self, wanted: Term | str, kind: str, instances: dict[Term, str], names: dict[str, Term]) -> Term:
         if isinstance(wanted, Term):
             if wanted in instances:
                 return wanted
             raise UnknownEntityError(kind, wanted.n3(), sorted(instances.values()))
-        for node, label in instances.items():
-            if label == wanted:
-                return node
-        for node in instances:
-            if node.value == wanted:
-                return node
-        raise UnknownEntityError(kind, wanted, sorted(instances.values()))
+        try:
+            return names[wanted]
+        except KeyError:
+            raise UnknownEntityError(kind, wanted, sorted(instances.values())) from None
 
     def activity_by_label(self, wanted: Term | str) -> Term:
-        return self._resolve(wanted, "activity", self._activities)
+        return self._resolve(wanted, "activity", self._activities, self._activity_names)
 
     def agent_by_label(self, wanted: Term | str) -> Term:
-        return self._resolve(wanted, "robot", self._agents)
+        return self._resolve(wanted, "robot", self._agents, self._agent_names)
 
     # -- task structure ----------------------------------------------------
 
@@ -336,8 +347,11 @@ class KnowledgeBase:
 
     def required_affordances(self, activity: Term | str) -> frozenset[Term]:
         """Union of the affordances required by all of the activity's actions."""
-        steps = self._top_level_steps(self.activity_by_label(activity))
-        return frozenset().union(*(required for *_, required in steps))
+        activity = self.activity_by_label(activity)
+        if activity not in self._required:
+            steps = self._top_level_steps(activity)
+            self._required[activity] = frozenset().union(*(required for *_, required in steps))
+        return self._required[activity]
 
     # -- capability side (competency questions 4-6) --------------------------
 

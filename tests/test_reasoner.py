@@ -225,6 +225,53 @@ def test_cq3_unknown_iri_is_an_error(kb):
         kb.required_affordances("https://example.org/noSuchActivity")
 
 
+def test_a_name_resolves_to_the_first_instance_by_label_then_by_iri():
+    kb = mini_kb(
+        """
+:b a prov:Activity ; rdfs:label "B" .
+:a a prov:Activity ; rdfs:label "https://example.org/b" .
+:twin2 a prov:Activity ; rdfs:label "Twin" .
+:twin1 a prov:Activity ; rdfs:label "Twin" .
+:bare a prov:Activity .
+:bot a obot:Agent ; rdfs:label "Bot" .
+"""
+    )
+    # A label beats another node's equal IRI string, though that node comes first.
+    assert kb.activity_by_label("https://example.org/b") == EX.a
+    assert kb.activity_by_label("B") == EX.b
+    # Of two activities with one label, the first in load order wins.
+    assert kb.activity_by_label("Twin") == EX.twin2
+    assert kb.activity_by_label("https://example.org/twin1") == EX.twin1
+    assert kb.activity_by_label("https://example.org/bare") == EX.bare
+    with pytest.raises(UnknownEntityError) as excinfo:
+        kb.activity_by_label("Bot")
+    assert excinfo.value.available == ["B", "Twin", "Twin", "https://example.org/b", "https://example.org/bare"]
+    # A term resolves only to an instance of the kind asked for.
+    assert kb.agent_by_label(EX.bot) == EX.bot
+    with pytest.raises(UnknownEntityError):
+        kb.activity_by_label(EX.bot)
+    with pytest.raises(UnknownEntityError):
+        kb.agent_by_label(EX.a)
+
+
+def test_resolving_a_label_compares_it_with_at_most_one_stored_name():
+    # The names are indexed once, so a lookup does not scan the activities.
+    compared: list[object] = []
+
+    class CountedName(str):
+        __hash__ = str.__hash__
+
+        def __eq__(self, other: object) -> bool:
+            compared.append(other)
+            return str.__eq__(self, other)
+
+    for n in (8, 16):
+        kb = copies_kb(n)
+        compared.clear()
+        assert kb.activity_by_label(CountedName(f"Activity {n - 1}")) == getattr(EX, f"act{n - 1}")
+        assert len(compared) <= 1, (n, compared)
+
+
 def test_cq3_matches_query_engine(kb):
     q = parse_query(query_path("cq3_required_affordances").read_text(encoding="utf-8"))
     rows = evaluate(q, kb.graph)
@@ -511,6 +558,9 @@ def test_kept_facts_are_handed_out_read_only(activities, robots):
     assert tiago == kb.capability_profile(kb.agent_by_label("TIAGo"))
     with pytest.raises(TypeError):
         tiago.provenance[SOMA.Pouring] = ()
+    breakfast = kb.required_affordances("Prepare breakfast")
+    assert breakfast is kb.required_affordances(kb.activity_by_label("Prepare breakfast"))
+    assert isinstance(breakfast, frozenset)
     kb.agents().clear()
     kb.activities().clear()
     assert [label for _, label in kb.agents()] == ["TIAGo", "HSR", "UR3", "Stretch"]
