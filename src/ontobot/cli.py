@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 validation violations, 2 I/O (output stdout cannot
 encode included) or parse errors, or a ``cq 2`` order chain that cannot be
 ordered, 3 unsupported query feature, 4 unknown entity (activity/robot label),
-5 internal error: any other exception. Every error after the arguments
-parse is one stderr line, ``ontobot: `` and its message, with a line break in
-the message (from a label, an IRI or a path) written as ``\\n`` or ``\\r``.
+5 internal error: any other exception, 130 interrupted (Ctrl-C). Every error
+after the arguments parse is one stderr line, ``ontobot: `` and its message,
+with a line break in the message (from a label, an IRI or a path) written as
+``\\n`` or ``\\r``.
 
 When no ``-k`` files are given, graphs are loaded from the directory named
 by the ``ONTOBOT_FIXTURES`` environment variable (every ``*.ttl`` in it,
@@ -275,6 +276,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (_Fail, UnsupportedFeatureError, UnknownEntityError, QueryParseError, TurtleParseError,
             GraphError, ChainError, OSError, UnicodeEncodeError) as exc:
         message, code = str(exc), _EXIT_CODES.get(type(exc), EXIT_INPUT)
+    except KeyboardInterrupt:
+        message, code = "interrupted", 130  # 128 + SIGINT
     except Exception as exc:  # a fault of the program: one line, not a traceback
         message, code = f"internal error: {type(exc).__name__}: {exc}", EXIT_INTERNAL
     # One line: backslashes stay as they are, so no message without a line break changes.

@@ -8,7 +8,7 @@ read of the same name is a plain attribute hit.
 
 from __future__ import annotations
 
-from ontobot.graph import Term, iri
+from ontobot.graph import IRI, Term, iri
 
 
 class Namespace:
@@ -25,7 +25,7 @@ class Namespace:
         return term
 
     def __contains__(self, term: object) -> bool:
-        return isinstance(term, Term) and term.kind == "iri" and term.value.startswith(self.base)
+        return isinstance(term, Term) and term.kind == IRI and term.value.startswith(self.base)
 
     def __repr__(self) -> str:
         return f"Namespace({self.base!r})"

@@ -56,7 +56,7 @@ class QueryParseError(Exception):
 class UnsupportedFeatureError(Exception):
     """The query uses a SPARQL feature outside the supported subset."""
 
-    def __init__(self, feature: str, line: int = 0, column: int = 0):
+    def __init__(self, feature: str, line: int, column: int):
         super().__init__(f"unsupported feature: {feature}")
         self.feature = feature
         self.line = line

@@ -38,7 +38,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
-from ontobot.graph import Graph, Term, Triple, blank_minter
+from ontobot.graph import LITERAL, Graph, Term, Triple, blank_minter
 from ontobot.namespaces import OBOT, PKO, PROV, RDF, RDFS, ROS
 from ontobot.schema import ValidationReport, add_inferred_types, validate
 from ontobot.turtle import TurtleParseError, parse_turtle_into
@@ -230,7 +230,7 @@ class KnowledgeBase:
         self._report: ValidationReport | None = None
         # Reversed, so that a node's first literal label is the one kept.
         labels = reversed(graph.lookup(None, RDFS.label, None))
-        self._labels = {t.s: t.o.value for t in labels if t.o.is_literal}
+        self._labels = {t.s: t.o.value for t in labels if t.o.kind == LITERAL}
         self._activities = {node: self.label_of(node) for node in graph.subjects(RDF.type, PROV.Activity)}
         self._agents = {node: self.label_of(node) for node in graph.subjects(RDF.type, OBOT.Agent)}
         self._activity_names, self._agent_names = _name_index(self._activities), _name_index(self._agents)

@@ -15,7 +15,10 @@ every superclass, using ``SUBCLASS_AXIOMS`` and the graph's own axioms.
 
 ``validate`` runs four advisory rule groups (R1 domain/range, R2 order
 chains, R3 action connectivity, R4 label presence) and reports violations
-as data; an invalid graph is still readable and queryable.
+as data; an invalid graph is still readable and queryable. It groups no
+triples itself: R2 and R3 read the graph's own groups (``Graph.group``), the
+one grouping of triples by position, and leave them built and kept exact, so
+a later insert shows in the next report.
 """
 
 from __future__ import annotations
@@ -116,28 +119,24 @@ def _check_domain_range(g: Graph, out: ValidationReport) -> None:
     for t in g.lookup(None, OBOT.hasNode, None):
         if (t.s, RDF.type, OBOT.Agent) not in g:
             out.violations.append(Violation("R1", t, "obot:hasNode subject is not typed obot:Agent"))
-        if t.o.kind == LITERAL or (t.o, RDF.type, ROS.Node) not in g:
+        if (t.o, RDF.type, ROS.Node) not in g:
             out.violations.append(Violation("R1", t, "obot:hasNode object is not typed ros:Node"))
     for t in g.lookup(None, DUL.hasComponent, None):
         if (t.s, RDF.type, OBOT.Environment) not in g:
             out.violations.append(Violation("R1", t, "dul:hasComponent subject is not typed obot:Environment"))
-        if t.o.kind == LITERAL or (t.o, RDF.type, OBOT.Component) not in g:
+        if (t.o, RDF.type, OBOT.Component) not in g:
             out.violations.append(Violation("R1", t, "dul:hasComponent object is not typed obot:Component"))
 
 
 def _check_order_chains(g: Graph, out: ValidationReport) -> None:
     for prop, label in ((PKO.nextStep, "pko:nextStep"), (OBOT.nextAction, "obot:nextAction")):
-        succ: dict[Term, list[Term]] = {}
-        pred: dict[Term, list[Term]] = {}
-        for t in g.lookup(None, prop, None):
-            succ.setdefault(t.s, []).append(t.o)
-            pred.setdefault(t.o, []).append(t.s)
-        for node, followers in succ.items():
-            if len(followers) > 1:
-                out.violations.append(Violation("R2", node, f"{label} fork: node has {len(followers)} successors"))
-        for node, sources in pred.items():
-            if len(sources) > 1:
-                out.violations.append(Violation("R2", node, f"{label} join: node has {len(sources)} predecessors"))
+        succ = g.group(prop, 0)
+        for node, links in succ.items():
+            if len(links) > 1:
+                out.violations.append(Violation("R2", node, f"{label} fork: node has {len(links)} successors"))
+        for node, links in g.group(prop, 2).items():
+            if len(links) > 1:
+                out.violations.append(Violation("R2", node, f"{label} join: node has {len(links)} predecessors"))
         # Depth first over every successor; a cycle is reported once, at the node its back edge reaches.
         done: set[Term] = set()
         cyclic: set[Term] = set()
@@ -147,29 +146,26 @@ def _check_order_chains(g: Graph, out: ValidationReport) -> None:
             path = {start}
             stack = [(start, iter(succ[start]))]
             while stack:
-                node, followers = stack[-1]
-                after = next(followers, None)
-                if after is None:
+                node, links = stack[-1]
+                link = next(links, None)
+                if link is None:
                     stack.pop()
                     path.discard(node)
                     done.add(node)
-                elif after in path:
-                    if after not in cyclic:
-                        cyclic.add(after)
-                        out.violations.append(Violation("R2", after, f"{label} chain contains a cycle"))
-                elif after in succ and after not in done:
-                    path.add(after)
-                    stack.append((after, iter(succ[after])))
+                elif link.o in path:
+                    if link.o not in cyclic:
+                        cyclic.add(link.o)
+                        out.violations.append(Violation("R2", link.o, f"{label} chain contains a cycle"))
+                elif link.o in succ and link.o not in done:
+                    path.add(link.o)
+                    stack.append((link.o, iter(succ[link.o])))
 
 
 def _check_action_connectivity(g: Graph, out: ValidationReport) -> None:
-    actions: dict[Term, None] = {}
-    for t in g.lookup(None, PKO.requiresAction, None):
-        if t.o.kind != LITERAL:
-            actions.setdefault(t.o)
-    for action in actions:
-        affordances = g.objects(action, OBOT.requiresAffordance)
-        if not affordances:
+    for action in g.group(PKO.requiresAction, 2):
+        if action.kind == LITERAL:
+            continue
+        if not g.objects(action, OBOT.requiresAffordance):
             out.violations.append(Violation("R3", action, "action requires no affordance"))
         targets = g.objects(action, OBOT.actsOn)
         if len(targets) > 1:

@@ -560,21 +560,15 @@ def serialize_turtle(graph: Graph) -> str:
     if lines:
         lines.append("")
 
-    by_subject: dict[Term, list[Triple]] = {}
-    for t in graph:
-        by_subject.setdefault(t.s, []).append(t)
-
+    by_subject = graph.group(None, 0)
     for subject in sorted(by_subject, key=Term.sort_key):
-        by_predicate: dict[Term, list[Term]] = {}
-        for t in by_subject[subject]:
-            by_predicate.setdefault(t.p, []).append(t.o)
         predicates = sorted(
-            by_predicate,
+            {t.p for t in by_subject[subject]},
             key=lambda p: (p != RDF.type, term_to_text(p, prefixes, escape=True)),
         )
         parts: list[str] = []
         for predicate in predicates:
-            objects = sorted(by_predicate[predicate], key=Term.sort_key)
+            objects = sorted(graph.objects(subject, predicate), key=Term.sort_key)
             p_text = "a" if predicate == RDF.type else term_to_text(predicate, prefixes, escape=True)
             o_text = " , ".join(map(text, objects))
             parts.append(f"{p_text} {o_text}")

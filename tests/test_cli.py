@@ -222,13 +222,13 @@ def test_internal_error_holding_line_breaks_is_one_stderr_line(capsys, monkeypat
     assert err == "ontobot: internal error: RuntimeError: two\\nlines\\r\n"
 
 
-def test_interrupt_is_not_an_internal_error(monkeypatch):
-    def interrupted(args):
+def test_interrupt_is_not_an_internal_error(monkeypatch, capsys):
+    # Ctrl-C while a file is read: one stderr line and 128 + SIGINT, not a traceback and not exit 5.
+    def interrupted(path):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "cmd_validate", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        main(["validate", "x.ttl"])
+    monkeypatch.setattr(cli, "_read_text", interrupted)
+    assert run(capsys, "validate", "x.ttl") == (130, "", "ontobot: interrupted\n")
 
 
 @pytest.mark.parametrize("argv, code", [(["cq", "7"], 2), ([], 2), (["--help"], 0)])
@@ -402,6 +402,10 @@ def test_cq6_requires_robot_or_matrix(capsys):
     code, _, err = run(capsys, "cq", "6", *kg_args(), "--activity", "Prepare breakfast")
     assert code == 2
     assert "--robot" in err
+
+
+def test_cq6_gap_report_requires_activity(capsys):
+    assert run(capsys, "cq", "6", *kg_args(), "--robot", "HSR") == (2, "", "ontobot: cq 6 requires --activity\n")
 
 
 def test_cq_json_output_is_byte_identical_across_runs(capsys):

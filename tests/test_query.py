@@ -8,7 +8,7 @@ import pytest
 
 from helpers import oracle_evaluate, random_graph, random_query, record_calls, row_key
 from ontobot.fixtures import query_path
-from ontobot.graph import IRI, Graph, Term, Triple, iri, literal
+from ontobot.graph import BLANK, IRI, Graph, Term, Triple, iri, literal
 from ontobot.namespaces import EX, OBOT, RDF, SOMA
 from ontobot.query import (
     Query,
@@ -20,6 +20,7 @@ from ontobot.query import (
     evaluate,
     parse_query,
 )
+from ontobot.turtle import parse_turtle
 
 CQ1_TEXT = query_path("cq1_object_affordances").read_text(encoding="utf-8")
 
@@ -233,6 +234,14 @@ def test_literal_matching_is_exact():
     q = Query(prefixes={}, projection=["x"], distinct=True,
               pattern=[TriplePattern(Var("x"), EX.label, literal("Prepare breakfast"))])
     assert [s["x"] for s in evaluate(q, g)] == [EX.a]
+
+
+def test_an_iri_row_sorts_before_a_blank_node_row():
+    # Rows sort by term kind before text: as text, the blank node's label sorts before "urn:e:t".
+    g = parse_turtle("@prefix : <urn:e:> . :s :p _:a , :t .").freeze()
+    rows = evaluate(parse_query("PREFIX : <urn:e:> SELECT ?o WHERE { :s :p ?o }"), g)
+    assert [row["o"].kind for row in rows] == [IRI, BLANK]
+    assert rows[0]["o"] is iri("urn:e:t") and rows[1]["o"].value < "urn:e:t"
 
 
 def test_evaluation_order_is_deterministic_and_sorted(union):

@@ -153,6 +153,37 @@ def test_cycle_behind_a_fork_reported_in_every_insertion_order(order):
     assert len(messages) == 2
 
 
+def test_validate_sees_links_inserted_after_an_earlier_report():
+    # validate reads the graph's own groups, which later inserts keep exact, so nothing it read goes stale.
+    g = Graph()
+    for t in ((EX.s1, PKO.nextStep, EX.s2), (EX.step, PKO.requiresAction, EX.grasp),
+              (EX.grasp, OBOT.requiresAffordance, SOMA.Grasping), (EX.grasp, OBOT.actsOn, EX.cup),
+              (EX.cup, RDF.type, OBOT.Component)):
+        g.insert(Triple(*t))
+    first = validate(g)
+    assert first.violations == [] and first.warnings == []
+    g.insert(Triple(EX.s1, PKO.nextStep, EX.s3))  # a fork at :s1
+    g.insert(Triple(EX.s4, PKO.nextStep, EX.s2))  # a join at :s2
+    g.insert(Triple(EX.s2, PKO.nextStep, EX.s1))  # a cycle back to :s1
+    g.insert(Triple(EX.step, PKO.requiresAction, EX.wave))  # an action that requires no affordance
+    assert validate(g).violations == [
+        Violation("R2", EX.s1, "pko:nextStep fork: node has 2 successors"),
+        Violation("R2", EX.s2, "pko:nextStep join: node has 2 predecessors"),
+        Violation("R2", EX.s1, "pko:nextStep chain contains a cycle"),
+        Violation("R3", EX.wave, "action requires no affordance"),
+    ]
+
+
+def test_affordance_outside_soma_needs_only_one_affordance_type():
+    # :wiping is no SOMA term; typed soma:Affordance alone, it is an affordance all the same.
+    g = Graph()
+    g.insert(Triple(EX.wiping, RDF.type, SOMA.Affordance))
+    g.insert(Triple(EX.step, PKO.requiresAction, EX.wipe))
+    g.insert(Triple(EX.wipe, OBOT.requiresAffordance, EX.wiping))
+    g.freeze()
+    assert [v for v in validate(g).violations if v.rule == "R1"] == []
+
+
 def test_literal_acts_on_target_reported_as_r1():
     g = Graph()
     g.insert(Triple(EX.action1, OBOT.actsOn, literal("literal")))
