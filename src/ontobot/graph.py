@@ -1,16 +1,17 @@
 """In-memory triple store: terms, triples, and an index-backed graph.
 
 Graphs are append-only while documents load into them and are then frozen,
-after which they are immutable and safe for concurrent readers. A load keeps
-each triple in one place: the triple set, in insertion order. Every index is
-built from it on first use and kept exact by later inserts: the predicate
-index, the subject and object indexes over all triples, and the groups, each
-one predicate's triples keyed by their subject or by their object.
-``Graph.lookup`` is the one place that picks which of these answers a
-pattern, from the positions it binds; ``subjects``/``objects`` and the
-compiled query steps all read through it. An index is built in a local dict
-and published with one assignment, so a reader of a frozen graph never sees
-one half built.
+after which they are immutable and safe for concurrent readers; a frozen graph
+refuses inserts and prefix folding. A load keeps each triple in one place: the
+triple set, in insertion order. Every index is built from it on first use and
+kept exact by later inserts: the predicate index, the subject and object
+indexes over all triples, and the groups, each one predicate's triples keyed
+by their subject or by their object. ``Graph.lookup`` is the one place that
+picks which of these answers a pattern, from the positions it binds;
+``subjects``/``objects`` and the compiled query steps all read through it. An
+index is built in a local dict and published with one assignment, so a reader
+of a frozen graph never sees one half built. ``Graph.add_graph`` reuses each
+source triple with no blank end and rebuilds the rest.
 
 Terms are interned through the ``iri`` / ``blank`` / ``literal`` factories:
 building the same term twice, or calling ``Term(...)``, yields the same object,
@@ -261,12 +262,17 @@ class Graph:
         return [t[2] for t in self.lookup(s, p, None)]
 
     def fold_prefixes(self, prefixes: Mapping[str, str]) -> None:
-        """Bind each name of ``prefixes`` that this graph does not bind yet."""
+        """Bind each name of ``prefixes`` that this graph does not bind yet; a frozen graph refuses."""
+        if self._frozen:
+            raise GraphError("graph is frozen; no further inserts allowed")
         for name, namespace in prefixes.items():
             self.prefixes.setdefault(name, namespace)
 
     def add_graph(self, g: "Graph", new_blank: Callable[[], Term]) -> None:
-        """Insert ``g``'s triples, its blank nodes renamed by ``new_blank``, and fold in its prefixes."""
+        """Insert ``g``'s triples, its blank nodes renamed by ``new_blank``, and fold in its prefixes.
+
+        A triple with no blank end goes in as ``g``'s own object; only a blank-ended one is rebuilt.
+        """
         self.fold_prefixes(g.prefixes)
         relabel: dict[Term, Term] = {}
         add = self.loader()  # g holds only well-formed triples
@@ -277,7 +283,7 @@ class Graph:
             return relabel.get(term) or relabel.setdefault(term, new_blank())
 
         for t in g:
-            add(Triple(fresh(t.s), t.p, fresh(t.o)))
+            add(Triple(fresh(t.s), t.p, fresh(t.o)) if t.s.kind == BLANK or t.o.kind == BLANK else t)
 
     def copy(self) -> "Graph":
         """An unfrozen copy with the same triples and prefixes."""

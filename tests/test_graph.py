@@ -337,6 +337,23 @@ def test_a_parse_into_a_frozen_graph_raises_graph_error():
         assert len(g) == size
 
 
+def test_a_frozen_graph_keeps_its_prefix_table():
+    g = Graph({"own": "urn:own:"})
+    g.insert(Triple(EX.a, RDF.type, EX.B))
+    g.freeze()
+    one_triple = Graph({"ex": "urn:ex:"})
+    one_triple.insert(Triple(EX.c, RDF.type, EX.D))
+    calls = [
+        lambda: g.add_graph(Graph({"ex": "urn:ex:"}), blank_minter("m")),
+        lambda: g.add_graph(one_triple, blank_minter("m")),
+        lambda: parse_turtle_into(g, "@prefix x: <urn:x:> .", blank_minter("b")),
+    ]
+    for call in calls:
+        with pytest.raises(GraphError, match=r"^graph is frozen; no further inserts allowed$"):
+            call()
+        assert g.prefixes == {"own": "urn:own:"} and len(g) == 1
+
+
 def test_threads_reading_a_fresh_graph_see_complete_predicate_lists():
     # The predicate index is built on first use: four threads that build it at once, switching as often
     # as the interpreter allows, must each read every predicate's triples, in insertion order.

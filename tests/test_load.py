@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from itertools import chain
 
 import pytest
 
@@ -11,8 +12,8 @@ from golden_cli import BLANK_ACTIVITIES, BLANK_ROBOTS, PREFIX_A, PREFIX_B
 from ontobot import schema
 from ontobot.cli import main
 from ontobot.fixtures import activities_path, robots_path, vocabulary_path
-from ontobot.graph import Graph, Triple, merge_graphs
-from ontobot.namespaces import EX, OBOT, RDF, RDFS
+from ontobot.graph import BLANK, Graph, Triple, merge_graphs
+from ontobot.namespaces import EX, OBOT, PROV, RDF, RDFS
 from ontobot.reasoner import KnowledgeBase, load_graph
 from ontobot.schema import infer_types
 from ontobot.turtle import TurtleParseError, parse_turtle
@@ -49,6 +50,45 @@ def test_one_pass_union_without_inference_equals_merge(tmp_path, pair):
     got = load_graph(paths, infer=False)
     assert got.frozen
     assert list(got) == list(expected)
+
+
+# Blank subjects, blank objects and blank-free triples interleaved, with the label _:x in both documents.
+SHARED_LABEL = (
+    f"""@prefix : <https://example.org/> .
+:r1 a <{OBOT.Agent.value}> .
+_:x :p :a .
+:a :q _:y .
+_:x :r _:x .
+:b :p "lit" .
+""",
+    f"""@prefix : <https://example.org/two/> .
+:c :p :d .
+_:x a <{OBOT.Agent.value}> .
+:d :q _:x .
+:r2 a <{OBOT.Agent.value}> .
+""",
+)
+
+
+def test_a_union_of_graphs_shares_each_source_triple_with_no_blank_end(tmp_path):
+    paths = []
+    for i, text in enumerate(SHARED_LABEL):
+        paths.append(tmp_path / f"{i}.ttl")
+        paths[-1].write_text(text, encoding="utf-8")
+    graphs = [parse_turtle(p.read_text(encoding="utf-8")) for p in paths]
+
+    def state() -> list:
+        return [(len(g), g.frozen, list(g), list(g.lookup(None, RDF.type, None))) for g in graphs]
+
+    before = state()
+    union = load_graph(graphs, infer=False)
+    assert list(union) == list(load_graph(paths, infer=False))
+    pairs = list(zip(union, chain(*graphs), strict=True))
+    shared = [got is t for got, t in pairs if BLANK not in (t.s.kind, t.o.kind)]
+    assert len(shared) == 4 and all(shared)
+    kb = KnowledgeBase.load(*graphs)
+    assert Triple(EX.r1, RDF.type, PROV.Agent) in kb.graph and len(kb.graph) > len(union)
+    assert state() == before
 
 
 def test_extra_subclass_axioms_come_in_as_a_source_graph():
