@@ -5,10 +5,10 @@ robot graph with subclass inference applied, built in one pass by
 :func:`load_graph`; its validation report is computed on first access and
 kept. The graph never changes, so each fact is derived once: labels,
 activities, agents and their name indexes at construction; each activity's
-top-level steps and required set and each robot's capability profile on
-first request, as one CLI run asks one question. Task plans are ordered on
-every call from their members' own links; a faulty chain is re-read in
-graph order to name its first fault.
+top-level steps and required set, each robot's capability profile and the
+feasibility matrix on first request, as one CLI run asks one question. Task
+plans are ordered on every call from their members' own links; a faulty
+chain is re-read in graph order to name its first fault.
 On top of it this module answers the six competency questions:
 
 1. which components and affordances an activity involves,
@@ -219,10 +219,11 @@ class KnowledgeBase:
     """Frozen, inference-closed union of knowledge graphs; its report is validated on first access.
 
     The label map, activity and agent maps and their name indexes are built
-    at construction; each activity's top-level steps and required set and each
-    robot's capability profile on first request, and kept, so the graph is
-    frozen. A name is a label or full IRI: a label beats an equal IRI, and the
-    first in load order wins a repeated one. Task plans are ordered per call.
+    at construction; each activity's top-level steps and required set, each
+    robot's capability profile and the feasibility matrix on first request,
+    and kept, so the graph is frozen. A name is a label or full IRI: a label
+    beats an equal IRI, and the first in load order wins a repeated one. Task
+    plans are ordered per call.
     """
 
     def __init__(self, graph: Graph):
@@ -238,6 +239,7 @@ class KnowledgeBase:
         self._steps: dict[Term, tuple[tuple[Term, str, tuple[Term, ...], frozenset[Term]], ...]] = {}
         self._required: dict[Term, frozenset[Term]] = {}  # activity -> the union of its steps' sets
         self._profiles: dict[Term, CapabilityProfile] = {}
+        self._matrix: FeasibilityMatrix | None = None
 
     @classmethod
     def load(cls, *sources: GraphSource) -> "KnowledgeBase":
@@ -414,7 +416,13 @@ class KnowledgeBase:
         )
 
     def feasibility_matrix(self) -> FeasibilityMatrix:
-        """Achievability of every activity's top-level steps for every robot."""
+        """Achievability of every activity's top-level steps for every robot.
+
+        Built on first request and kept; ``cells`` is read-only and holds one
+        entry per robot and top-level step.
+        """
+        if self._matrix is not None:
+            return self._matrix
         robots = self.agents()
         steps = [(activity, *step) for activity, _ in self.activities() for step in self._top_level_steps(activity)]
         cells: dict[tuple[Term, Term], bool] = {}
@@ -423,4 +431,5 @@ class KnowledgeBase:
             for _, step, _, _, required in steps:
                 cells[(robot, step)] = required <= enabled
         labelled = tuple((activity, step, label) for activity, step, label, *_ in steps)
-        return FeasibilityMatrix(robots=tuple(robots), steps=labelled, cells=cells)
+        matrix = self._matrix = FeasibilityMatrix(robots=tuple(robots), steps=labelled, cells=MappingProxyType(cells))
+        return matrix

@@ -138,6 +138,11 @@ def _lexer(variables: bool) -> re.Pattern:
 
 
 @cache  # compiled on first use, as _lexer is
+def _pattern(source: str) -> re.Pattern:
+    return re.compile(source)
+
+
+@cache  # compiled on first use, as _lexer is
 def _escape_pattern() -> re.Pattern:
     """One escape: ``\\u`` and four hex digits, ``\\U`` and eight, any other character, or the end."""
     return re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|[\s\S]|\Z)")
@@ -290,7 +295,7 @@ class _StatementParser:
         text, c = self.text, self.text[pos]
         # An IRI that reached its '>', or a string its closing quote, would have lexed.
         if c == "<":
-            end = re.compile(_IRI_BODY).match(text, pos + 1).end()
+            end = _pattern(_IRI_BODY).match(text, pos + 1).end()
             message = "unterminated IRI" if end == len(text) else f"invalid character in IRI: {text[end]!r}"
         elif c == '"':
             triple_quoted = text.startswith('"""', pos)
@@ -486,21 +491,19 @@ def parse_turtle_into(graph: Graph, text: str, new_blank: Callable[[], Term]) ->
     _TurtleParser(text, graph, new_blank).parse()
 
 
-_SAFE_LOCAL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*\Z")
-# The prefix names and language tags the lexer reads back.
-_SAFE_PREFIX_RE = re.compile(_PREFIX + r"\Z")
-_LANG_RE = re.compile(_LANGTAG + r"\Z")
-_BLANK_LABEL_RE = re.compile(_BLANK_LABEL + r"\Z")
+_SAFE_LOCAL = r"[A-Za-z_][A-Za-z0-9_\-]*"
 
 
 def prefixed_name(value: str, prefixes: Mapping[str, str]) -> str | None:
     """Compact a full IRI to ``prefix:local`` when a safe split exists."""
     best: tuple[int, str, str] | None = None
+    # The lexer reads back a prefix name that _PREFIX matches whole.
+    safe_local, safe_prefix = _pattern(_SAFE_LOCAL).fullmatch, _pattern(_PREFIX).fullmatch
     for name, namespace in prefixes.items():
         if not value.startswith(namespace) or not namespace:
             continue
         local = value[len(namespace) :]
-        if not _SAFE_LOCAL_RE.match(local) or not _SAFE_PREFIX_RE.match(name):
+        if not safe_local(local) or not safe_prefix(name):
             continue
         if best is None or len(namespace) > best[0]:
             best = (len(namespace), name, local)
@@ -510,12 +513,12 @@ def prefixed_name(value: str, prefixes: Mapping[str, str]) -> str | None:
 
 
 # The characters IRIREF refuses, which only a \u escape can carry.
-_IRI_REFUSED_RE = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+_IRI_REFUSED = r'[\x00-\x20<>"{}|^`\\]'
 
 
 def _iri_ref(value: str, escape: bool) -> str:
     if escape:
-        value = _IRI_REFUSED_RE.sub(lambda m: f"\\u{ord(m[0]):04X}", value)
+        value = _pattern(_IRI_REFUSED).sub(lambda m: f"\\u{ord(m[0]):04X}", value)
     return f"<{value}>"
 
 
@@ -534,7 +537,7 @@ def term_to_text(term: Term, prefixes: Mapping[str, str], escape: bool = False) 
     if term.datatype is not None:
         return f"{text}^^{prefixed_name(term.datatype, prefixes) or _iri_ref(term.datatype, escape)}"
     # '@prefix' and '@base' lex as directives, not as tags.
-    if escape and term.lang is not None and (not _LANG_RE.match(term.lang) or term.lang in _DIRECTIVES):
+    if escape and term.lang is not None and (not _pattern(_LANGTAG).fullmatch(term.lang) or term.lang in _DIRECTIVES):
         raise GraphError(f"language tag {term.lang!r} cannot be written as Turtle")
     return text if term.lang is None else f"{text}@{term.lang}"
 
@@ -548,10 +551,11 @@ def serialize_turtle(graph: Graph) -> str:
     the graph uses. A language tag that the lexer would not read back raises
     :class:`GraphError`.
     """
-    prefixes = {name: ns for name, ns in graph.prefixes.items() if _SAFE_PREFIX_RE.match(name)}
+    safe_prefix, safe_label = _pattern(_PREFIX).fullmatch, _pattern(_BLANK_LABEL).fullmatch
+    prefixes = {name: ns for name, ns in graph.prefixes.items() if safe_prefix(name)}
     blanks = {term.value: term for t in graph for term in (t.s, t.o) if term.kind == BLANK}
     fresh = (f"_:b{n}" for n in count() if f"b{n}" not in blanks)
-    relabel = {term: next(fresh) for label, term in blanks.items() if not _BLANK_LABEL_RE.match(label)}
+    relabel = {term: next(fresh) for label, term in blanks.items() if not safe_label(label)}
 
     def text(term: Term) -> str:
         return relabel.get(term) or term_to_text(term, prefixes, escape=True)

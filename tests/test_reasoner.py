@@ -567,6 +567,31 @@ def test_kept_facts_are_handed_out_read_only(activities, robots):
     assert [label for _, label in kb.activities()] == ["Prepare breakfast", "Reorganise the kitchen"]
 
 
+@pytest.mark.parametrize(
+    "graphs",
+    [
+        pytest.param(lambda activities, robots: (activities, robots), id="fixtures"),
+        pytest.param(lambda activities, robots: (copies_kb(8).graph,), id="copies-8"),
+    ],
+)
+def test_the_matrix_is_kept_and_handed_out_read_only(monkeypatch, activities, robots, graphs):
+    sources = graphs(activities, robots)
+    kb = KnowledgeBase.load(*sources)
+    matrix = kb.feasibility_matrix()
+    with monkeypatch.context() as patch:
+        calls = record_calls(patch, "lookup")
+        patch.setattr(KnowledgeBase, "capability_profile", lambda *args: calls.append(("profile", args)))
+        assert kb.feasibility_matrix() is matrix
+    assert calls == []
+    key = next(iter(matrix.cells))
+    with pytest.raises(TypeError):
+        matrix.cells[key] = False
+    fresh = KnowledgeBase.load(*sources).feasibility_matrix()
+    assert (matrix.robots, matrix.steps) == (fresh.robots, fresh.steps)
+    assert list(matrix.cells.items()) == list(fresh.cells.items())
+    assert len(matrix.cells) == len(matrix.robots) * len(matrix.steps)
+
+
 def test_fixture_sizes_meet_documented_lower_bounds(activities, robots):
     assert len(activities) >= 300
     assert len(robots) >= 100
