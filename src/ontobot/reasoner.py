@@ -180,9 +180,9 @@ def _chain_order(
     return ordered
 
 
-def _name_index(instances: Mapping[Term, str]) -> dict[str, Term]:
-    """Each label, then each IRI string not already a key, to the first instance in load order."""
-    index: dict[str, Term] = {}
+def _name_index(instances: Mapping[Term, str]) -> dict[Term | str, Term]:
+    """Each instance to itself; each label, then each IRI string not already a key, to the first in load order."""
+    index: dict[Term | str, Term] = {node: node for node in instances}
     for node, label in instances.items():
         index.setdefault(label, node)
     for node in instances:
@@ -264,15 +264,12 @@ class KnowledgeBase:
     def agents(self) -> list[tuple[Term, str]]:
         return list(self._agents.items())
 
-    def _resolve(self, wanted: Term | str, kind: str, instances: dict[Term, str], names: dict[str, Term]) -> Term:
-        if isinstance(wanted, Term):
-            if wanted in instances:
-                return wanted
-            raise UnknownEntityError(kind, wanted.n3(), sorted(instances.values()))
+    def _resolve(self, wanted: Term | str, kind: str, instances: dict[Term, str], names: dict[Term | str, Term]) -> Term:
         try:
             return names[wanted]
         except KeyError:
-            raise UnknownEntityError(kind, wanted, sorted(instances.values())) from None
+            shown = wanted.n3() if isinstance(wanted, Term) else wanted
+            raise UnknownEntityError(kind, shown, sorted(instances.values())) from None
 
     def activity_by_label(self, wanted: Term | str) -> Term:
         return self._resolve(wanted, "activity", self._activities, self._activity_names)

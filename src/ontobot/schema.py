@@ -23,7 +23,7 @@ a later insert shows in the next report.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from ontobot.graph import IRI, LITERAL, Graph, Term, Triple
 from ontobot.namespaces import DUL, FOAF, OBOT, PKO, PPLAN, PROV, RDF, RDFS, ROS, SOMA
@@ -40,39 +40,32 @@ SUBCLASS_AXIOMS: frozenset[tuple[Term, Term]] = frozenset(
     }
 )
 
-def _superclass_closure(axioms: Iterable[tuple[Term, Term]]) -> dict[Term, set[Term]]:
-    """Reflexive-transitive closure of the subclass relation."""
-    direct: dict[Term, set[Term]] = {}
-    for sub, sup in axioms:
-        direct.setdefault(sub, set()).add(sup)
-    closure: dict[Term, set[Term]] = {}
-    for cls in direct:
-        result = {cls}
-        stack = list(direct[cls])
-        while stack:
-            sup = stack.pop()
-            if sup in result:
-                continue
-            result.add(sup)
-            stack.extend(direct.get(sup, ()))
-        closure[cls] = result
-    return closure
-
 
 def add_inferred_types(g: Graph) -> None:
     """Insert into the unfrozen ``g`` every derivable ``rdf:type`` triple.
 
     The subclass relation is the union of ``SUBCLASS_AXIOMS`` and any
     ``rdfs:subClassOf`` triples present in the graph; the result is the
-    fixpoint, so applying it twice changes nothing.
+    fixpoint, so applying it twice changes nothing. The order is fixed: each
+    asserted type triple, in graph order, gets its class's superclasses
+    depth first, each class's direct ones taken from ``SUBCLASS_AXIOMS``
+    sorted by ``Term.sort_key``, then from the graph's axioms in graph order.
     """
-    axioms = set(SUBCLASS_AXIOMS)
+    direct: dict[Term, list[Term]] = {}
+    for sub, sup in sorted(SUBCLASS_AXIOMS):  # pairs of terms compare by sort_key
+        direct.setdefault(sub, []).append(sup)
     for t in g.lookup(None, RDFS.subClassOf, None):
-        axioms.add((t.s, t.o))
-    closure = _superclass_closure(axioms)
+        direct.setdefault(t.s, []).append(t.o)
     for t in list(g.lookup(None, RDF.type, None)):  # a copy: the inserts below append to what lookup returns
-        for sup in closure.get(t.o, ()):
-            g.insert(Triple(t.s, RDF.type, sup))
+        if t.o not in direct:
+            continue
+        seen, stack = {t.o}, direct[t.o][::-1]
+        while stack:
+            sup = stack.pop()
+            if sup not in seen:
+                seen.add(sup)
+                g.insert(Triple(t.s, RDF.type, sup))
+                stack.extend(reversed(direct.get(sup, ())))
 
 
 def infer_types(g: Graph) -> Graph:
@@ -163,8 +156,6 @@ def _check_order_chains(g: Graph, out: ValidationReport) -> None:
 
 def _check_action_connectivity(g: Graph, out: ValidationReport) -> None:
     for action in g.group(PKO.requiresAction, 2):
-        if action.kind == LITERAL:
-            continue
         if not g.objects(action, OBOT.requiresAffordance):
             out.violations.append(Violation("R3", action, "action requires no affordance"))
         targets = g.objects(action, OBOT.actsOn)

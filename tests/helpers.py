@@ -4,7 +4,8 @@ The oracles here deliberately avoid the package's evaluation paths:
 `scan_match` is a plain linear scan, `oracle_evaluate` is a naive
 nested-loop join in the query's original pattern order with no indexes
 and no reordering (each pattern's candidates come from one linear scan),
-and `isomorphic` reads each graph in one iteration. `random_ontobot_graph`
+`isomorphic` reads each graph in one iteration, and `oracle_infer` is a
+brute-force fixpoint of subclass inference. `random_ontobot_graph`
 generates graphs in the fixtures' domain for the reasoner's cross-oracle.
 `record_calls` counts the graph reads that the work-bound tests hold to the
 size of the answer.
@@ -12,11 +13,14 @@ size of the answer.
 
 from __future__ import annotations
 
+import functools
 import random
 
+from ontobot.fixtures import vocabulary_path
 from ontobot.graph import BLANK, Graph, Term, Triple, blank, iri, literal
 from ontobot.namespaces import EX, OBOT, PKO, PROV, RDF, RDFS, ROS, SOMA
 from ontobot.query import Query, TriplePattern, Var
+from ontobot.turtle import parse_turtle
 
 
 def short(term: Term) -> str:
@@ -161,6 +165,28 @@ def isomorphic(a: Graph, b: Graph) -> bool:
         return False
 
     return assign(0, {}, set())
+
+
+@functools.cache
+def _vocabulary_subclass_pairs() -> frozenset[tuple[Term, Term]]:
+    vocabulary = parse_turtle(vocabulary_path().read_text(encoding="utf-8"))
+    return frozenset((s, o) for s, p, o in vocabulary if p == RDFS.subClassOf)
+
+
+def oracle_infer(graph: Graph) -> set[Triple]:
+    """``graph``'s triples closed under "x a C, C ⊑ D ⇒ x a D", by brute force over plain tuples.
+
+    The pairs C ⊑ D are the graph's own and the packaged vocabulary file's, as the parser reads them;
+    nothing comes from ``ontobot.schema``. Each round matches every type triple with every pair, until
+    a round derives nothing new.
+    """
+    triples = {(s, p, o) for s, p, o in graph}
+    pairs = _vocabulary_subclass_pairs() | {(s, o) for s, p, o in triples if p == RDFS.subClassOf}
+    while True:
+        derived = {(x, RDF.type, d) for x, p, c in triples if p == RDF.type for sub, d in pairs if sub == c}
+        if derived <= triples:
+            return {Triple(*t) for t in triples}
+        triples |= derived
 
 
 def row_key(row: tuple[Term, ...]) -> tuple:

@@ -70,6 +70,11 @@ def test_frozen_graph_rejects_inserts():
         g.insert(Triple(EX.a, OBOT.hasAffordance, SOMA.Opening))
 
 
+def test_repr_names_size_prefixes_and_state(activities):
+    assert repr(Graph()) == "<Graph 0 triples, 0 prefixes, loading>"
+    assert repr(activities) == f"<Graph {len(activities)} triples, {len(activities.prefixes)} prefixes, frozen>"
+
+
 def test_match_empty_graph_all_wildcards():
     assert list(Graph().lookup(None, None, None)) == []
 

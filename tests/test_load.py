@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 from collections import Counter
 from itertools import chain
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +138,24 @@ def count_calls(monkeypatch, calls: Counter) -> None:
                 monkeypatch.setattr(module, attr, wrapper)
     for name in ("insert", "copy"):
         monkeypatch.setattr(Graph, name, counted(name, getattr(Graph, name)))
+
+
+def test_the_loaded_graph_has_one_order_whatever_the_memory_layout():
+    # Terms hash by identity, so an order taken from a set would follow the addresses a process hands out.
+    # Each process allocates a different number of objects before it imports ontobot.
+    script = (
+        "import sys; junk = [object() for _ in range(int(sys.argv[1]))]\n"
+        "from ontobot.fixtures import activities_path, robots_path\n"
+        "from ontobot.reasoner import KnowledgeBase\n"
+        "for t in KnowledgeBase.load(activities_path(), robots_path()).graph: print(t.n3())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(schema.__file__).resolve().parents[1]), "PYTHONIOENCODING": "utf-8"}
+    orders = {
+        subprocess.run([sys.executable, "-c", script, n], env=env, capture_output=True, text=True, check=True).stdout
+        for n in ("0", "1", "5000", "40000")
+    }
+    assert len(orders) == 1
+    assert len(next(iter(orders)).splitlines()) == len(KnowledgeBase.load(activities_path(), robots_path()).graph)
 
 
 def test_cold_cq_parses_once_and_does_not_validate(monkeypatch, capsys):

@@ -139,6 +139,11 @@ def test_projected_variable_must_occur_in_pattern():
             "PREFIX rdfs: <https://e.org/> SELECT ?x WHERE { ?x ?p ?o } rdfs:label", 1, 60,
             "unexpected content after '}': 'rdfs:label'", id="content-after-pattern",
         ),
+        # A string, an IRI and a blank node are quoted by value: unescaped, without brackets or '_:'.
+        pytest.param('SELECT ?x { ?x ?p ?o } "junk"', 1, 24, "unexpected content after '}': 'junk'", id="string-after-pattern"),
+        pytest.param('SELECT ?x { ?x ?p ?o } "a\\u0041"', 1, 24, "unexpected content after '}': 'aA'", id="escaped-string-after-pattern"),
+        pytest.param("SELECT ?x { ?x ?p ?o } <urn:x>", 1, 24, "unexpected content after '}': 'urn:x'", id="iri-after-pattern"),
+        pytest.param("SELECT ?x { ?x ?p ?o } _:b", 1, 24, "unexpected content after '}': 'b'", id="blank-after-pattern"),
         pytest.param("@base <https://e.org/> . SELECT ?x WHERE { ?x ?p ?o }", 1, 1, "unsupported construct: @base", id="base"),
         # Line breaks as CR LF, and a byte order mark, which is not text: neither moves the column.
         pytest.param("PREFIX : <https://e.org/>\r\nSELECT ?x\r\nWHERE { ?x :p ² }\r\n", 3, 15, "unexpected character: '²'", id="crlf"),

@@ -7,7 +7,7 @@ from ontobot.fixtures import query_path
 from ontobot.graph import Graph, GraphError, Triple, literal
 from ontobot.namespaces import EX, OBOT, PROV, RDF, RDFS, SOMA, Namespace
 from ontobot.query import evaluate, parse_query
-from ontobot.reasoner import ChainError, KnowledgeBase, UnknownEntityError
+from ontobot.reasoner import ChainError, KnowledgeBase, PlanStep, UnknownEntityError
 from ontobot.turtle import parse_turtle
 
 AFFORDANCE = {
@@ -130,6 +130,22 @@ def test_cq2_single_action_step_without_chain():
     )
     plan = kb.task_plan("Solo")
     assert [a.label for a in plan.procedures[0].steps[0].actions] == ["Do it"]
+
+
+def test_cq2_procedure_without_steps_and_step_without_actions_are_empty():
+    kb = mini_kb(
+        """
+        :act a prov:Activity ; rdfs:label "Empty" ; pko:executesProcedure :bare , :proc .
+        :bare a pko:Procedure ; rdfs:label "No steps" .
+        :proc a pko:Procedure ; rdfs:label "Idle" ; pko:hasStep :step .
+        :step a pplan:Step ; rdfs:label "Nothing to do" .
+        """
+    )
+    plan = kb.task_plan("Empty")
+    assert [(p.label, p.steps) for p in plan.procedures] == [
+        ("No steps", ()),
+        ("Idle", (PlanStep(step=EX.step, label="Nothing to do", actions=()),)),
+    ]
 
 
 def test_cq2_broken_chain_is_an_error():

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Sequence
 
 import pytest
 
+from helpers import oracle_infer
 from ontobot.fixtures import activities_path, queries_dir, robots_path, vocabulary_path
-from ontobot.graph import Graph, Triple, iri, literal
+from ontobot.graph import Graph, Term, Triple, iri, literal
 from ontobot.namespaces import DUL, EX, FOAF, OBOT, PKO, PPLAN, PROV, RDF, RDFS, ROS, SOMA
 from ontobot.query import Var, parse_query
 from ontobot.schema import SUBCLASS_AXIOMS, Violation, infer_types, validate
@@ -81,8 +83,69 @@ def test_infer_types_uses_in_graph_axioms():
     assert Triple(EX.mug1, RDF.type, OBOT.Component) in infer_types(g)
 
 
-def _random_lattice_graph(rng: random.Random) -> Graph:
-    classes = [iri(f"https://example.org/C{i}") for i in range(rng.randint(1, 20))]
+def test_infer_types_adds_each_superclass_where_the_first_asserted_type_reaching_it_stands():
+    # A ⊑ B ⊑ C and D ⊑ C: s1's first type reaches C before s2's does, though s1 a B comes after s2 a D.
+    g = Graph()
+    for sub, sup in ((EX.A, EX.B), (EX.B, EX.C), (EX.D, EX.C)):
+        g.insert(Triple(sub, RDFS.subClassOf, sup))
+    for s, cls in ((EX.s1, EX.A), (EX.s2, EX.D), (EX.s1, EX.B)):
+        g.insert(Triple(s, RDF.type, cls))
+    inferred = infer_types(g.freeze())
+    assert inferred.subjects(RDF.type, EX.C) == [EX.s1, EX.s2]
+    assert inferred.objects(EX.s1, RDF.type) == [EX.A, EX.B, EX.C]
+
+
+def test_an_agent_gets_its_inferred_types_in_sorted_axiom_order(kb):
+    # The vocabulary's superclasses of obot:Agent, by IRI: DUL's, then PROV's, then FOAF's.
+    assert kb.graph.objects(EX.tiago, RDF.type) == [OBOT.Agent, DUL.Agent, PROV.Agent, FOAF.Agent]
+
+
+def _assert_inferred_as_the_oracle_orders_them(g: Graph) -> None:
+    # The brute-force fixpoint gives the set. Each class lists its asserted instances first, in graph order,
+    # then every other instance where the first asserted type of it that reaches the class stands.
+    inferred = infer_types(g)
+    assert set(inferred) == oracle_infer(g)
+    asserted = list(g.lookup(None, RDF.type, None))
+    probes = Graph()
+    for t in g.lookup(None, RDFS.subClassOf, None):
+        probes.insert(t)
+    for i, t in enumerate(asserted):
+        probes.insert(Triple(iri(f"urn:probe:{i}"), RDF.type, t.o))
+    reached: dict[Term, set[Term]] = {}
+    for s, p, o in oracle_infer(probes):
+        if p == RDF.type:
+            reached.setdefault(s, set()).add(o)
+    expected: dict[Term, list[Term]] = {}
+    for t in asserted:
+        expected.setdefault(t.o, []).append(t.s)
+    for i, t in enumerate(asserted):
+        for cls in reached[iri(f"urn:probe:{i}")]:
+            if t.s not in expected.setdefault(cls, []):
+                expected[cls].append(t.s)
+    assert set(inferred.group(RDF.type, 2)) == set(expected)
+    assert {cls: inferred.subjects(RDF.type, cls) for cls in expected} == expected
+
+
+def test_infer_types_agrees_with_a_brute_force_oracle_on_the_fixtures(union):
+    _assert_inferred_as_the_oracle_orders_them(union)
+
+
+def test_infer_types_agrees_with_a_brute_force_oracle_on_random_lattices():
+    # Half the lattices use the vocabulary's own classes, so the built-in axioms mix with the graph's. The
+    # triples are shuffled, so that one instance's types interleave with other instances' types.
+    vocabulary_classes = sorted({cls for pair in SUBCLASS_AXIOMS for cls in pair})
+    rng = random.Random(33)
+    for n in range(300):
+        triples = list(_random_lattice_graph(rng, vocabulary_classes if n % 2 else ()))
+        rng.shuffle(triples)
+        g = Graph()
+        for t in triples:
+            g.insert(t)
+        _assert_inferred_as_the_oracle_orders_them(g.freeze())
+
+
+def _random_lattice_graph(rng: random.Random, vocabulary_classes: Sequence[Term] = ()) -> Graph:
+    classes = [iri(f"https://example.org/C{i}") for i in range(rng.randint(1, 20))] + list(vocabulary_classes)
     instances = [iri(f"https://example.org/i{i}") for i in range(rng.randint(1, 15))]
     g = Graph()
     for _ in range(rng.randint(0, 30)):
@@ -99,7 +162,7 @@ def test_infer_types_idempotent_on_random_lattices():
         g = _random_lattice_graph(rng)
         once = infer_types(g)
         twice = infer_types(once)
-        assert set(once) == set(twice)
+        assert set(once) == set(twice) == oracle_infer(g)
 
 
 def test_infer_types_monotone_on_random_lattices():
@@ -110,7 +173,7 @@ def test_infer_types_monotone_on_random_lattices():
         for t in _random_lattice_graph(rng):
             h.insert(t)
         h.freeze()
-        assert set(infer_types(g)) <= set(infer_types(h))
+        assert set(infer_types(g)) <= set(infer_types(h)) == oracle_infer(h)
 
 
 def test_fixtures_validate_clean(kb):
@@ -213,6 +276,16 @@ def test_action_without_affordance_reported_as_r3():
     g.insert(Triple(EX.bowl, RDF.type, OBOT.Component))
     g.freeze()
     assert any(v.rule == "R3" and "no affordance" in v.message for v in validate(g).violations)
+
+
+def test_literal_action_reported_as_r3():
+    # R3 checks every object of pko:requiresAction, a literal included.
+    g = Graph()
+    g.insert(Triple(EX.step, PKO.requiresAction, literal("wipe the glass")))
+    g.freeze()
+    report = validate(g)
+    assert report.violations == [Violation("R3", literal("wipe the glass"), "action requires no affordance")]
+    assert report.warnings == [Violation("R3", literal("wipe the glass"), "action has no obot:actsOn target")]
 
 
 def test_untyped_has_node_subject_and_has_component_ends_reported_as_r1():
