@@ -8,6 +8,12 @@ after the arguments parse is one stderr line, ``ontobot: `` and its message,
 with a line break in the message (from a label, an IRI or a path) written as
 ``\\n`` or ``\\r``.
 
+A call builds only the argument parser of the command it names, the one the
+full parser would hand that command. A call that names no command, or leaves
+arguments over, goes to the full parser, so help and usage errors read as
+they always did. A command's own options and its query file are checked
+before any graph is read.
+
 When no ``-k`` files are given, graphs are loaded from the directory named
 by the ``ONTOBOT_FIXTURES`` environment variable (every ``*.ttl`` in it,
 sorted by name), falling back to the packaged fixture graphs.
@@ -134,11 +140,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    union = load_graph(_kg_paths(args), infer=False, read=_read_text)
     try:
         query = parse_query(_read_text(args.query_file))
     except QueryParseError as exc:
         raise QueryParseError(exc.diagnostic, args.query_file) from None
+    union = load_graph(_kg_paths(args), infer=False, read=_read_text)
     solutions = evaluate(query, union)
     prefixes = dict(union.prefixes)
     prefixes.update(query.prefixes)
@@ -151,25 +157,18 @@ def cmd_query(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _require(args: argparse.Namespace, name: str, cq: int) -> str:
-    value = getattr(args, name)
-    if value is None:
-        raise _Fail(f"cq {cq} requires --{name}")
-    return value
-
-
 def _cq_table(kb: KnowledgeBase, args: argparse.Namespace) -> ResultTable:
     prefixes = kb.graph.prefixes
     text = lambda term: term_to_text(term, prefixes)
     cq = args.cq_id
 
     if cq == 1:
-        pairs = kb.objects_and_affordances(_require(args, "activity", cq))
+        pairs = kb.objects_and_affordances(args.activity)
         rows = sorted([text(obj), text(aff)] for obj, aff in pairs)
         return ResultTable("cq1", ["object", "affordance"], rows)
 
     if cq == 2:
-        plan = kb.task_plan(_require(args, "activity", cq))
+        plan = kb.task_plan(args.activity)
         rows = [
             [text(plan.activity), procedure.label, step.label, action.label]
             for procedure in plan.procedures
@@ -191,12 +190,12 @@ def _cq_table(kb: KnowledgeBase, args: argparse.Namespace) -> ResultTable:
         return ResultTable("cq3", ["activity", "affordance"], rows)
 
     if cq == 4:
-        robots = kb.capable_robots(kb.activity_by_label(_require(args, "activity", cq)))
+        robots = kb.capable_robots(kb.activity_by_label(args.activity))
         rows = sorted([kb.label_of(robot)] for robot in robots)
         return ResultTable("cq4", ["robot"], rows)
 
     if cq == 5:
-        robot = kb.agent_by_label(_require(args, "robot", cq))
+        robot = kb.agent_by_label(args.robot)
         activities = kb.activities()
         ok = kb.can_execute_all(robot, [activity for activity, _ in activities])
         rows = [[kb.label_of(robot), [label for _, label in activities], ok]]
@@ -212,7 +211,7 @@ def _cq_table(kb: KnowledgeBase, args: argparse.Namespace) -> ResultTable:
             rows.append(row)
         return ResultTable("cq6-matrix", columns, rows)
 
-    report = kb.gap_report(_require(args, "robot", 6), kb.activity_by_label(_require(args, "activity", 6)))
+    report = kb.gap_report(args.robot, kb.activity_by_label(args.activity))
     rows = [
         [
             step.label,
@@ -225,11 +224,51 @@ def _cq_table(kb: KnowledgeBase, args: argparse.Namespace) -> ResultTable:
     return ResultTable("cq6", ["step", "required", "missing", "achievable"], rows)
 
 
+# The options each CQ needs, checked in this order before any graph is read. CQ6 with --matrix needs neither.
+_CQ_OPTIONS = {1: ("activity",), 2: ("activity",), 3: (), 4: ("activity",), 5: ("robot",), 6: ("robot", "activity")}
+
+
 def cmd_cq(args: argparse.Namespace) -> int:
+    for name in () if args.cq_id == 6 and args.matrix else _CQ_OPTIONS[args.cq_id]:
+        if getattr(args, name) is None:
+            raise _Fail(f"cq {args.cq_id} requires --{name}")
     kb = KnowledgeBase(load_graph(_kg_paths(args), read=_read_text))
     table = _cq_table(kb, args)
     sys.stdout.write(render(table, args.output))
     return EXIT_OK
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("-k", "--kg", action="append", default=[], metavar="FILE.ttl",
+                   help="knowledge-graph file (repeatable); default: $ONTOBOT_FIXTURES or packaged fixtures")
+    p.add_argument("-o", "--output", choices=("table", "csv", "json"), default="table")
+
+
+def _validate_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("files", nargs="+", help="Turtle files to load and validate together")
+    p.set_defaults(func=cmd_validate)
+
+
+def _query_arguments(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("-f", "--query-file", required=True, metavar="QUERY.rq")
+    p.set_defaults(func=cmd_query)
+
+
+def _cq_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("cq_id", type=int, choices=range(1, 7), metavar="1-6")
+    _add_common(p)
+    p.add_argument("--activity", help="activity label (CQ1-CQ4, CQ6)")
+    p.add_argument("--robot", help="robot label (CQ5, CQ6)")
+    p.add_argument("--matrix", action="store_true", help="CQ6: print the full robots-by-steps matrix")
+    p.set_defaults(func=cmd_cq)
+
+
+_COMMANDS = {
+    "validate": ("structurally validate Turtle files", _validate_arguments),
+    "query": ("evaluate a SELECT query over the loaded graphs", _query_arguments),
+    "cq": ("answer one of the six competency questions", _cq_arguments),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -238,36 +277,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Load Turtle knowledge graphs, validate them, run queries, and answer competency questions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_validate = sub.add_parser("validate", help="structurally validate Turtle files")
-    p_validate.add_argument("files", nargs="+", help="Turtle files to load and validate together")
-    p_validate.set_defaults(func=cmd_validate)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("-k", "--kg", action="append", default=[], metavar="FILE.ttl",
-                       help="knowledge-graph file (repeatable); default: $ONTOBOT_FIXTURES or packaged fixtures")
-        p.add_argument("-o", "--output", choices=("table", "csv", "json"), default="table")
-
-    p_query = sub.add_parser("query", help="evaluate a SELECT query over the loaded graphs")
-    add_common(p_query)
-    p_query.add_argument("-f", "--query-file", required=True, metavar="QUERY.rq")
-    p_query.set_defaults(func=cmd_query)
-
-    p_cq = sub.add_parser("cq", help="answer one of the six competency questions")
-    p_cq.add_argument("cq_id", type=int, choices=range(1, 7), metavar="1-6")
-    add_common(p_cq)
-    p_cq.add_argument("--activity", help="activity label (CQ1-CQ4, CQ6)")
-    p_cq.add_argument("--robot", help="robot label (CQ5, CQ6)")
-    p_cq.add_argument("--matrix", action="store_true", help="CQ6: print the full robots-by-steps matrix")
-    p_cq.set_defaults(func=cmd_cq)
-
+    for name, (summary, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=summary))
     return parser
 
 
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"ontobot {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:  # else the full parser reports them, under its own usage line
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

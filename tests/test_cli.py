@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import argparse
 import csv
+import gc
 import io
 import json
 import shutil
 import sys
+import weakref
 
 import pytest
 
@@ -260,6 +263,60 @@ def test_usage_error_returns_its_exit_code(capsys, argv, code):
         assert captured.out.startswith("usage: ontobot")
 
 
+# A named command parses with its own parser alone; build_parser() is the oracle for what it must give.
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "a.ttl", "b.ttl"],
+        ["query", "--kg=a.ttl", "-k", "b.ttl", "-f", "q.rq", "-o", "json"],
+        ["cq", "4", "--kg=a.ttl", "-k", "b.ttl", "--act", "Prepare breakfast", "-o", "json"],
+        ["cq", "6", "--matrix", "--robot", "HSR", "-o", "csv"],
+    ],
+)
+def test_one_command_parser_gives_the_full_parsers_fields(argv):
+    full = vars(cli.build_parser().parse_args(argv))
+    assert full.pop("command") == argv[0]
+    assert vars(cli._parse_args(argv)) == full
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"], ["-h"], ["cq", "-h"], ["query", "--help"], ["validate", "-h"],  # help
+        [], ["nope"], ["-k", "a.ttl", "cq", "4"],  # no command, an unknown one, an option first
+        ["cq"], ["cq", "7"], ["cq", "x"], ["query"], ["validate"],  # a missing or invalid positional, no -f
+        ["query", "-o", "xml", "-f", "a"], ["cq", "4", "--act"],  # a bad choice, a missing value
+        ["cq", "4", "--bogus"], ["cq", "4", "--activity", "X", "extra"],  # left over: the top-level usage
+    ],
+)
+def test_usage_output_matches_the_full_parser(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    expected = (int(exc.value.code or 0), *capsys.readouterr())
+    assert run(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize(
+    "argv, code, parsers",
+    [(["cq", "4", "--activity", "Prepare breakfast"], 0, 1), (["--help"], 0, 4), (["nope"], 2, 4)],
+)
+def test_a_named_command_builds_only_its_own_parser(capsys, monkeypatch, argv, code, parsers):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert main(argv) == code
+    assert len(built) == parsers
+    gc.collect()
+    assert [ref for ref in built if ref() is not None] == []  # nothing outlives the call
+
+
 # -- query --------------------------------------------------------------------
 
 
@@ -425,6 +482,33 @@ def test_cq6_requires_robot_or_matrix(capsys):
 
 def test_cq6_gap_report_requires_activity(capsys):
     assert run(capsys, "cq", "6", *kg_args(), "--robot", "HSR") == (2, "", "ontobot: cq 6 requires --activity\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["cq", "1", "-k", "broken.ttl"], 2, "cq 1 requires --activity"),
+        (["cq", "6", "-k", "broken.ttl", "--activity", "X"], 2, "cq 6 requires --robot"),
+        (["query", "-k", "broken.ttl", "-f", "having.rq"], 3, "unsupported feature: HAVING"),
+        (["query", "-k", "broken.ttl", "-f", "missing.rq"], 2, "cannot read missing.rq: No such file or directory"),
+    ],
+)
+def test_own_arguments_are_checked_before_any_graph_is_read(capsys, monkeypatch, tmp_path, argv, code, message):
+    # A fault that argv alone shows is reported, not hidden by a broken graph, and no graph is read for it.
+    (tmp_path / "broken.ttl").write_text("@prefix : <https://example.org/> .\n:a :b\n", encoding="utf-8")
+    (tmp_path / "having.rq").write_text(
+        "PREFIX : <https://example.org/>\nSELECT ?x WHERE { ?x :p ?y . HAVING (?y > 1) }", encoding="utf-8"
+    )
+    monkeypatch.chdir(tmp_path)
+    read, read_text = [], cli._read_text
+
+    def recording(path):
+        read.append(str(path))
+        return read_text(path)
+
+    monkeypatch.setattr(cli, "_read_text", recording)
+    assert run(capsys, *argv) == (code, "", f"ontobot: {message}\n")
+    assert [path for path in read if path.endswith(".ttl")] == []
 
 
 def test_cq_json_output_is_byte_identical_across_runs(capsys):
