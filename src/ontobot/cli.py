@@ -12,7 +12,8 @@ A call builds only the argument parser of the command it names, the one the
 full parser would hand that command. A call that names no command, or leaves
 arguments over, goes to the full parser, so help and usage errors read as
 they always did. A command's own options and its query file are checked
-before any graph is read.
+before any graph is read: ``cq`` refuses a missing option, then an option
+given that its question does not read.
 
 When no ``-k`` files are given, graphs are loaded from the directory named
 by the ``ONTOBOT_FIXTURES`` environment variable (every ``*.ttl`` in it,
@@ -224,14 +225,28 @@ def _cq_table(kb: KnowledgeBase, args: argparse.Namespace) -> ResultTable:
     return ResultTable("cq6", ["step", "required", "missing", "achievable"], rows)
 
 
-# The options each CQ needs, checked in this order before any graph is read. CQ6 with --matrix needs neither.
-_CQ_OPTIONS = {1: ("activity",), 2: ("activity",), 3: (), 4: ("activity",), 5: ("robot",), 6: ("robot", "activity")}
+# Per question: the options it needs, in the order they are checked, and the options it reads.
+_CQ_OPTIONS = {
+    "cq 1": (("activity",), {"activity"}),
+    "cq 2": (("activity",), {"activity"}),
+    "cq 3": ((), {"activity"}),
+    "cq 4": (("activity",), {"activity"}),
+    "cq 5": (("robot",), {"robot"}),
+    "cq 6": (("robot", "activity"), {"robot", "activity"}),
+    "cq 6 --matrix": ((), {"matrix"}),
+}
 
 
 def cmd_cq(args: argparse.Namespace) -> int:
-    for name in () if args.cq_id == 6 and args.matrix else _CQ_OPTIONS[args.cq_id]:
+    # A missing option, then one given that the question does not read, is refused before any graph is read.
+    question = f"cq {args.cq_id}" + (" --matrix" if args.cq_id == 6 and args.matrix else "")
+    needs, reads = _CQ_OPTIONS[question]
+    for name in needs:
         if getattr(args, name) is None:
-            raise _Fail(f"cq {args.cq_id} requires --{name}")
+            raise _Fail(f"{question} requires --{name}")
+    for name in ("activity", "robot", "matrix"):
+        if name not in reads and getattr(args, name) not in (None, False):
+            raise _Fail(f"{question} does not take --{name}")
     kb = KnowledgeBase(load_graph(_kg_paths(args), read=_read_text))
     table = _cq_table(kb, args)
     sys.stdout.write(render(table, args.output))

@@ -7,8 +7,9 @@ kept. The graph never changes, so each fact is derived once: labels,
 activities, agents and their name indexes at construction; each activity's
 top-level steps and required set, each robot's capability profile and the
 feasibility matrix on first request, as one CLI run asks one question. Task
-plans are ordered on every call from their members' own links; a faulty
-chain is re-read in graph order to name its first fault.
+plans are built on every call from the graph's predicate groups, each chain
+ordered from its members' own links; a faulty chain is re-read in graph
+order to name its first fault and its owner's label.
 On top of it this module answers the six competency questions:
 
 1. which components and affordances an activity involves,
@@ -144,15 +145,12 @@ class FeasibilityMatrix(NamedTuple):
         return self.cells[(robot, step)]
 
 
-def _chain_order(
-    items: Sequence[Term], links: Iterable[Triple], property_name: str, owner: str
-) -> list[Term]:
+def _chain_order(items: list[Term], links: Iterable[Triple], property_name: str, owner: str) -> list[Term]:
     """Topologically order ``items`` along a successor chain.
 
     The chain must be a single path over the items: no forks, no joins,
     no cycles, and no disconnected pieces.
     """
-    items = list(items)
     if not items:
         return items
     members = set(items)
@@ -223,7 +221,7 @@ class KnowledgeBase:
     robot's capability profile and the feasibility matrix on first request,
     and kept, so the graph is frozen. A name is a label or full IRI: a label
     beats an equal IRI, and the first in load order wins a repeated one. Task
-    plans are ordered per call.
+    plans are built per call, and nothing of them is kept.
     """
 
     def __init__(self, graph: Graph):
@@ -279,14 +277,16 @@ class KnowledgeBase:
 
     # -- task structure ----------------------------------------------------
 
-    def _ordered(self, owner: Term, member: Term, link: Term, property_name: str) -> list[Term]:
-        members, name = self.graph.objects(owner, member), self.label_of(owner)
-        own_links = (t for m in members for t in self.graph.lookup(m, link, None))
+    def _ordered(self, owner: Term, members_of: Mapping[Term, Sequence[Triple]],
+                 links_of: Mapping[Term, Sequence[Triple]], link: Term, property_name: str) -> list[Term]:
+        # members_of and links_of: the member and link predicates' groups by subject.
+        members = [t[2] for t in members_of.get(owner, ())]
+        own_links = [t for m in members for t in links_of.get(m, ())]
         try:
-            return _chain_order(members, own_links, property_name, name)
+            return _chain_order(members, own_links, property_name, "")  # this error is never shown
         except ChainError:
             # Which fault is met first depends on link order: name the one graph order meets first.
-            return _chain_order(members, self.graph.lookup(None, link, None), property_name, name)
+            return _chain_order(members, self.graph.lookup(None, link, None), property_name, self.label_of(owner))
 
     def _action_affordances(self, action: Term) -> frozenset[Term]:
         return frozenset(self.graph.objects(action, OBOT.requiresAffordance))
@@ -321,26 +321,22 @@ class KnowledgeBase:
     def task_plan(self, activity_label: Term | str) -> TaskPlan:
         """The activity's procedures with fully ordered steps and actions."""
         activity = self.activity_by_label(activity_label)
+        group, label = self.graph.group, self.label_of
+        has_step, next_step = group(PKO.hasStep, 0), group(PKO.nextStep, 0)
+        requires_action, next_action = group(PKO.requiresAction, 0), group(OBOT.nextAction, 0)
+        acts_on, requires_affordance = group(OBOT.actsOn, 0).get, group(OBOT.requiresAffordance, 0).get
         procedures = []
-        for procedure in self.graph.objects(activity, PKO.executesProcedure):
+        for _, _, procedure in group(PKO.executesProcedure, 0).get(activity, ()):
             steps = []
-            for step in self._ordered(procedure, PKO.hasStep, PKO.nextStep, "pko:nextStep"):
+            for step in self._ordered(procedure, has_step, next_step, PKO.nextStep, "pko:nextStep"):
                 actions = []
-                for action in self._ordered(step, PKO.requiresAction, OBOT.nextAction, "obot:nextAction"):
-                    targets = self.graph.objects(action, OBOT.actsOn)
-                    actions.append(
-                        PlanAction(
-                            action=action,
-                            label=self.label_of(action),
-                            target=targets[0] if targets else None,
-                            affordances=self._action_affordances(action),
-                        )
-                    )
-                steps.append(PlanStep(step=step, label=self.label_of(step), actions=tuple(actions)))
-            procedures.append(
-                PlanProcedure(procedure=procedure, label=self.label_of(procedure), steps=tuple(steps))
-            )
-        return TaskPlan(activity=activity, label=self.label_of(activity), procedures=tuple(procedures))
+                for action in self._ordered(step, requires_action, next_action, OBOT.nextAction, "obot:nextAction"):
+                    targets = acts_on(action)
+                    affordances = frozenset([t[2] for t in requires_affordance(action, ())])
+                    actions.append(PlanAction(action, label(action), targets[0][2] if targets else None, affordances))
+                steps.append(PlanStep(step, label(step), tuple(actions)))
+            procedures.append(PlanProcedure(procedure, label(procedure), tuple(steps)))
+        return TaskPlan(activity, label(activity), tuple(procedures))
 
     # -- competency question 3 ----------------------------------------------
 

@@ -7,14 +7,15 @@ and no reordering (each pattern's candidates come from one linear scan),
 `isomorphic` reads each graph in one iteration, and `oracle_infer` is a
 brute-force fixpoint of subclass inference. `random_ontobot_graph`
 generates graphs in the fixtures' domain for the reasoner's cross-oracle.
-`record_calls` counts the graph reads that the work-bound tests hold to the
-size of the answer.
+`record_calls` counts the graph reads, through a method or through a group's
+view, that the work-bound tests hold to the size of the answer.
 """
 
 from __future__ import annotations
 
 import functools
 import random
+from collections.abc import Mapping, Sequence
 
 from ontobot.fixtures import vocabulary_path
 from ontobot.graph import BLANK, Graph, Term, Triple, blank, iri, literal
@@ -35,10 +36,36 @@ def scan_match(graph: Graph, s: Term | None, p: Term | None, o: Term | None) -> 
     }
 
 
-def record_calls(monkeypatch, *names: str) -> list[tuple[str, object]]:
+class _RecordedGroup(Mapping):
+    """A `Graph.group` view that appends ("group read", the triples found) to `calls` for each key read."""
+
+    def __init__(self, view: Mapping[Term, Sequence[Triple]], calls: list[tuple[str, object]]):
+        self._view, self._calls = view, calls
+
+    def __getitem__(self, key: Term) -> Sequence[Triple]:
+        found = self._view[key]
+        self._calls.append(("group read", found))
+        return found
+
+    def get(self, key: Term, default=None):
+        found = self._view.get(key)
+        self._calls.append(("group read", () if found is None else found))
+        return default if found is None else found
+
+    def __iter__(self):
+        return iter(self._view)
+
+    def __len__(self) -> int:
+        return len(self._view)
+
+
+def record_calls(monkeypatch, *names: str, group_reads: bool = False) -> list[tuple[str, object]]:
     """Wrap each named `Graph` method so that every call appends (name, result) to the returned list.
 
-    Pass a `monkeypatch.context()` to stop recording where the context ends.
+    With `group_reads`, each view that a recorded `Graph.group` call returns is
+    wrapped as well, and each key read through it appends ("group read", the
+    triples that read found). Pass a `monkeypatch.context()` to stop recording
+    where the context ends.
     """
     calls: list[tuple[str, object]] = []
 
@@ -46,7 +73,7 @@ def record_calls(monkeypatch, *names: str) -> list[tuple[str, object]]:
         def wrapper(graph: Graph, *args):
             found = method(graph, *args)
             calls.append((name, found))
-            return found
+            return _RecordedGroup(found, calls) if group_reads and name == "group" else found
 
         return wrapper
 

@@ -484,6 +484,9 @@ def test_cq6_gap_report_requires_activity(capsys):
     assert run(capsys, "cq", "6", *kg_args(), "--robot", "HSR") == (2, "", "ontobot: cq 6 requires --activity\n")
 
 
+BREAKFAST = ["--activity", "Prepare breakfast"]
+
+
 @pytest.mark.parametrize(
     "argv, code, message",
     [
@@ -491,6 +494,25 @@ def test_cq6_gap_report_requires_activity(capsys):
         (["cq", "6", "-k", "broken.ttl", "--activity", "X"], 2, "cq 6 requires --robot"),
         (["query", "-k", "broken.ttl", "-f", "having.rq"], 3, "unsupported feature: HAVING"),
         (["query", "-k", "broken.ttl", "-f", "missing.rq"], 2, "cannot read missing.rq: No such file or directory"),
+        # A missing option is named before an unread one.
+        (["cq", "4", "-k", "broken.ttl", "--robot", "HSR"], 2, "cq 4 requires --activity"),
+        # An option the question does not read; unread ones are named in the order --activity, --robot, --matrix.
+        (["cq", "1", "-k", "broken.ttl", *BREAKFAST, "--robot", "HSR"], 2, "cq 1 does not take --robot"),
+        (["cq", "1", "-k", "broken.ttl", *BREAKFAST, "--matrix"], 2, "cq 1 does not take --matrix"),
+        (["cq", "2", "-k", "broken.ttl", *BREAKFAST, "--robot", "HSR"], 2, "cq 2 does not take --robot"),
+        (["cq", "3", "-k", "broken.ttl", "--robot", "HSR"], 2, "cq 3 does not take --robot"),
+        (["cq", "3", "-k", "broken.ttl", *BREAKFAST, "--matrix"], 2, "cq 3 does not take --matrix"),
+        (["cq", "4", "-k", "broken.ttl", *BREAKFAST, "--robot", "HSR"], 2, "cq 4 does not take --robot"),
+        (["cq", "4", "-k", "broken.ttl", *BREAKFAST, "--matrix", "--robot", "HSR"], 2, "cq 4 does not take --robot"),
+        (["cq", "5", "-k", "broken.ttl", "--robot", "HSR", *BREAKFAST], 2, "cq 5 does not take --activity"),
+        (["cq", "5", "-k", "broken.ttl", "--robot", "HSR", "--matrix"], 2, "cq 5 does not take --matrix"),
+        (["cq", "5", "-k", "broken.ttl", "--matrix", "--robot", "HSR", *BREAKFAST], 2, "cq 5 does not take --activity"),
+        (["cq", "6", "-k", "broken.ttl", "--matrix", "--activity", "No such"], 2,
+         "cq 6 --matrix does not take --activity"),
+        (["cq", "6", "-k", "broken.ttl", "--matrix", "--activity", ""], 2, "cq 6 --matrix does not take --activity"),
+        (["cq", "6", "-k", "broken.ttl", "--matrix", "--robot", "HSR"], 2, "cq 6 --matrix does not take --robot"),
+        (["cq", "6", "-k", "broken.ttl", "--robot", "HSR", "--matrix", "--activity", "X"], 2,
+         "cq 6 --matrix does not take --activity"),
     ],
 )
 def test_own_arguments_are_checked_before_any_graph_is_read(capsys, monkeypatch, tmp_path, argv, code, message):
