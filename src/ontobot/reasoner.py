@@ -5,11 +5,11 @@ robot graph with subclass inference applied, built in one pass by
 :func:`load_graph`; its validation report is computed on first access and
 kept. The graph never changes, so each fact is derived once: labels,
 activities, agents and their name indexes at construction; each activity's
-top-level steps and required set, each robot's capability profile and the
-feasibility matrix on first request, as one CLI run asks one question. Task
-plans are built on every call from the graph's predicate groups, each chain
-ordered from its members' own links; a faulty chain is re-read in graph
-order to name its first fault and its owner's label.
+record (procedure sets, required set, CQ1 pairs), each robot's capability
+profile and the feasibility matrix on first request, as one CLI run asks
+one question. Task plans are built on every call from the graph's predicate
+groups, each chain ordered from its members' own links; a faulty chain is
+re-read in graph order to name its first fault and its owner's label.
 On top of it this module answers the six competency questions:
 
 1. which components and affordances an activity involves,
@@ -89,6 +89,12 @@ class TaskPlan(NamedTuple):
     activity: Term
     label: str
     procedures: tuple[PlanProcedure, ...]
+
+
+class _ActivityFacts(NamedTuple):
+    procedures: tuple[tuple[Term, str, frozenset[Term]], ...]  # (procedure, label, required set)
+    required: frozenset[Term]  # the union of the procedures' sets
+    pairs: frozenset[tuple[Term, Term]]  # CQ1's (component, affordance) pairs
 
 
 class CapabilityChain(NamedTuple):
@@ -217,11 +223,11 @@ class KnowledgeBase:
     """Frozen, inference-closed union of knowledge graphs; its report is validated on first access.
 
     The label map, activity and agent maps and their name indexes are built
-    at construction; each activity's top-level steps and required set, each
-    robot's capability profile and the feasibility matrix on first request,
-    and kept, so the graph is frozen. A name is a label or full IRI: a label
-    beats an equal IRI, and the first in load order wins a repeated one. Task
-    plans are built per call, and nothing of them is kept.
+    at construction; each activity's record (procedure sets, required set,
+    CQ1 pairs), each robot's capability profile and the feasibility matrix on
+    first request, and kept, so the graph is frozen. A name is a label or
+    full IRI: a label beats an equal IRI, and the first in load order wins a
+    repeated one. Task plans are built per call, and nothing of them is kept.
     """
 
     def __init__(self, graph: Graph):
@@ -233,9 +239,7 @@ class KnowledgeBase:
         self._activities = {node: self.label_of(node) for node in graph.subjects(RDF.type, PROV.Activity)}
         self._agents = {node: self.label_of(node) for node in graph.subjects(RDF.type, OBOT.Agent)}
         self._activity_names, self._agent_names = _name_index(self._activities), _name_index(self._agents)
-        # activity -> ((procedure, label, actions beneath it, their required affordances), ...)
-        self._steps: dict[Term, tuple[tuple[Term, str, tuple[Term, ...], frozenset[Term]], ...]] = {}
-        self._required: dict[Term, frozenset[Term]] = {}  # activity -> the union of its steps' sets
+        self._facts: dict[Term, _ActivityFacts] = {}
         self._profiles: dict[Term, CapabilityProfile] = {}
         self._matrix: FeasibilityMatrix | None = None
 
@@ -288,33 +292,30 @@ class KnowledgeBase:
             # Which fault is met first depends on link order: name the one graph order meets first.
             return _chain_order(members, self.graph.lookup(None, link, None), property_name, self.label_of(owner))
 
-    def _action_affordances(self, action: Term) -> frozenset[Term]:
-        return frozenset(self.graph.objects(action, OBOT.requiresAffordance))
-
-    def _top_level_steps(self, activity: Term) -> tuple[tuple[Term, str, tuple[Term, ...], frozenset[Term]], ...]:
-        if activity not in self._steps:
-            out = []
-            for procedure in self.graph.objects(activity, PKO.executesProcedure):
-                actions: dict[Term, None] = {}
-                for step in self.graph.objects(procedure, PKO.hasStep):
-                    for action in self.graph.objects(step, PKO.requiresAction):
-                        actions.setdefault(action)
-                required = frozenset().union(*map(self._action_affordances, actions))
-                out.append((procedure, self.label_of(procedure), tuple(actions), required))
-            self._steps[activity] = tuple(out)
-        return self._steps[activity]
+    def _walk(self, activity: Term) -> _ActivityFacts:
+        # One read of the activity's procedures, steps, actions, targets and affordances; the record is kept.
+        group = self.graph.group
+        has_step, requires_action = group(PKO.hasStep, 0).get, group(PKO.requiresAction, 0).get
+        acts_on, requires_affordance = group(OBOT.actsOn, 0).get, group(OBOT.requiresAffordance, 0).get
+        procedures, everything, pairs = [], set(), set()
+        for _, _, procedure in group(PKO.executesProcedure, 0).get(activity, ()):
+            required: set[Term] = set()
+            for _, _, step in has_step(procedure, ()):
+                for _, _, action in requires_action(step, ()):
+                    affordances = [t[2] for t in requires_affordance(action, ())]
+                    required.update(affordances)
+                    pairs.update((t[2], aff) for t in acts_on(action, ()) for aff in affordances)
+            procedures.append((procedure, self.label_of(procedure), frozenset(required)))
+            everything |= required
+        facts = self._facts[activity] = _ActivityFacts(tuple(procedures), frozenset(everything), frozenset(pairs))
+        return facts
 
     # -- competency question 1 ----------------------------------------------
 
     def objects_and_affordances(self, activity_label: Term | str) -> frozenset[tuple[Term, Term]]:
         """Distinct (component, affordance) pairs the activity's actions involve."""
         activity = self.activity_by_label(activity_label)
-        pairs: set[tuple[Term, Term]] = set()
-        for _, _, actions, _ in self._top_level_steps(activity):
-            for action in actions:
-                targets = self.graph.objects(action, OBOT.actsOn)
-                pairs.update((target, aff) for target in targets for aff in self._action_affordances(action))
-        return frozenset(pairs)
+        return (self._facts.get(activity) or self._walk(activity)).pairs
 
     # -- competency question 2 ----------------------------------------------
 
@@ -343,10 +344,7 @@ class KnowledgeBase:
     def required_affordances(self, activity: Term | str) -> frozenset[Term]:
         """Union of the affordances required by all of the activity's actions."""
         activity = self.activity_by_label(activity)
-        if activity not in self._required:
-            steps = self._top_level_steps(activity)
-            self._required[activity] = frozenset().union(*(required for *_, required in steps))
-        return self._required[activity]
+        return (self._facts.get(activity) or self._walk(activity)).required
 
     # -- capability side (competency questions 4-6) --------------------------
 
@@ -398,7 +396,7 @@ class KnowledgeBase:
         enabled = self.capability_profile(robot).affordances
         steps = tuple(
             StepFeasibility(step=step, label=label, required=required, missing=required - enabled)
-            for step, label, _, required in self._top_level_steps(activity)
+            for step, label, required in (self._facts.get(activity) or self._walk(activity)).procedures
         )
         return FeasibilityReport(
             robot=robot,
@@ -412,17 +410,18 @@ class KnowledgeBase:
         """Achievability of every activity's top-level steps for every robot.
 
         Built on first request and kept; ``cells`` is read-only and holds one
-        entry per robot and top-level step.
+        entry per robot and distinct procedure; a shared procedure's rows read one cell.
         """
         if self._matrix is not None:
             return self._matrix
         robots = self.agents()
-        steps = [(activity, *step) for activity, _ in self.activities() for step in self._top_level_steps(activity)]
+        steps = [(activity, *step) for activity, _ in self.activities()
+                 for step in (self._facts.get(activity) or self._walk(activity)).procedures]
         cells: dict[tuple[Term, Term], bool] = {}
         for robot, _ in robots:
             enabled = self.capability_profile(robot).affordances
-            for _, step, _, _, required in steps:
+            for _, step, _, required in steps:
                 cells[(robot, step)] = required <= enabled
-        labelled = tuple((activity, step, label) for activity, step, label, *_ in steps)
+        labelled = tuple((activity, step, label) for activity, step, label, _ in steps)
         matrix = self._matrix = FeasibilityMatrix(robots=tuple(robots), steps=labelled, cells=MappingProxyType(cells))
         return matrix

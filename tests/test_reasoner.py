@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from helpers import record_calls
+from helpers import oracle_evaluate, record_calls
+from ontobot.cli import main
 from ontobot.fixtures import query_path
 from ontobot.graph import Graph, GraphError, Triple, literal
 from ontobot.namespaces import EX, OBOT, PROV, RDF, RDFS, SOMA, Namespace
@@ -62,6 +63,29 @@ COPY_TEMPLATE = """
 
 def copies_kb(n: int) -> KnowledgeBase:
     return mini_kb("".join(COPY_TEMPLATE.format(i=i) for i in range(n)))
+
+
+# Shapes the random OntoBOT graphs never make: a procedure two activities
+# execute, an action two steps require, an action with two targets, one with
+# a literal target, and one with no required affordance.
+EDGE_BODY = """
+:a a prov:Activity ; rdfs:label "A" ; pko:executesProcedure :shared , :own .
+:b a prov:Activity ; rdfs:label "B" ; pko:executesProcedure :shared .
+:shared rdfs:label "Shared" ; pko:hasStep :s1 , :s2 .
+:own rdfs:label "Own" ; pko:hasStep :s3 .
+:s1 pko:requiresAction :grasp , :open .
+:s2 pko:requiresAction :grasp , :look .
+:s3 pko:requiresAction :pour .
+:grasp obot:actsOn :cup , :bowl ; obot:requiresAffordance soma:Grasping , soma:Holding .
+:open obot:actsOn "the drawer" ; obot:requiresAffordance soma:Opening .
+:look obot:actsOn :shelf .
+:pour obot:requiresAffordance soma:Pouring .
+:bot a obot:Agent ; rdfs:label "Bot" ; obot:hasNode :node .
+:node ros:communicatesThrough :topic .
+:channel a ros:ROSCommunication ; ros:hasComponent :topic ; ros:hasMessage :message .
+:message ros:evokes :gripping .
+:gripping obot:enablesAffordance soma:Grasping , soma:Holding , soma:Opening .
+"""
 
 
 # -- CQ1 ---------------------------------------------------------------------
@@ -305,6 +329,21 @@ def test_resolving_a_label_compares_it_with_at_most_one_stored_name():
         assert len(compared) <= 1, (n, compared)
 
 
+def test_cq1_and_cq3_match_the_oracle_on_shared_and_partial_actions():
+    kb = mini_kb(EDGE_BODY)
+    cq1 = query_path("cq1_object_affordances").read_text(encoding="utf-8")
+    rows3 = oracle_evaluate(parse_query(query_path("cq3_required_affordances").read_text(encoding="utf-8")), kb.graph)
+    for label in ("A", "B"):
+        q1 = parse_query(cq1.replace('"Prepare breakfast"', f'"{label}"'))
+        assert kb.objects_and_affordances(label) == set(oracle_evaluate(q1, kb.graph)), label
+        assert kb.required_affordances(label) == {aff for name, aff in rows3 if name.value == label}, label
+    assert kb.objects_and_affordances("B") == {
+        (EX.cup, SOMA.Grasping), (EX.cup, SOMA.Holding), (EX.bowl, SOMA.Grasping), (EX.bowl, SOMA.Holding),
+        (literal("the drawer"), SOMA.Opening),
+    }
+    assert kb.required_affordances("A") == {SOMA.Grasping, SOMA.Holding, SOMA.Opening, SOMA.Pouring}
+
+
 def test_cq3_matches_query_engine(kb):
     q = parse_query(query_path("cq3_required_affordances").read_text(encoding="utf-8"))
     rows = evaluate(q, kb.graph)
@@ -529,16 +568,58 @@ def test_granting_an_affordance_never_shrinks_feasibility(kb, activities, robots
 )
 def test_graph_lookups_grow_linearly_with_robots(monkeypatch, ask):
     # Counted on the first call to a fresh knowledge base, so the count covers
-    # deriving the facts it keeps; twice the robots may at most double it.
-    counts = []
+    # deriving the facts it keeps; twice the robots may at most double the
+    # reads, through Graph.lookup or a key of a Graph.group view, and the
+    # triples they find.
+    counts, sums = [], []
     for n in (8, 16):
         kb = copies_kb(n)
         with monkeypatch.context() as patch:
-            calls = record_calls(patch, "lookup")
+            calls = record_calls(patch, "lookup", "group", group_reads=True)
             first = ask(kb)
         counts.append(len(calls))
+        sums.append(sum(len(found) for name, found in calls if name != "group"))
         assert ask(kb) == first
     assert counts[1] <= 2 * counts[0], counts
+    assert 0 < sums[1] <= 2 * sums[0], sums
+
+
+ACTIVITY_QUESTIONS = {
+    "cq1": lambda kb: kb.objects_and_affordances("Activity 0"),
+    "cq3": lambda kb: kb.required_affordances("Activity 0"),
+    "cq6": lambda kb: kb.gap_report("Bot 0", "Activity 0").steps,
+}
+
+
+@pytest.mark.parametrize("question", ["cq1", "cq3"])
+def test_activity_questions_read_triples_bounded_by_the_activity(monkeypatch, question):
+    # The first call in a graph of twice the copies reads the same triples and fetches the same groups.
+    ask, sums, fetches = ACTIVITY_QUESTIONS[question], [], []
+    for n in (8, 16):
+        kb = copies_kb(n)
+        with monkeypatch.context() as patch:
+            calls = record_calls(patch, "lookup", "group", group_reads=True)
+            ask(kb)
+        sums.append(sum(len(found) for name, found in calls if name != "group"))
+        fetches.append(sum(name == "group" for name, _ in calls))
+    assert sums[0] == sums[1] > 0, sums
+    assert fetches[0] == fetches[1], fetches
+
+
+@pytest.mark.parametrize(
+    "first, then", [("cq1", "cq1"), ("cq3", "cq3"), ("cq3", "cq1"), ("cq6", "cq1"), ("cq1", "cq3")]
+)
+def test_one_walk_per_activity_serves_cq1_cq3_and_cq6(monkeypatch, first, then):
+    # Once any of them has read the activity, CQ1 and CQ3 read no graph and hand out the kept set.
+    kb = copies_kb(8)
+    ACTIVITY_QUESTIONS[first](kb)
+    ask = ACTIVITY_QUESTIONS[then]
+    with monkeypatch.context() as patch:
+        calls = record_calls(patch, "lookup", "group", group_reads=True)
+        kept = ask(kb)
+        assert ask(kb) is kept
+    assert calls == []
+    assert isinstance(kept, frozenset) and kept
 
 
 def test_task_plan_reads_triples_bounded_by_the_plan(monkeypatch):
@@ -597,6 +678,9 @@ def test_kept_facts_are_handed_out_read_only(activities, robots):
     breakfast = kb.required_affordances("Prepare breakfast")
     assert breakfast is kb.required_affordances(kb.activity_by_label("Prepare breakfast"))
     assert isinstance(breakfast, frozenset)
+    pairs = kb.objects_and_affordances("Prepare breakfast")
+    assert pairs is kb.objects_and_affordances(kb.activity_by_label("Prepare breakfast"))
+    assert isinstance(pairs, frozenset)
     kb.agents().clear()
     kb.activities().clear()
     assert [label for _, label in kb.agents()] == ["TIAGo", "HSR", "UR3", "Stretch"]
@@ -626,6 +710,23 @@ def test_the_matrix_is_kept_and_handed_out_read_only(monkeypatch, activities, ro
     assert (matrix.robots, matrix.steps) == (fresh.robots, fresh.steps)
     assert list(matrix.cells.items()) == list(fresh.cells.items())
     assert len(matrix.cells) == len(matrix.robots) * len(matrix.steps)
+
+
+def test_a_procedure_two_activities_execute_has_one_cell_per_robot(capsys, tmp_path):
+    kb = mini_kb(EDGE_BODY)
+    matrix = kb.feasibility_matrix()
+    assert matrix.steps == ((EX.a, EX.shared, "Shared"), (EX.a, EX.own, "Own"), (EX.b, EX.shared, "Shared"))
+    assert dict(matrix.cells) == {(EX.bot, EX.shared): True, (EX.bot, EX.own): False}
+    path = tmp_path / "edge.ttl"
+    path.write_text(MINI_PREFIXES + EDGE_BODY, encoding="utf-8")
+    assert main(["cq", "6", "-k", str(path), "--matrix"]) == 0
+    assert capsys.readouterr().out == (
+        "activity  step    Bot\n"
+        "--------  ------  ---\n"
+        "A         Shared  ✓\n"
+        "A         Own     ✗\n"
+        "B         Shared  ✓\n"
+    )
 
 
 def test_fixture_sizes_meet_documented_lower_bounds(activities, robots):
