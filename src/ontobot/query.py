@@ -30,16 +30,20 @@ the access path, plus the slots it fills. A step with a constant predicate
 and one other bound position fetches that predicate's group once, when the
 query compiles. A variable repeated within a pattern becomes an identity
 check. The join walks the steps depth first over an explicit stack of
-candidate iterators, writing into the row, and emits the projected slots at
-the last step. Results are deduplicated on the projected terms when DISTINCT
-is set and returned as plain dicts sorted by the projected terms' lexical
-forms, so evaluation is fully deterministic.
+candidate iterators, writing into the row; the next-to-last level runs the
+last step in an inner loop, emitting the projected slots per candidate.
+Results are deduplicated on the projected terms when DISTINCT is set and
+returned as plain dicts sorted by ``Term.sort_key``: kind (IRI, blank node,
+literal), then lexical form, language tag and datatype. Each distinct term's
+key is built once and ranked; rows sort by their rank tuples, built column
+by column, and rows with equal keys keep the order they were found in.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from heapq import heapify, heappop, heappush
+from itertools import count
 from operator import itemgetter
 from typing import Callable, Collection, Iterator, NamedTuple, NoReturn, Union
 
@@ -260,14 +264,11 @@ def _order_patterns(patterns: list[TriplePattern]) -> list[TriplePattern]:
     return ordered
 
 
-_HIT: tuple[None] = (None,)  # the root step's one candidate, which binds nothing
-
-
 def evaluate(query: Query, graph: Graph) -> list[dict[str, Term]]:
     """All solutions of the query over the graph, each a dict from projected variable name to term.
 
-    Rows are sorted by the projected terms' lexical forms; with DISTINCT
-    set, each projected row appears exactly once.
+    Rows are sorted by the projected terms' ``sort_key()``, ties as found;
+    with DISTINCT set, each projected row appears exactly once.
     """
     # Compile: each variable and constant gets a slot of one flat row, and each
     # pattern a step: a probe from the row to its candidate triples, and the
@@ -276,7 +277,7 @@ def evaluate(query: Query, graph: Graph) -> list[dict[str, Term]]:
     slots: dict[PatternTerm, int] = {}
     row: list = [None]  # slot 0: the wildcard of every unbound position
     lookup = graph.lookup
-    probes: list[Callable[[list], Collection]] = [lambda _: _HIT]
+    probes: list[Callable[[list], Collection]] = [lambda _: (None,)]
     fills: list[tuple[tuple[int, int], ...]] = [()]
     for pat in _order_patterns(query.pattern):
         at = [0, 0, 0]  # each position's slot, 0 while unbound
@@ -321,18 +322,23 @@ def evaluate(query: Query, graph: Graph) -> list[dict[str, Term]]:
     emit = found.setdefault if query.distinct else found.append
 
     # Depth first over an explicit stack of candidate iterators, so no
-    # recursion limit applies. Above the last level a `break` descends and
-    # the `else` backs up; the last level emits each of its candidates.
-    last = len(probes) - 1
+    # recursion limit applies. Above the next-to-last level a `break` descends
+    # and the `else` backs up; that level runs the last step itself, inline.
+    last_probe, last_fills = probes.pop(), fills.pop()
+    if not probes:  # the empty pattern: the root was the last step, and its one row binds nothing
+        return [{}]
     stack: list[Iterator] = [iter(probes[0](row))] * len(probes)  # each deeper level is set on descent
-    depth = 0
+    depth, inline = 0, len(probes) - 1
     while depth >= 0:
         step_fills = fills[depth]
-        if depth == last:
+        if depth == inline:
             for t in stack[depth]:
                 for slot, position in step_fills:
                     row[slot] = t[position]
-                emit(key(row))
+                for u in last_probe(row):
+                    for slot, position in last_fills:
+                        row[slot] = u[position]
+                    emit(key(row))
             depth -= 1
             continue
         for t in stack[depth]:
@@ -344,8 +350,17 @@ def evaluate(query: Query, graph: Graph) -> list[dict[str, Term]]:
         else:
             depth -= 1
 
-    rows = [(term,) for term in found] if len(project) == 1 else list(found)
-    if len(rows) > 1:  # each distinct term's sort_key() is built once
-        keys = {term: term.sort_key() for term in {term for cells in rows for term in cells}}
-        rows.sort(key=lambda row: tuple(map(keys.__getitem__, row)))
+    rows = list(found)  # a term per row for one projected variable, else a tuple of terms
+    if len(rows) > 1 and project:  # by integer ranks; terms with equal sort keys share one, so stay first-found
+        columns = [rows] if len(project) == 1 else list(zip(*rows))
+        terms = set().union(*columns)
+        keys = list(map(Term.sort_key, terms))  # built once per distinct term
+        rank = dict(zip(terms, map(dict(zip(sorted(keys), count())).__getitem__, keys)))
+        if len(columns) == 1:
+            rows.sort(key=rank.__getitem__)
+        else:  # each row's tuple of ranks, built column by column, then a stable argsort
+            rowkeys = list(zip(*[map(rank.__getitem__, column) for column in columns]))
+            rows = [rows[i] for i in sorted(range(len(rows)), key=rowkeys.__getitem__)]
+    if len(project) == 1:
+        return [{query.projection[0]: term} for term in rows]
     return [dict(zip(query.projection, row)) for row in rows]

@@ -9,19 +9,43 @@ brute-force fixpoint of subclass inference. `random_ontobot_graph`
 generates graphs in the fixtures' domain for the reasoner's cross-oracle.
 `record_calls` counts the graph reads, through a method or through a group's
 view, that the work-bound tests hold to the size of the answer.
+`outputs_across_memory_layouts` runs a script in fresh processes that hand
+out different addresses.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 import random
+import subprocess
+import sys
 from collections.abc import Mapping, Sequence
+from pathlib import Path
 
+import ontobot
 from ontobot.fixtures import vocabulary_path
 from ontobot.graph import BLANK, Graph, Term, Triple, blank, iri, literal
 from ontobot.namespaces import EX, OBOT, PKO, PROV, RDF, RDFS, ROS, SOMA
 from ontobot.query import Query, TriplePattern, Var
 from ontobot.turtle import parse_turtle
+
+
+def outputs_across_memory_layouts(script: str) -> set[str]:
+    """The distinct stdouts of ``script`` run in four fresh processes, which allocate 0, 1, 5,000 and 40,000
+    objects before the script imports ``ontobot``.
+
+    Terms hash by identity, so an order taken from a set of terms would follow the addresses a process hands
+    out. The script sees ``sys`` imported, and the processes read no ``ONTOBOT_FIXTURES`` directory.
+    """
+    prologue = "import sys; junk = [object() for _ in range(int(sys.argv[1]))]\n"
+    env = {**os.environ, "PYTHONPATH": str(Path(ontobot.__file__).resolve().parents[1]), "PYTHONIOENCODING": "utf-8"}
+    env.pop("ONTOBOT_FIXTURES", None)
+    return {
+        subprocess.run([sys.executable, "-c", prologue + script, n], env=env, capture_output=True, text=True,
+                       check=True).stdout
+        for n in ("0", "1", "5000", "40000")
+    }
 
 
 def short(term: Term) -> str:

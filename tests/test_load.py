@@ -2,16 +2,14 @@
 
 from __future__ import annotations
 
-import os
-import subprocess
 import sys
 from collections import Counter
 from itertools import chain
-from pathlib import Path
 
 import pytest
 
 from golden_cli import BLANK_ACTIVITIES, BLANK_ROBOTS, PREFIX_A, PREFIX_B
+from helpers import outputs_across_memory_layouts
 from ontobot import schema
 from ontobot.cli import main
 from ontobot.fixtures import activities_path, robots_path, vocabulary_path
@@ -141,19 +139,12 @@ def count_calls(monkeypatch, calls: Counter) -> None:
 
 
 def test_the_loaded_graph_has_one_order_whatever_the_memory_layout():
-    # Terms hash by identity, so an order taken from a set would follow the addresses a process hands out.
-    # Each process allocates a different number of objects before it imports ontobot.
     script = (
-        "import sys; junk = [object() for _ in range(int(sys.argv[1]))]\n"
         "from ontobot.fixtures import activities_path, robots_path\n"
         "from ontobot.reasoner import KnowledgeBase\n"
         "for t in KnowledgeBase.load(activities_path(), robots_path()).graph: print(t.n3())\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(schema.__file__).resolve().parents[1]), "PYTHONIOENCODING": "utf-8"}
-    orders = {
-        subprocess.run([sys.executable, "-c", script, n], env=env, capture_output=True, text=True, check=True).stdout
-        for n in ("0", "1", "5000", "40000")
-    }
+    orders = outputs_across_memory_layouts(script)
     assert len(orders) == 1
     assert len(next(iter(orders)).splitlines()) == len(KnowledgeBase.load(activities_path(), robots_path()).graph)
 

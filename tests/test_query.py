@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from helpers import oracle_evaluate, random_graph, random_query, record_calls, row_key
+from helpers import outputs_across_memory_layouts, oracle_evaluate, random_graph, random_query, record_calls, row_key
 from ontobot.fixtures import query_path
 from ontobot.graph import BLANK, IRI, Graph, Term, Triple, iri, literal
 from ontobot.namespaces import EX, OBOT, RDF, SOMA
@@ -394,6 +394,7 @@ def test_compiled_executor_matches_oracle(case, distinct):
         q = Query(prefixes={}, projection=projection, distinct=distinct, pattern=pattern)
         engine = [tuple(s[v] for v in q.projection) for s in evaluate(q, g)]
         assert sorted(engine, key=row_key) == sorted(oracle_evaluate(q, g), key=row_key), (case, seed)
+        assert engine == sorted(engine, key=row_key), (case, seed)
 
 
 def test_all_constant_pattern_is_a_membership_test():
@@ -476,3 +477,36 @@ def test_rows_with_equal_sort_keys_keep_the_order_they_were_found_in(distinct):
         q = Query(prefixes={}, projection=["o"], distinct=distinct,
                   pattern=[TriplePattern(_N[0], _P[0], Var("o"))])
         assert [s["o"] for s in evaluate(q, g.freeze())] == objects
+    # Two columns, the tied literals first: rows sort by the subject, and those alike in both keep their order.
+    for objects in ([plain, typed], [typed, plain]):
+        g = Graph()
+        for subject in (_N[1], _N[0]):
+            for o in objects:
+                g.insert(Triple(subject, _P[0], o))
+        q = Query(prefixes={}, projection=["o", "s"], distinct=distinct,
+                  pattern=[TriplePattern(Var("s"), _P[0], Var("o"))])
+        rows = [(s["o"], s["s"]) for s in evaluate(q, g.freeze())]
+        assert rows == [(o, subject) for subject in (_N[0], _N[1]) for o in objects]
+
+
+def test_rows_sort_with_one_sort_key_per_distinct_projected_term(union, monkeypatch):
+    # A sort through Term.__lt__ would build two keys per comparison, and a key per row would build one per row.
+    query = parse_query(query_path("cq6_step_affordances").read_text(encoding="utf-8"))
+    built: list[Term] = []
+    sort_key = Term.sort_key
+    with monkeypatch.context() as patch:
+        patch.setattr(Term, "sort_key", lambda term: built.append(term) or sort_key(term))
+        rows = evaluate(query, union)
+    distinct = {term for row in rows for term in row.values()}
+    assert len(built) <= len(distinct) < len(rows)
+
+
+def test_query_output_does_not_depend_on_memory_addresses(union):
+    # The rank sort walks a set of terms, and terms hash by address.
+    path = query_path("cq6_step_affordances")
+    outputs = outputs_across_memory_layouts(
+        f"from ontobot.cli import main\nsys.exit(main(['query', '-f', {str(path)!r}, '-o', 'csv']))\n"
+    )
+    assert len(outputs) == 1
+    rows = evaluate(parse_query(path.read_text(encoding="utf-8")), union)
+    assert len(next(iter(outputs)).splitlines()) == 1 + len(rows)
