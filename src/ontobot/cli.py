@@ -327,9 +327,5 @@ def main(argv: Sequence[str] | None = None) -> int:
     return code
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

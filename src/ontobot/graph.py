@@ -8,16 +8,18 @@ kept exact by later inserts: the predicate index, the subject and object
 indexes over all triples, and the groups, each one predicate's triples keyed
 by their subject or by their object. ``Graph.lookup`` is the one place that
 picks which of these answers a pattern, from the positions it binds;
-``subjects``/``objects`` and the compiled query steps all read through it. An
+``subjects``/``objects`` and most compiled query steps read through it, but a
+step with a constant predicate and one bound end reads that predicate's
+``Graph.group`` view, as ``KnowledgeBase._walk`` and ``task_plan`` do. An
 index is built in a local dict and published with one assignment, so a reader
 of a frozen graph never sees one half built. ``Graph.add_graph`` reuses each
 source triple with no blank end and rebuilds the rest.
 
-Terms are interned through the ``iri`` / ``blank`` / ``literal`` factories:
-building the same term twice, or calling ``Term(...)``, yields the same object,
-so equality is always a single pointer comparison and terms work as set and
-dict keys. A new term enters the table in one ``setdefault``, so threads that
-build it at once all get the one object.
+Terms are interned: building a term twice, through ``Term(...)`` or the
+``iri`` / ``blank`` / ``literal`` factories, yields the same object, so
+equality is one pointer comparison and terms work as set and dict keys.
+``Term.__new__`` is the one reader and writer of the intern table; a new term
+enters it in one ``setdefault``, so threads that build it at once get one object.
 """
 
 from __future__ import annotations
@@ -117,22 +119,16 @@ class Term:
 _interned: dict[tuple, Term] = {}
 
 
-def _intern(kind: str, value: str, lang: str | None, datatype: str | None) -> Term:
-    # The table lookup inline, so the common hit skips the call into __new__.
-    term = _interned.get((kind, value, lang, datatype))
-    return term if term is not None else Term(kind, value, lang, datatype)
-
-
 def iri(value: str) -> Term:
-    return _intern(IRI, value, None, None)
+    return Term(IRI, value)
 
 
 def blank(label: str) -> Term:
-    return _intern(BLANK, label, None, None)
+    return Term(BLANK, label)
 
 
 def literal(value: str, lang: str | None = None, datatype: str | None = None) -> Term:
-    return _intern(LITERAL, value, lang, datatype)
+    return Term(LITERAL, value, lang, datatype)
 
 
 def blank_minter(prefix: str) -> Callable[[], Term]:

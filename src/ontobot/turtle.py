@@ -101,6 +101,8 @@ _ESCAPES = {
 }
 
 _IRI_BODY = r'[^> "<{}|^`\n]*'
+# One escape: \u and four hex digits, \U and eight, any other character, or the end.
+_ESCAPE = r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|[\s\S]|\Z)"
 _NAME = r"[A-Za-z][A-Za-z0-9_\-]*"  # a prefix name, and a word such as 'a' or 'true'
 _PREFIX = rf"(?:{_NAME})?"
 _LANGTAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
@@ -142,12 +144,6 @@ def _pattern(source: str) -> re.Pattern:
     return re.compile(source)
 
 
-@cache  # compiled on first use, as _lexer is
-def _escape_pattern() -> re.Pattern:
-    """One escape: ``\\u`` and four hex digits, ``\\U`` and eight, any other character, or the end."""
-    return re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|[\s\S]|\Z)")
-
-
 def _unescape(tok: str) -> str:
     """The body of a string or IRI token with its escapes decoded; a bad escape raises ``ValueError``."""
     body = tok[1:-1]
@@ -169,7 +165,7 @@ def _unescape(tok: str) -> str:
             raise ValueError(f"unknown escape sequence: \\{e}")
         return _ESCAPES[e]
 
-    return _escape_pattern().sub(one, body)
+    return _pattern(_ESCAPE).sub(one, body)
 
 
 _DIRECTIVES = frozenset({"prefix", "base"})  # after an '@', not language tags

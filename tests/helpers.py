@@ -10,17 +10,18 @@ generates graphs in the fixtures' domain for the reasoner's cross-oracle.
 `record_calls` counts the graph reads, through a method or through a group's
 view, that the work-bound tests hold to the size of the answer.
 `outputs_across_memory_layouts` runs a script in fresh processes that hand
-out different addresses.
+out different addresses. `assert_outcomes_match_corpus` replays a pin corpus.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import os
 import random
 import subprocess
 import sys
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from pathlib import Path
 
 import ontobot
@@ -46,6 +47,17 @@ def outputs_across_memory_layouts(script: str) -> set[str]:
                        check=True).stdout
         for n in ("0", "1", "5000", "40000")
     }
+
+
+def assert_outcomes_match_corpus(corpus: Path, outcomes: Callable[[], dict[str, str]]) -> None:
+    """Fail unless ``outcomes()`` names the recorded cases in their order and gives each its recorded outcome."""
+    recorded = json.loads(corpus.read_text(encoding="utf-8"))
+    got = outcomes()
+    assert list(got) == list(recorded)
+    differing = [name for name in recorded if got[name] != recorded[name]]
+    assert not differing, f"{len(differing)} of {len(recorded)} outcomes differ\n" + "\n".join(
+        f"{name}:\n  got      {got[name]}\n  recorded {recorded[name]}" for name in differing[:3]
+    )
 
 
 def short(term: Term) -> str:

@@ -95,11 +95,16 @@ def test_fresh_process_matches_corpus(inputs):
 
 
 @pytest.mark.parametrize("name", ["defaults-cq4", "exit4-cq-unknown-activity"])
-def test_console_script_entrypoint_matches_corpus(inputs, name):
-    # The installed ``ontobot`` script calls cli.entrypoint, which hands main's exit code to the shell.
+def test_console_script_matches_corpus(inputs, name):
+    # The installed ``ontobot`` script is pip's wrapper around the pyproject target,
+    # ``sys.exit(target())``, so the target must import and return main's exit code.
+    tomllib = pytest.importorskip("tomllib")  # 3.11 and later
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["ontobot"]
+    module, function = target.split(":")
     case = next(c for c in RECORDED if c["name"] == name)
     expected = {key: case[key] for key in ("exit", "stdout", "stderr")}
-    entry = ("-c", "from ontobot.cli import entrypoint; entrypoint()")
+    entry = ("-c", f"import sys; from {module} import {function}; sys.exit({function}())")
     assert run_fresh(case["argv"], case["env"], inputs, entry) == expected
 
 

@@ -75,28 +75,28 @@ def test_repr_names_size_prefixes_and_state(activities):
     assert repr(activities) == f"<Graph {len(activities)} triples, {len(activities.prefixes)} prefixes, frozen>"
 
 
-def test_match_empty_graph_all_wildcards():
+def test_lookup_empty_graph_all_wildcards():
     assert list(Graph().lookup(None, None, None)) == []
 
 
-def test_match_drawer_affordances(activities):
+def test_lookup_drawer_affordances(activities):
     objects = {t.o for t in activities.lookup(EX.drawer, OBOT.hasAffordance, None)}
     assert objects == {SOMA.Opening, SOMA.Closing}
 
 
-def test_match_agents(robots):
+def test_lookup_agents(robots):
     subjects = {t.s for t in robots.lookup(None, RDF.type, OBOT.Agent)}
     assert subjects == {EX.tiago, EX.hsr, EX.ur3, EX.stretch}
 
 
-def test_match_fully_bound(activities):
+def test_lookup_fully_bound(activities):
     t = Triple(EX.drawer, OBOT.hasAffordance, SOMA.Opening)
     assert list(activities.lookup(*t)) == [t]
     absent = Triple(EX.drawer, OBOT.hasAffordance, SOMA.Pouring)
     assert list(activities.lookup(*absent)) == []
 
 
-def test_match_agrees_with_linear_scan_oracle():
+def test_lookup_agrees_with_linear_scan_oracle():
     rng = random.Random(20240817)
     sizes = [80] * 40 + [1000] * 3
     for max_triples in sizes:
@@ -110,7 +110,7 @@ def test_match_agrees_with_linear_scan_oracle():
             assert set(g.lookup(s, p, o)) == scan_match(g, s, p, o)
 
 
-def test_match_is_deterministic(activities):
+def test_lookup_is_deterministic(activities):
     first = list(activities.lookup(None, OBOT.requiresAffordance, None))
     second = list(activities.lookup(None, OBOT.requiresAffordance, None))
     assert first == second
@@ -260,6 +260,9 @@ def test_term_rejects_malformed_parts():
         Term(IRI, "https://example.org/", lang="en")
     with pytest.raises(GraphError):
         Term(LITERAL, "x", lang="en", datatype="https://example.org/t")
+    # The factories build through Term, so its checks guard them as well.
+    with pytest.raises(GraphError):
+        literal("x", lang="en", datatype="https://example.org/t")
 
 
 def ordered_scan(graph: Graph, s: Term | None, p: Term | None, o: Term | None) -> list[Triple]:
@@ -272,7 +275,7 @@ def bound_patterns(t: Triple) -> list[tuple[Term | None, Term | None, Term | Non
     return [(t.s, None, None), (None, t.p, None), (None, None, t.o), (t.s, t.p, None), (None, t.p, t.o), (t.s, None, t.o)]
 
 
-def test_match_agrees_in_order_with_a_scan_as_the_graph_grows():
+def test_lookup_agrees_in_order_with_a_scan_as_the_graph_grows():
     # Lookups between inserts build indexes and groups that later inserts must keep exact.
     rng = random.Random(20261018)
     for _ in range(30):
@@ -391,7 +394,7 @@ def test_threads_reading_a_fresh_graph_see_complete_predicate_lists():
         sys.setswitchinterval(interval)
 
 
-def test_group_view_is_read_only_and_agrees_with_match(activities):
+def test_group_view_is_read_only_and_agrees_with_lookup(activities):
     for position in (0, 2):
         view = activities.group(OBOT.requiresAffordance, position)
         assert view
@@ -406,7 +409,7 @@ def test_group_view_is_read_only_and_agrees_with_match(activities):
             activities.group(OBOT.requiresAffordance, position)
 
 
-def test_two_bound_match_reads_only_its_own_triples():
+def test_two_bound_lookup_reads_only_its_own_triples():
     # The subject's and the predicate's buckets each hold 10k triples, their
     # pairing 3: filtering either bucket reads 10k triples per lookup (seconds
     # for all of them), the group a few (milliseconds).

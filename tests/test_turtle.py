@@ -16,9 +16,10 @@ from ontobot.namespaces import OBOT, RDF, RDFS, SOMA
 from ontobot.query import QueryParseError, TriplePattern, UnsupportedFeatureError, parse_query
 from ontobot.turtle import (
     TurtleParseError,
+    _ESCAPE,
     _StatementParser,
-    _escape_pattern,
     _lexer,
+    _pattern,
     parse_turtle,
     serialize_turtle,
     term_to_text,
@@ -308,7 +309,7 @@ def _opcodes(node, parser):
             yield from _opcodes(item, parser)
 
 
-@pytest.mark.parametrize("pattern", [_lexer(False), _lexer(True), _escape_pattern()], ids=["turtle", "query", "escape"])
+@pytest.mark.parametrize("pattern", [_lexer(False), _lexer(True), _pattern(_ESCAPE)], ids=["turtle", "query", "escape"])
 def test_lexer_patterns_use_no_syntax_python_3_10_lacks(pattern):
     # Python 3.10's re has no atomic groups or possessive quantifiers; a lexer that needs
     # either would fail to compile there.
