@@ -1,12 +1,12 @@
 """Command-line interface: load KGs, validate, run queries, emit CQ reports.
 
-Exit codes: 0 success, 1 validation violations, 2 I/O (output stdout cannot
-encode included) or parse errors, or a ``cq 2`` order chain that cannot be
-ordered, 3 unsupported query feature, 4 unknown entity (activity/robot label),
-5 internal error: any other exception, 130 interrupted (Ctrl-C). Every error
-after the arguments parse is one stderr line, ``ontobot: `` and its message,
-with a line break in the message (from a label, an IRI or a path) written as
-``\\n`` or ``\\r``.
+Exit codes: 0 success, 1 validation violations, 2 I/O (a closed stdout and
+output it cannot encode included) or parse errors, or a ``cq 2`` order chain
+that cannot be ordered, 3 unsupported query feature, 4 unknown entity
+(activity/robot label), 5 internal error: any other exception, 130
+interrupted (Ctrl-C). Every error after the arguments parse is one stderr
+line, ``ontobot: `` and its message, with a line break in the message (from
+a label, an IRI or a path) written as ``\\n`` or ``\\r``.
 
 A call builds only the argument parser of the command it names, the one the
 full parser would hand that command. A call that names no command, or leaves
@@ -313,6 +313,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if sys.stdout is None:  # file descriptor 1 was closed at start, so no answer could be printed
+            raise _Fail("cannot write output: stdout is closed")
         return args.func(args)
     # UnicodeEncodeError: stdout (or the file system) cannot encode a character.
     except (_Fail, UnsupportedFeatureError, UnknownEntityError, QueryParseError, TurtleParseError,

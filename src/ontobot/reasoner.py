@@ -7,9 +7,12 @@ kept. The graph never changes, so each fact is derived once: labels,
 activities, agents and their name indexes at construction; each activity's
 record (procedure sets, required set, CQ1 pairs), each robot's capability
 profile and the feasibility matrix on first request, as one CLI run asks
-one question. Task plans are built on every call from the graph's predicate
-groups, each chain ordered from its members' own links; a faulty chain is
-re-read in graph order to name its first fault and its owner's label.
+one question. A name resolves with one read of its kind's index, whose miss
+raises :class:`UnknownEntityError`. CQ5 resolves every name first, then tests
+the activities in order and stops at the first one the robot does not cover.
+Task plans are built on every call from the graph's predicate groups, each
+chain ordered from its members' own links; a faulty chain is re-read in
+graph order to name its first fault and its owner's label.
 On top of it this module answers the six competency questions:
 
 1. which components and affordances an activity involves,
@@ -184,14 +187,20 @@ def _chain_order(items: list[Term], links: Iterable[Triple], property_name: str,
     return ordered
 
 
-def _name_index(instances: Mapping[Term, str]) -> dict[Term | str, Term]:
+class _Names(dict):
     """Each instance to itself; each label, then each IRI string not already a key, to the first in load order."""
-    index: dict[Term | str, Term] = {node: node for node in instances}
-    for node, label in instances.items():
-        index.setdefault(label, node)
-    for node in instances:
-        index.setdefault(node.value, node)
-    return index
+
+    def __init__(self, kind: str, instances: Mapping[Term, str]):
+        super().__init__([(node, node) for node in instances])
+        for node, label in instances.items():
+            self.setdefault(label, node)
+        for node in instances:
+            self.setdefault(node.value, node)
+        self.kind, self.instances = kind, instances
+
+    def __missing__(self, wanted: Term | str) -> Term:  # a miss lists the kind's labels, sorted
+        shown = wanted.n3() if isinstance(wanted, Term) else wanted
+        raise UnknownEntityError(self.kind, shown, sorted(self.instances.values()))
 
 
 GraphSource = Union[Graph, str, "os.PathLike[str]"]
@@ -238,7 +247,7 @@ class KnowledgeBase:
         self._labels = {t.s: t.o.value for t in labels if t.o.kind == LITERAL}
         self._activities = {node: self.label_of(node) for node in graph.subjects(RDF.type, PROV.Activity)}
         self._agents = {node: self.label_of(node) for node in graph.subjects(RDF.type, OBOT.Agent)}
-        self._activity_names, self._agent_names = _name_index(self._activities), _name_index(self._agents)
+        self._activity_names, self._agent_names = _Names("activity", self._activities), _Names("robot", self._agents)
         self._facts: dict[Term, _ActivityFacts] = {}
         self._profiles: dict[Term, CapabilityProfile] = {}
         self._matrix: FeasibilityMatrix | None = None
@@ -266,18 +275,11 @@ class KnowledgeBase:
     def agents(self) -> list[tuple[Term, str]]:
         return list(self._agents.items())
 
-    def _resolve(self, wanted: Term | str, kind: str, instances: dict[Term, str], names: dict[Term | str, Term]) -> Term:
-        try:
-            return names[wanted]
-        except KeyError:
-            shown = wanted.n3() if isinstance(wanted, Term) else wanted
-            raise UnknownEntityError(kind, shown, sorted(instances.values())) from None
-
     def activity_by_label(self, wanted: Term | str) -> Term:
-        return self._resolve(wanted, "activity", self._activities, self._activity_names)
+        return self._activity_names[wanted]
 
     def agent_by_label(self, wanted: Term | str) -> Term:
-        return self._resolve(wanted, "robot", self._agents, self._agent_names)
+        return self._agent_names[wanted]
 
     # -- task structure ----------------------------------------------------
 
@@ -314,7 +316,7 @@ class KnowledgeBase:
 
     def objects_and_affordances(self, activity_label: Term | str) -> frozenset[tuple[Term, Term]]:
         """Distinct (component, affordance) pairs the activity's actions involve."""
-        activity = self.activity_by_label(activity_label)
+        activity = self._activity_names[activity_label]
         return (self._facts.get(activity) or self._walk(activity)).pairs
 
     # -- competency question 2 ----------------------------------------------
@@ -343,16 +345,17 @@ class KnowledgeBase:
 
     def required_affordances(self, activity: Term | str) -> frozenset[Term]:
         """Union of the affordances required by all of the activity's actions."""
-        activity = self.activity_by_label(activity)
+        activity = self._activity_names[activity]
         return (self._facts.get(activity) or self._walk(activity)).required
 
     # -- capability side (competency questions 4-6) --------------------------
 
     def capability_profile(self, robot: Term | str) -> CapabilityProfile:
         """All affordances a robot's capabilities enable, with provenance chains."""
-        robot = self.agent_by_label(robot)
-        if robot in self._profiles:
-            return self._profiles[robot]
+        robot = self._agent_names[robot]
+        return self._profiles.get(robot) or self._profile(robot)
+
+    def _profile(self, robot: Term) -> CapabilityProfile:
         provenance: dict[Term, dict[CapabilityChain, None]] = {}  # ordered sets of chains
         for node in self.graph.objects(robot, OBOT.hasNode):
             for component in self.graph.objects(node, ROS.communicatesThrough):
@@ -381,30 +384,24 @@ class KnowledgeBase:
         )
 
     def can_execute_all(self, robot: Term | str, activities: Iterable[Term | str]) -> bool:
-        """True when one robot covers the union of several activities' requirements."""
-        required: set[Term] = set()
+        """True when one robot covers each activity's requirements; the first activity it does not cover decides."""
+        activities = list(map(self._activity_names.__getitem__, activities))  # every name resolves before any test
+        robot = self._agent_names[robot]
+        enabled, facts = (self._profiles.get(robot) or self._profile(robot)).affordances, self._facts
         for activity in activities:
-            required.update(self.required_affordances(activity))
-        return required <= self.capability_profile(robot).affordances
+            if not (facts.get(activity) or self._walk(activity)).required <= enabled:
+                return False
+        return True
 
     # -- competency question 6 ----------------------------------------------
 
     def gap_report(self, robot: Term | str, activity: Term | str) -> FeasibilityReport:
         """Which steps of the activity the robot can and cannot achieve, and why."""
-        robot = self.agent_by_label(robot)
-        activity = self.activity_by_label(activity)
-        enabled = self.capability_profile(robot).affordances
-        steps = tuple(
-            StepFeasibility(step=step, label=label, required=required, missing=required - enabled)
-            for step, label, required in (self._facts.get(activity) or self._walk(activity)).procedures
-        )
-        return FeasibilityReport(
-            robot=robot,
-            robot_label=self.label_of(robot),
-            activity=activity,
-            activity_label=self.label_of(activity),
-            steps=steps,
-        )
+        robot, activity = self._agent_names[robot], self._activity_names[activity]
+        profile = self._profiles.get(robot) or self._profile(robot)
+        steps = tuple([StepFeasibility(step, label, required, required - profile.affordances)
+                       for step, label, required in (self._facts.get(activity) or self._walk(activity)).procedures])
+        return FeasibilityReport(robot, profile.label, activity, self._activities[activity], steps)
 
     def feasibility_matrix(self) -> FeasibilityMatrix:
         """Achievability of every activity's top-level steps for every robot.

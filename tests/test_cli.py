@@ -5,9 +5,12 @@ import csv
 import gc
 import io
 import json
+import os
 import shutil
+import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +179,39 @@ def test_output_stdout_cannot_encode_exits_2_with_one_line_message(capsys, monke
     assert code == 2
     assert err.startswith("ontobot: 'ascii' codec can't encode character")
     assert err.count("\n") == 1
+
+
+CLOSED_STDOUT_CALLS = [
+    pytest.param(["cq", "3"], id="cq"),
+    pytest.param(["query", "-f", query_file("cq1_object_affordances")], id="query"),
+    pytest.param(["validate", str(activities_path())], id="validate"),
+]
+
+
+@pytest.mark.parametrize("argv", CLOSED_STDOUT_CALLS)
+def test_closed_stdout_exits_2_before_any_file_is_read(capsys, monkeypatch, argv):
+    # sys.stdout is None when file descriptor 1 is closed at start; no answer could be printed, so nothing is read.
+    read = []
+    monkeypatch.setattr(cli, "_read_text", read.append)
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "ontobot: cannot write output: stdout is closed\n"
+    assert read == []
+
+
+@pytest.mark.parametrize("argv", CLOSED_STDOUT_CALLS)
+def test_closed_stdout_descriptor_exits_2_in_a_new_process(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), "PYTHONIOENCODING": "utf-8"}
+    done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "ontobot.cli", *argv],
+                          env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (2, "ontobot: cannot write output: stdout is closed\n")
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["cq", "9"], 2)])
+def test_closed_stdout_leaves_help_and_usage_errors_to_argparse(capsys, monkeypatch, argv, code):
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(argv) == code
+    assert capsys.readouterr().err.startswith("usage: ontobot")
 
 
 @pytest.mark.parametrize("argv", [["cq", "4", "--activity", "Prepare breakfast"], ["validate", "x.ttl"]])

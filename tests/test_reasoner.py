@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from helpers import oracle_evaluate, record_calls
+from helpers import oracle_evaluate, random_ontobot_graph, record_calls
 from ontobot.cli import main
 from ontobot.fixtures import query_path
-from ontobot.graph import Graph, GraphError, Triple, literal
+from ontobot.graph import Graph, GraphError, Term, Triple, literal
 from ontobot.namespaces import EX, OBOT, PROV, RDF, RDFS, SOMA, Namespace
 from ontobot.query import evaluate, parse_query
 from ontobot.reasoner import ChainError, KnowledgeBase, PlanAction, PlanStep, UnknownEntityError
@@ -447,6 +449,53 @@ def test_cq5_consistent_with_cq4(kb):
             assert (robot in capable) == kb.can_execute_all(robot, [activity])
 
 
+def test_cq5_and_cq6_match_the_oracle_on_random_graphs():
+    # The packaged CQ5 query, projected per activity as well, and the robot query, both through the nested-loop
+    # oracle: a robot executes a list of activities when it enables the union of their requirements, and each
+    # step misses what it requires minus what the robot enables.
+    q5, qr = (parse_query(query_path(name).read_text(encoding="utf-8"))
+              for name in ("cq5_required_affordances", "robot_affordances"))
+    per_activity_q5 = q5._replace(projection=["activity", *q5.projection])
+    for seed in range(120):
+        kb = KnowledgeBase.load(random_ontobot_graph(random.Random(seed)))
+        requires: dict[Term, set[Term]] = {activity: set() for activity, _ in kb.activities()}
+        for activity, affordance in oracle_evaluate(per_activity_q5, kb.graph):
+            requires[activity].add(affordance)
+        assert {aff for (aff,) in oracle_evaluate(q5, kb.graph)} == set().union(*requires.values()), seed
+        enables: dict[str, set[Term]] = {label: set() for _, label in kb.agents()}
+        for label, affordance in oracle_evaluate(qr, kb.graph):
+            enables[label.value].add(affordance)
+        activities = list(requires)
+        for robot, label in kb.agents():
+            uncovered = [activity for activity in activities if not requires[activity] <= enables[label]]
+            lists = [[], activities, [*activities, activities[0]], [activities[-1]] * 2, uncovered[:1] + activities,
+                     [kb.label_of(activity) for activity in reversed(activities)]]
+            for names in lists:
+                wanted = set().union(*(requires[kb.activity_by_label(name)] for name in names)) <= enables[label]
+                assert kb.can_execute_all(label, names) is wanted, (seed, label, names)
+                assert kb.can_execute_all(robot, iter(names)) is wanted, (seed, label, names)
+            for activity in activities:
+                steps = kb.gap_report(robot, activity).steps
+                assert set().union(*(step.required for step in steps)) == requires[activity], seed
+                for step in steps:
+                    assert step.missing == step.required - enables[label], (seed, label, step.label)
+
+
+def test_cq5_resolves_every_name_before_it_tests_an_activity(kb):
+    assert kb.can_execute_all("HSR", ["Prepare breakfast"]) is False
+    # An unknown label after an activity the robot does not cover still raises, naming that label.
+    with pytest.raises(UnknownEntityError) as excinfo:
+        kb.can_execute_all("HSR", ["Prepare breakfast", "No such activity"])
+    assert (excinfo.value.kind, excinfo.value.wanted) == ("activity", "No such activity")
+    # The activities resolve before the robot, so an unknown robot with an unknown activity names the activity.
+    with pytest.raises(UnknownEntityError) as excinfo:
+        kb.can_execute_all("No such robot", ["Reorganise the kitchen", "No such activity"])
+    assert (excinfo.value.kind, excinfo.value.wanted) == ("activity", "No such activity")
+    with pytest.raises(UnknownEntityError) as excinfo:
+        kb.can_execute_all("No such robot", [])
+    assert (excinfo.value.kind, excinfo.value.wanted) == ("robot", "No such robot")
+
+
 # -- CQ6 ---------------------------------------------------------------------
 
 
@@ -582,6 +631,21 @@ def test_graph_lookups_grow_linearly_with_robots(monkeypatch, ask):
         assert ask(kb) == first
     assert counts[1] <= 2 * counts[0], counts
     assert 0 < sums[1] <= 2 * sums[0], sums
+
+
+def test_cq5_reads_no_activity_after_the_first_one_the_robot_does_not_cover(monkeypatch):
+    # Bot 0 enables grasping and holding, not the pouring Activity 0 needs, so CQ5 is decided there: on a fresh
+    # knowledge base of 8 or 16 copies it reads what CQ5 on Activity 0 alone reads, and no other decomposition.
+    reads = []
+    for n, only_the_first in ((8, False), (16, False), (8, True)):
+        kb = copies_kb(n)
+        activities = [label for _, label in kb.activities()][: 1 if only_the_first else None]
+        with monkeypatch.context() as patch:
+            calls = record_calls(patch, "lookup", "group", group_reads=True)
+            assert kb.can_execute_all("Bot 0", activities) is False
+        reads.append([(name, found) for name, found in calls if name != "group"])
+    assert reads[0] == reads[1] == reads[2]
+    assert sum(name == "group read" for name, _ in reads[0]) > 0
 
 
 ACTIVITY_QUESTIONS = {
