@@ -191,7 +191,7 @@ def _cq_table(kb: KnowledgeBase, args: argparse.Namespace) -> ResultTable:
         return ResultTable("cq3", ["activity", "affordance"], rows)
 
     if cq == 4:
-        robots = kb.capable_robots(kb.activity_by_label(args.activity))
+        robots = kb.capable_robots(args.activity)
         rows = sorted([kb.label_of(robot)] for robot in robots)
         return ResultTable("cq4", ["robot"], rows)
 

@@ -2,17 +2,7 @@
 
 A :class:`KnowledgeBase` is the frozen union of an activity graph and a
 robot graph with subclass inference applied, built in one pass by
-:func:`load_graph`; its validation report is computed on first access and
-kept. The graph never changes, so each fact is derived once: labels,
-activities, agents and their name indexes at construction; each activity's
-record (procedure sets, required set, CQ1 pairs), each robot's capability
-profile and the feasibility matrix on first request, as one CLI run asks
-one question. A name resolves with one read of its kind's index, whose miss
-raises :class:`UnknownEntityError`. CQ5 resolves every name first, then tests
-the activities in order and stops at the first one the robot does not cover.
-Task plans are built on every call from the graph's predicate groups, each
-chain ordered from its members' own links; a faulty chain is re-read in
-graph order to name its first fault and its owner's label.
+:func:`load_graph`; its docstring says which facts it derives once and keeps.
 On top of it this module answers the six competency questions:
 
 1. which components and affordances an activity involves,
@@ -44,7 +34,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 from ontobot.graph import LITERAL, Graph, Term, Triple, blank_minter
 from ontobot.namespaces import OBOT, PKO, PROV, RDF, RDFS, ROS
-from ontobot.schema import ValidationReport, add_inferred_types, validate
+from ontobot.schema import ORDER_CHAINS, ValidationReport, add_inferred_types, validate
 from ontobot.turtle import TurtleParseError, parse_turtle_into
 
 
@@ -229,14 +219,21 @@ def load_graph(sources: Iterable[GraphSource], infer: bool = True,
 
 
 class KnowledgeBase:
-    """Frozen, inference-closed union of knowledge graphs; its report is validated on first access.
+    """Frozen, inference-closed union of knowledge graphs; each fact is derived once and kept.
 
-    The label map, activity and agent maps and their name indexes are built
-    at construction; each activity's record (procedure sets, required set,
+    The graph never changes, so nothing kept goes stale. The label map, activity
+    and agent maps and their name indexes are built at construction; the
+    validation report, each activity's record (procedure sets, required set,
     CQ1 pairs), each robot's capability profile and the feasibility matrix on
-    first request, and kept, so the graph is frozen. A name is a label or
-    full IRI: a label beats an equal IRI, and the first in load order wins a
-    repeated one. Task plans are built per call, and nothing of them is kept.
+    first request, as one CLI run asks one question. Each question resolves its
+    names and reads these records itself, never through another question. A
+    name is a label or full IRI: a label beats an equal IRI, the first in load
+    order wins a repeated one, and a miss raises :class:`UnknownEntityError`.
+    CQ5 resolves every name first, then tests the activities in order and stops
+    at the first one the robot does not cover. Task plans are built on every
+    call from the graph's predicate groups, each chain ordered from its members'
+    own links; a faulty chain is re-read in graph order to name its first fault
+    and its owner's label. Nothing of a plan is kept.
     """
 
     def __init__(self, graph: Graph):
@@ -323,17 +320,18 @@ class KnowledgeBase:
 
     def task_plan(self, activity_label: Term | str) -> TaskPlan:
         """The activity's procedures with fully ordered steps and actions."""
-        activity = self.activity_by_label(activity_label)
+        activity = self._activity_names[activity_label]
         group, label = self.graph.group, self.label_of
         has_step, next_step = group(PKO.hasStep, 0), group(PKO.nextStep, 0)
         requires_action, next_action = group(PKO.requiresAction, 0), group(OBOT.nextAction, 0)
+        step_chain, action_chain = ORDER_CHAINS[PKO.nextStep], ORDER_CHAINS[OBOT.nextAction]
         acts_on, requires_affordance = group(OBOT.actsOn, 0).get, group(OBOT.requiresAffordance, 0).get
         procedures = []
         for _, _, procedure in group(PKO.executesProcedure, 0).get(activity, ()):
             steps = []
-            for step in self._ordered(procedure, has_step, next_step, PKO.nextStep, "pko:nextStep"):
+            for step in self._ordered(procedure, has_step, next_step, PKO.nextStep, step_chain):
                 actions = []
-                for action in self._ordered(step, requires_action, next_action, OBOT.nextAction, "obot:nextAction"):
+                for action in self._ordered(step, requires_action, next_action, OBOT.nextAction, action_chain):
                     targets = acts_on(action)
                     affordances = frozenset([t[2] for t in requires_affordance(action, ())])
                     actions.append(PlanAction(action, label(action), targets[0][2] if targets else None, affordances))
@@ -376,12 +374,10 @@ class KnowledgeBase:
 
     def capable_robots(self, activity: Term | str) -> frozenset[Term]:
         """Robots whose enabled affordances cover the activity's requirements."""
-        required = self.required_affordances(activity)
-        return frozenset(
-            robot
-            for robot, _ in self.agents()
-            if required <= self.capability_profile(robot).affordances
-        )
+        activity, profiles = self._activity_names[activity], self._profiles
+        required = (self._facts.get(activity) or self._walk(activity)).required
+        return frozenset([robot for robot in self._agents
+                          if required <= (profiles.get(robot) or self._profile(robot)).affordances])
 
     def can_execute_all(self, robot: Term | str, activities: Iterable[Term | str]) -> bool:
         """True when one robot covers each activity's requirements; the first activity it does not cover decides."""
@@ -411,14 +407,14 @@ class KnowledgeBase:
         """
         if self._matrix is not None:
             return self._matrix
-        robots = self.agents()
-        steps = [(activity, *step) for activity, _ in self.activities()
-                 for step in (self._facts.get(activity) or self._walk(activity)).procedures]
+        facts, profiles = self._facts, self._profiles
+        steps = [(activity, *step) for activity in self._activities
+                 for step in (facts.get(activity) or self._walk(activity)).procedures]
         cells: dict[tuple[Term, Term], bool] = {}
-        for robot, _ in robots:
-            enabled = self.capability_profile(robot).affordances
+        for robot in self._agents:
+            enabled = (profiles.get(robot) or self._profile(robot)).affordances
             for _, step, _, required in steps:
                 cells[(robot, step)] = required <= enabled
         labelled = tuple((activity, step, label) for activity, step, label, _ in steps)
-        matrix = self._matrix = FeasibilityMatrix(robots=tuple(robots), steps=labelled, cells=MappingProxyType(cells))
+        matrix = self._matrix = FeasibilityMatrix(tuple(self._agents.items()), labelled, MappingProxyType(cells))
         return matrix

@@ -40,6 +40,9 @@ SUBCLASS_AXIOMS: frozenset[tuple[Term, Term]] = frozenset(
     }
 )
 
+#: The order-chain predicates, each with the name that R2 and a plan's ``ChainError`` give it, in R2's report order.
+ORDER_CHAINS: dict[Term, str] = {PKO.nextStep: "pko:nextStep", OBOT.nextAction: "obot:nextAction"}
+
 
 def add_inferred_types(g: Graph) -> None:
     """Insert into the unfrozen ``g`` every derivable ``rdf:type`` triple.
@@ -122,7 +125,7 @@ def _check_domain_range(g: Graph, out: ValidationReport) -> None:
 
 
 def _check_order_chains(g: Graph, out: ValidationReport) -> None:
-    for prop, label in ((PKO.nextStep, "pko:nextStep"), (OBOT.nextAction, "obot:nextAction")):
+    for prop, label in ORDER_CHAINS.items():
         succ = g.group(prop, 0)
         for node, links in succ.items():
             if len(links) > 1:

@@ -43,7 +43,7 @@ def outputs_across_memory_layouts(script: str) -> set[str]:
     env = {**os.environ, "PYTHONPATH": str(Path(ontobot.__file__).resolve().parents[1]), "PYTHONIOENCODING": "utf-8"}
     env.pop("ONTOBOT_FIXTURES", None)
     return {
-        subprocess.run([sys.executable, "-c", prologue + script, n], env=env, capture_output=True, text=True,
+        subprocess.run([sys.executable, "-c", prologue + script, n], env=env, capture_output=True, encoding="utf-8",
                        check=True).stdout
         for n in ("0", "1", "5000", "40000")
     }

@@ -203,7 +203,7 @@ def test_closed_stdout_exits_2_before_any_file_is_read(capsys, monkeypatch, argv
 def test_closed_stdout_descriptor_exits_2_in_a_new_process(argv):
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), "PYTHONIOENCODING": "utf-8"}
     done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "ontobot.cli", *argv],
-                          env=env, capture_output=True, text=True)
+                          env=env, capture_output=True, encoding="utf-8")
     assert (done.returncode, done.stderr) == (2, "ontobot: cannot write output: stdout is closed\n")
 
 

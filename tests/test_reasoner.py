@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -706,19 +708,61 @@ def test_task_plan_reads_triples_bounded_by_the_plan(monkeypatch):
     assert fetches[0] == fetches[1], fetches
 
 
+# Each question of the knowledge base, asked about the fixtures.
+QUESTIONS = {
+    "objects_and_affordances": lambda kb: kb.objects_and_affordances("Prepare breakfast"),
+    "task_plan": lambda kb: kb.task_plan("Prepare breakfast"),
+    "required_affordances": lambda kb: kb.required_affordances("Prepare breakfast"),
+    "capability_profile": lambda kb: kb.capability_profile("HSR"),
+    "capable_robots": lambda kb: kb.capable_robots("Prepare breakfast"),
+    "can_execute_all": lambda kb: kb.can_execute_all("HSR", ["Prepare breakfast", "Reorganise the kitchen"]),
+    "gap_report": lambda kb: kb.gap_report("HSR", "Prepare breakfast"),
+    "feasibility_matrix": lambda kb: kb.feasibility_matrix(),
+}
+
+
+@pytest.mark.parametrize("question", QUESTIONS)
+def test_no_question_goes_through_another(monkeypatch, activities, robots, question):
+    # Each question resolves its names and reads the kept records itself: on a fresh knowledge base, with every
+    # other public method raising, it gives the answer it gives unpatched. label_of is an accessor, not a question.
+    ask = QUESTIONS[question]
+    expected, kb = ask(KnowledgeBase.load(activities, robots)), KnowledgeBase.load(activities, robots)
+
+    def refusing(name: str):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{question} goes through KnowledgeBase.{name}")
+        return property(refuse) if name == "report" else refuse
+
+    patched = [name for name in vars(KnowledgeBase) if not name.startswith("_") and name not in (question, "label_of")]
+    for name in patched:
+        monkeypatch.setattr(KnowledgeBase, name, refusing(name))
+    assert {"activities", "agents", "activity_by_label", "agent_by_label", "report"} < set(patched)
+    assert ask(kb) == expected
+
+
+def test_a_dropped_knowledge_base_needs_no_garbage_collector(activities, robots):
+    # No kept record refers back to its knowledge base, so the last reference going frees it with the collector off.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        kb = KnowledgeBase.load(activities, robots)
+        for ask in QUESTIONS.values():
+            ask(kb)
+        assert kb.report is kb.report
+        dropped = weakref.ref(kb)
+        del kb
+        assert dropped() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_warm_questions_mint_no_vocabulary_terms(monkeypatch, kb):
     # A Namespace keeps each term it mints, so once a round of CQ1-CQ6 and the matrix
     # has read every term it names, a second round never reaches Namespace.__getattr__.
-    breakfast, hsr = "Prepare breakfast", "HSR"
-
     def ask_all() -> None:
-        kb.objects_and_affordances(breakfast)
-        kb.task_plan(breakfast)
-        kb.required_affordances(breakfast)
-        kb.capable_robots(breakfast)
-        kb.can_execute_all(hsr, [breakfast, "Reorganise the kitchen"])
-        kb.gap_report(hsr, breakfast)
-        kb.feasibility_matrix()
+        for ask in QUESTIONS.values():
+            ask(kb)
 
     ask_all()
     minted: list[str] = []

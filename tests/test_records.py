@@ -155,7 +155,7 @@ def after_cli_import(expression: str) -> str:
     # -S keeps site-packages .pth files from importing any module first.
     src = str(Path(__file__).resolve().parents[1] / "src")
     script = f"import sys; sys.path.insert(0, {src!r}); import ontobot.cli; print({expression})"
-    result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True)
+    result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, encoding="utf-8", check=True)
     return result.stdout.strip()
 
 
