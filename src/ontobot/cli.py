@@ -212,7 +212,7 @@ def _cq_table(kb: KnowledgeBase, args: argparse.Namespace) -> ResultTable:
             rows.append(row)
         return ResultTable("cq6-matrix", columns, rows)
 
-    report = kb.gap_report(args.robot, kb.activity_by_label(args.activity))
+    report = kb.gap_report(args.robot, args.activity)
     rows = [
         [
             step.label,

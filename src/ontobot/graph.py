@@ -3,11 +3,12 @@
 Graphs are append-only while documents load into them and are then frozen,
 after which they are immutable and safe for concurrent readers; a frozen graph
 refuses inserts and prefix folding. A load keeps each triple in one place: the
-triple set, in insertion order. Every index is built from it on first use and
-kept exact by later inserts: the predicate index, the subject and object
-indexes over all triples, and the groups, each one predicate's triples keyed
-by their subject or by their object. ``Graph.lookup`` is the one place that
-picks which of these answers a pattern, from the positions it binds;
+triple set, in insertion order. Every index is built from it on first request
+and kept exact from then on by later inserts: the predicate index, the subject
+and object indexes over all triples, and the groups, each one predicate's
+triples keyed by their subject or by their object, even before that
+predicate's first triple. ``Graph.lookup`` is the one place that picks which
+of these answers a pattern, from the positions it binds;
 ``subjects``/``objects`` and most compiled query steps read through it, but a
 step with a constant predicate and one bound end reads that predicate's
 ``Graph.group`` view, as ``KnowledgeBase._walk`` and ``task_plan`` do. An
@@ -148,9 +149,6 @@ class Triple(NamedTuple):
         return f"{self.s.n3()} {self.p.n3()} {self.o.n3()} ."
 
 
-_NO_GROUP: Mapping = MappingProxyType({})
-
-
 class Graph:
     """A set of triples with a prefix table, positional indexes and groups.
 
@@ -226,14 +224,11 @@ class Graph:
         return (Triple(s, p, o),) if (s, p, o) in self._triples else ()
 
     def _grouped(self, p: Term | None, position: int) -> Mapping[Term, list[Triple]]:
-        # p's triples, or all triples when p is None, keyed by their term at position; built on first use.
+        # p's triples (all when p is None) by their term at position; built and kept on first use, even with none yet.
         index = self._built.get((p, position))
         if index is None:
-            source = self._triples if p is None else self._grouped(None, 1).get(p)
-            if source is None:  # an unknown predicate keeps nothing
-                return _NO_GROUP
             index = {}
-            for t in source:
+            for t in self._triples if p is None else self._grouped(None, 1).get(p, ()):
                 index.setdefault(t[position], []).append(t)
             self._built[(p, position)] = index
         return index

@@ -145,10 +145,10 @@ class FeasibilityMatrix(NamedTuple):
 
 
 def _chain_order(items: list[Term], links: Iterable[Triple], property_name: str, owner: str) -> list[Term]:
-    """Topologically order ``items`` along a successor chain.
+    """Topologically order ``items`` along ``links``, distinct triples of one predicate.
 
-    The chain must be a single path over the items: no forks, no joins,
-    no cycles, and no disconnected pieces.
+    The chain must be a single path over the items: no forks, no joins, no
+    cycles, and no disconnected pieces; a member's second link is a fork.
     """
     if not items:
         return items
@@ -158,7 +158,7 @@ def _chain_order(items: list[Term], links: Iterable[Triple], property_name: str,
     for t in links:
         if t.s not in members or t.o not in members:
             continue
-        if t.s in succ and succ[t.s] != t.o:
+        if t.s in succ:
             raise ChainError(property_name, owner, f"fork at {t.s.n3()}")
         if t.o in incoming:
             raise ChainError(property_name, owner, f"join at {t.o.n3()}")
@@ -229,11 +229,11 @@ class KnowledgeBase:
     names and reads these records itself, never through another question. A
     name is a label or full IRI: a label beats an equal IRI, the first in load
     order wins a repeated one, and a miss raises :class:`UnknownEntityError`.
-    CQ5 resolves every name first, then tests the activities in order and stops
-    at the first one the robot does not cover. Task plans are built on every
-    call from the graph's predicate groups, each chain ordered from its members'
-    own links; a faulty chain is re-read in graph order to name its first fault
-    and its owner's label. Nothing of a plan is kept.
+    CQ5 and CQ6 resolve the activity names before the robot; CQ5 then tests the
+    activities in order and stops at the first one the robot does not cover. Task
+    plans are built on every call from the graph's predicate groups, each chain
+    ordered from its members' own links; a faulty chain is re-read in graph order
+    to name its first fault and its owner's label. Nothing of a plan is kept.
     """
 
     def __init__(self, graph: Graph):
@@ -281,15 +281,15 @@ class KnowledgeBase:
     # -- task structure ----------------------------------------------------
 
     def _ordered(self, owner: Term, members_of: Mapping[Term, Sequence[Triple]],
-                 links_of: Mapping[Term, Sequence[Triple]], link: Term, property_name: str) -> list[Term]:
+                 links_of: Mapping[Term, Sequence[Triple]], link: Term) -> list[Term]:
         # members_of and links_of: the member and link predicates' groups by subject.
         members = [t[2] for t in members_of.get(owner, ())]
         own_links = [t for m in members for t in links_of.get(m, ())]
         try:
-            return _chain_order(members, own_links, property_name, "")  # this error is never shown
+            return _chain_order(members, own_links, "", "")  # this error is never shown
         except ChainError:
             # Which fault is met first depends on link order: name the one graph order meets first.
-            return _chain_order(members, self.graph.lookup(None, link, None), property_name, self.label_of(owner))
+            return _chain_order(members, self.graph.lookup(None, link, None), ORDER_CHAINS[link], self.label_of(owner))
 
     def _walk(self, activity: Term) -> _ActivityFacts:
         # One read of the activity's procedures, steps, actions, targets and affordances; the record is kept.
@@ -324,14 +324,13 @@ class KnowledgeBase:
         group, label = self.graph.group, self.label_of
         has_step, next_step = group(PKO.hasStep, 0), group(PKO.nextStep, 0)
         requires_action, next_action = group(PKO.requiresAction, 0), group(OBOT.nextAction, 0)
-        step_chain, action_chain = ORDER_CHAINS[PKO.nextStep], ORDER_CHAINS[OBOT.nextAction]
         acts_on, requires_affordance = group(OBOT.actsOn, 0).get, group(OBOT.requiresAffordance, 0).get
         procedures = []
         for _, _, procedure in group(PKO.executesProcedure, 0).get(activity, ()):
             steps = []
-            for step in self._ordered(procedure, has_step, next_step, PKO.nextStep, step_chain):
+            for step in self._ordered(procedure, has_step, next_step, PKO.nextStep):
                 actions = []
-                for action in self._ordered(step, requires_action, next_action, OBOT.nextAction, action_chain):
+                for action in self._ordered(step, requires_action, next_action, OBOT.nextAction):
                     targets = acts_on(action)
                     affordances = frozenset([t[2] for t in requires_affordance(action, ())])
                     actions.append(PlanAction(action, label(action), targets[0][2] if targets else None, affordances))
@@ -393,7 +392,7 @@ class KnowledgeBase:
 
     def gap_report(self, robot: Term | str, activity: Term | str) -> FeasibilityReport:
         """Which steps of the activity the robot can and cannot achieve, and why."""
-        robot, activity = self._agent_names[robot], self._activity_names[activity]
+        activity, robot = self._activity_names[activity], self._agent_names[robot]  # as CQ5 resolves them
         profile = self._profiles.get(robot) or self._profile(robot)
         steps = tuple([StepFeasibility(step, label, required, required - profile.affordances)
                        for step, label, required in (self._facts.get(activity) or self._walk(activity)).procedures])

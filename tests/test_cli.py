@@ -504,6 +504,13 @@ def test_cq_unknown_label_exits_4_with_suggestions(capsys):
     assert "Prepare breakfast" in err
 
 
+def test_cq6_with_two_unknown_names_names_the_activity(capsys):
+    # The reasoner decides the order: the activity resolves before the robot, as in CQ5.
+    code, out, err = run(capsys, "cq", "6", *kg_args(), "--robot", "Nobody", "--activity", "Nothing")
+    assert (code, out) == (4, "")
+    assert err == "ontobot: unknown activity: 'Nothing'; available: 'Prepare breakfast', 'Reorganise the kitchen'\n"
+
+
 def test_cq_missing_required_argument_exits_2(capsys):
     code, _, err = run(capsys, "cq", "1", *kg_args())
     assert code == 2

@@ -276,8 +276,10 @@ def bound_patterns(t: Triple) -> list[tuple[Term | None, Term | None, Term | Non
 
 
 def test_lookup_agrees_in_order_with_a_scan_as_the_graph_grows():
-    # Lookups between inserts build indexes and groups that later inserts must keep exact.
+    # Lookups and group views taken between inserts build indexes and groups that later inserts must keep exact,
+    # a view of a predicate taken before its first triple (or of one that never gets any) included.
     rng = random.Random(20261018)
+    view_rng = random.Random(20261020)  # its own stream, so taking views changes none of the graphs or lookups drawn
     for _ in range(30):
         pools = random_term_pools(rng)
         subjects = pools["iris"] + pools["blanks"]
@@ -289,12 +291,21 @@ def test_lookup_agrees_in_order_with_a_scan_as_the_graph_grows():
             return rng.choice(subjects + [absent]), rng.choice(predicates), rng.choice(objects + [absent])
 
         g = Graph()
+        views = []
         for _ in range(rng.randint(1, 150)):
             g.insert(Triple(rng.choice(subjects), rng.choice(pools["predicates"]), rng.choice(objects)))
             for _ in range(rng.randint(0, 2)):
                 s, p, o = (term if rng.random() < 0.5 else None for term in draw())
                 assert list(g.lookup(s, p, o)) == ordered_scan(g, s, p, o)
+            if view_rng.random() < 0.3:
+                p = view_rng.choice(predicates)
+                views.extend((p, position, g.group(p, position)) for position in (0, 2))
         g.freeze()
+        for p, position, view in views:
+            expected: dict[Term, list[Triple]] = {}
+            for t in ordered_scan(g, None, p, None):
+                expected.setdefault(t[position], []).append(t)
+            assert [(term, list(triples)) for term, triples in view.items()] == list(expected.items()), (p, position)
         for _ in range(20):  # each of the 8 bound-position combinations
             terms = draw()
             for mask in range(8):

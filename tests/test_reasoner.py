@@ -483,7 +483,7 @@ def test_cq5_and_cq6_match_the_oracle_on_random_graphs():
                     assert step.missing == step.required - enables[label], (seed, label, step.label)
 
 
-def test_cq5_resolves_every_name_before_it_tests_an_activity(kb):
+def test_cq5_and_cq6_resolve_every_name_before_they_test_an_activity(kb):
     assert kb.can_execute_all("HSR", ["Prepare breakfast"]) is False
     # An unknown label after an activity the robot does not cover still raises, naming that label.
     with pytest.raises(UnknownEntityError) as excinfo:
@@ -495,6 +495,13 @@ def test_cq5_resolves_every_name_before_it_tests_an_activity(kb):
     assert (excinfo.value.kind, excinfo.value.wanted) == ("activity", "No such activity")
     with pytest.raises(UnknownEntityError) as excinfo:
         kb.can_execute_all("No such robot", [])
+    assert (excinfo.value.kind, excinfo.value.wanted) == ("robot", "No such robot")
+    # CQ6 resolves in the same order: the activity, then the robot.
+    with pytest.raises(UnknownEntityError) as excinfo:
+        kb.gap_report("No such robot", "No such activity")
+    assert (excinfo.value.kind, excinfo.value.wanted) == ("activity", "No such activity")
+    with pytest.raises(UnknownEntityError) as excinfo:
+        kb.gap_report("No such robot", "Prepare breakfast")
     assert (excinfo.value.kind, excinfo.value.wanted) == ("robot", "No such robot")
 
 
