@@ -32,9 +32,9 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
-from ontobot.graph import LITERAL, Graph, Term, Triple, blank_minter
-from ontobot.namespaces import OBOT, PKO, PROV, RDF, RDFS, ROS
-from ontobot.schema import ORDER_CHAINS, ValidationReport, add_inferred_types, validate
+from ontobot.graph import Graph, Term, Triple, blank_minter
+from ontobot.namespaces import OBOT, PKO, PROV, RDF, ROS
+from ontobot.schema import ORDER_CHAINS, ValidationReport, add_inferred_types, literal_labels, validate
 from ontobot.turtle import TurtleParseError, parse_turtle_into
 
 
@@ -144,8 +144,8 @@ class FeasibilityMatrix(NamedTuple):
         return self.cells[(robot, step)]
 
 
-def _chain_order(items: list[Term], links: Iterable[Triple], property_name: str, owner: str) -> list[Term]:
-    """Topologically order ``items`` along ``links``, distinct triples of one predicate.
+def _chain_order(items: list[Term], links: Iterable[Triple]) -> list[Term] | str:
+    """Topologically order ``items`` along ``links``, distinct triples of one predicate; else the first fault's reason.
 
     The chain must be a single path over the items: no forks, no joins, no
     cycles, and no disconnected pieces; a member's second link is a fork.
@@ -159,21 +159,20 @@ def _chain_order(items: list[Term], links: Iterable[Triple], property_name: str,
         if t.s not in members or t.o not in members:
             continue
         if t.s in succ:
-            raise ChainError(property_name, owner, f"fork at {t.s.n3()}")
+            return f"fork at {t.s.n3()}"
         if t.o in incoming:
-            raise ChainError(property_name, owner, f"join at {t.o.n3()}")
+            return f"join at {t.o.n3()}"
         succ[t.s] = t.o
         incoming.add(t.o)
     heads = [x for x in items if x not in incoming]
     if len(heads) != 1:
-        reason = "chain contains a cycle" if not heads else f"{len(heads)} chain heads (incomplete chain)"
-        raise ChainError(property_name, owner, reason)
+        return "chain contains a cycle" if not heads else f"{len(heads)} chain heads (incomplete chain)"
     # No node has two successors or two predecessors, and the head has none, so the walk never revisits a node.
     ordered = [heads[0]]
     while ordered[-1] in succ:
         ordered.append(succ[ordered[-1]])
     if len(ordered) != len(items):
-        raise ChainError(property_name, owner, "chain does not connect all elements")
+        return "chain does not connect all elements"
     return ordered
 
 
@@ -221,27 +220,25 @@ def load_graph(sources: Iterable[GraphSource], infer: bool = True,
 class KnowledgeBase:
     """Frozen, inference-closed union of knowledge graphs; each fact is derived once and kept.
 
-    The graph never changes, so nothing kept goes stale. The label map, activity
-    and agent maps and their name indexes are built at construction; the
-    validation report, each activity's record (procedure sets, required set,
-    CQ1 pairs), each robot's capability profile and the feasibility matrix on
-    first request, as one CLI run asks one question. Each question resolves its
-    names and reads these records itself, never through another question. A
-    name is a label or full IRI: a label beats an equal IRI, the first in load
-    order wins a repeated one, and a miss raises :class:`UnknownEntityError`.
-    CQ5 and CQ6 resolve the activity names before the robot; CQ5 then tests the
-    activities in order and stops at the first one the robot does not cover. Task
-    plans are built on every call from the graph's predicate groups, each chain
-    ordered from its members' own links; a faulty chain is re-read in graph order
-    to name its first fault and its owner's label. Nothing of a plan is kept.
+    The graph never changes, so nothing kept goes stale. The label map
+    (``schema.literal_labels``), the activity and agent maps and their name
+    indexes are built at construction; the validation report, each activity's
+    record (procedure sets, required set, CQ1 pairs), each robot's capability
+    profile and the matrix on first request, as one CLI run asks one question.
+    Each question resolves its names and reads these records itself, never
+    through another. A name is a label or full IRI: a label beats an equal IRI,
+    the first in load order wins a repeated one, and a miss raises
+    :class:`UnknownEntityError`. CQ5 and CQ6 resolve the activity names before
+    the robot; CQ5 then stops at the first activity the robot does not cover.
+    Task plans are built per call from the predicate groups, each chain from its
+    members' own links; only a faulty chain is re-read in graph order, to name
+    its first fault and its owner's label, and nothing of a plan is kept.
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph.freeze()
         self._report: ValidationReport | None = None
-        # Reversed, so that a node's first literal label is the one kept.
-        labels = reversed(graph.lookup(None, RDFS.label, None))
-        self._labels = {t.s: t.o.value for t in labels if t.o.kind == LITERAL}
+        self._labels = literal_labels(graph)
         self._activities = {node: self.label_of(node) for node in graph.subjects(RDF.type, PROV.Activity)}
         self._agents = {node: self.label_of(node) for node in graph.subjects(RDF.type, OBOT.Agent)}
         self._activity_names, self._agent_names = _Names("activity", self._activities), _Names("robot", self._agents)
@@ -284,12 +281,10 @@ class KnowledgeBase:
                  links_of: Mapping[Term, Sequence[Triple]], link: Term) -> list[Term]:
         # members_of and links_of: the member and link predicates' groups by subject.
         members = [t[2] for t in members_of.get(owner, ())]
-        own_links = [t for m in members for t in links_of.get(m, ())]
-        try:
-            return _chain_order(members, own_links, "", "")  # this error is never shown
-        except ChainError:
-            # Which fault is met first depends on link order: name the one graph order meets first.
-            return _chain_order(members, self.graph.lookup(None, link, None), ORDER_CHAINS[link], self.label_of(owner))
+        ordered = _chain_order(members, [t for m in members for t in links_of.get(m, ())])
+        if isinstance(ordered, str):  # the first fault depends on link order: name the one graph order meets first
+            raise ChainError(ORDER_CHAINS[link], self.label_of(owner), _chain_order(members, self.graph.lookup(None, link, None)))
+        return ordered
 
     def _walk(self, activity: Term) -> _ActivityFacts:
         # One read of the activity's procedures, steps, actions, targets and affordances; the record is kept.

@@ -13,12 +13,12 @@ and never reads the file.
 copy) the RDFS consequence that an instance of a class is an instance of
 every superclass, using ``SUBCLASS_AXIOMS`` and the graph's own axioms.
 
-``validate`` runs four advisory rule groups (R1 domain/range, R2 order
-chains, R3 action connectivity, R4 label presence) and reports violations
-as data; an invalid graph is still readable and queryable. It groups no
-triples itself: R2 and R3 read the graph's own groups (``Graph.group``), the
-one grouping of triples by position, and leave them built and kept exact, so
-a later insert shows in the next report.
+``validate`` runs four advisory rule groups (R1 domain/range, R2 order chains,
+R3 action connectivity, R4 labels, read from ``literal_labels``, the one rule
+for a node's name) and reports violations as data; an invalid graph is still
+readable and queryable. It groups no triples itself: R2 and R3 read the graph's
+own groups (``Graph.group``), the one grouping of triples by position, and
+leave them built and kept exact, so a later insert shows in the next report.
 """
 
 from __future__ import annotations
@@ -42,6 +42,11 @@ SUBCLASS_AXIOMS: frozenset[tuple[Term, Term]] = frozenset(
 
 #: The order-chain predicates, each with the name that R2 and a plan's ``ChainError`` give it, in R2's report order.
 ORDER_CHAINS: dict[Term, str] = {PKO.nextStep: "pko:nextStep", OBOT.nextAction: "obot:nextAction"}
+
+
+def literal_labels(g: Graph) -> dict[Term, str]:
+    """Each node's first literal ``rdfs:label``, the name every answer shows (read reversed, so the first one wins)."""
+    return {t.s: t.o.value for t in reversed(g.lookup(None, RDFS.label, None)) if t.o.kind == LITERAL}
 
 
 def add_inferred_types(g: Graph) -> None:
@@ -169,9 +174,10 @@ def _check_action_connectivity(g: Graph, out: ValidationReport) -> None:
 
 
 def _check_labels(g: Graph, out: ValidationReport) -> None:
+    labels = literal_labels(g)
     for cls, label in ((PROV.Activity, "prov:Activity"), (PPLAN.Step, "pplan:Step"), (PKO.Action, "pko:Action")):
         for node in g.subjects(RDF.type, cls):
-            if not g.objects(node, RDFS.label):
+            if node not in labels:
                 out.violations.append(Violation("R4", node, f"{label} instance has no rdfs:label"))
 
 

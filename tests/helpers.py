@@ -4,9 +4,11 @@ The oracles here deliberately avoid the package's evaluation paths:
 `scan_match` is a plain linear scan, `oracle_evaluate` is a naive
 nested-loop join in the query's original pattern order with no indexes
 and no reordering (each pattern's candidates come from one linear scan),
-`isomorphic` reads each graph in one iteration, and `oracle_infer` is a
-brute-force fixpoint of subclass inference. `random_ontobot_graph`
-generates graphs in the fixtures' domain for the reasoner's cross-oracle.
+`isomorphic` reads each graph in one iteration, `oracle_infer` is a
+brute-force fixpoint of subclass inference, and `oracle_load` builds the
+one-pass load's union by iteration, in the order README states.
+`random_ontobot_graph` generates graphs in the fixtures' domain for the
+reasoner's cross-oracle.
 `record_calls` counts the graph reads, through a method or through a group's
 view, that the work-bound tests hold to the size of the answer.
 `outputs_across_memory_layouts` runs a script in fresh processes that hand
@@ -29,6 +31,7 @@ from ontobot.fixtures import vocabulary_path
 from ontobot.graph import BLANK, Graph, Term, Triple, blank, iri, literal
 from ontobot.namespaces import EX, OBOT, PKO, PROV, RDF, RDFS, ROS, SOMA
 from ontobot.query import Query, TriplePattern, Var
+from ontobot.schema import SUBCLASS_AXIOMS
 from ontobot.turtle import parse_turtle
 
 
@@ -250,6 +253,50 @@ def oracle_infer(graph: Graph) -> set[Triple]:
         if derived <= triples:
             return {Triple(*t) for t in triples}
         triples |= derived
+
+
+def oracle_load(sources: Sequence[Graph | Path], infer: bool = True) -> tuple[list[Triple], list[tuple[str, str]]]:
+    """The triples and prefix items that ``load_graph(sources, infer)`` must hold, in order, built from README's rules.
+
+    Each path is parsed with ``parse_turtle``; a graph is taken as given. Each source's blank nodes become
+    ``m0``, ``m1``, ... in first-seen order across the sources, subject before object; a repeated triple keeps
+    its first place; the first binding of a prefix name wins. With ``infer``, each asserted type triple, in
+    order, is followed by its class's superclasses in depth-first preorder, each class's direct ones taken
+    from ``SUBCLASS_AXIOMS`` sorted by ``Term.sort_key``, then from the union's ``rdfs:subClassOf`` triples,
+    and a triple already present is skipped. Nothing here goes through ``Graph.add_graph``, an index or
+    ``ontobot.schema``'s inference.
+    """
+    triples: dict[Triple, None] = {}
+    prefixes: dict[str, str] = {}
+    minted = 0
+    for source in sources:
+        g = source if isinstance(source, Graph) else parse_turtle(source.read_text(encoding="utf-8"))
+        for name, namespace in g.prefixes.items():
+            prefixes.setdefault(name, namespace)
+        renamed: dict[Term, Term] = {}
+        for s, p, o in g:
+            for term in (s, o):
+                if term.kind == BLANK and term not in renamed:
+                    renamed[term], minted = blank(f"m{minted}"), minted + 1
+            triples.setdefault(Triple(renamed.get(s, s), p, renamed.get(o, o)))
+    if infer:
+        direct: dict[Term, list[Term]] = {}
+        for sub, sup in sorted(SUBCLASS_AXIOMS, key=lambda pair: pair[1].sort_key()):
+            direct.setdefault(sub, []).append(sup)
+        for s, p, o in list(triples):
+            if p == RDFS.subClassOf:
+                direct.setdefault(s, []).append(o)
+
+        def walk(node: Term, cls: Term, seen: set[Term]) -> None:
+            for sup in direct.get(cls, ()):
+                if sup not in seen:
+                    seen.add(sup)
+                    triples.setdefault(Triple(node, RDF.type, sup))
+                    walk(node, sup, seen)
+
+        for s, p, o in [t for t in triples if t.p == RDF.type]:
+            walk(s, o, {o})
+    return list(triples), list(prefixes.items())
 
 
 def row_key(row: tuple[Term, ...]) -> tuple:

@@ -9,7 +9,7 @@ from itertools import chain
 import pytest
 
 from golden_cli import BLANK_ACTIVITIES, BLANK_ROBOTS, PREFIX_A, PREFIX_B
-from helpers import outputs_across_memory_layouts
+from helpers import oracle_load, outputs_across_memory_layouts
 from ontobot import schema
 from ontobot.cli import main
 from ontobot.fixtures import activities_path, robots_path, vocabulary_path
@@ -19,10 +19,31 @@ from ontobot.reasoner import KnowledgeBase, load_graph
 from ontobot.schema import infer_types
 from ontobot.turtle import TurtleParseError, parse_turtle
 
+# Classes with superclasses from SUBCLASS_AXIOMS and from the graph, a blank instance, and inferred types that
+# an instance already has, one of which is asserted after the type it is inferred from.
+AXIOMS = (
+    f"""@prefix : <https://example.org/> .
+@prefix rdfs: <{RDFS.base}> .
+@prefix obot: <{OBOT.base}> .
+:Machine rdfs:subClassOf :Artifact .
+obot:Agent rdfs:subClassOf :Machine .
+_:r a obot:Agent .
+""",
+    f"""@prefix : <https://example.org/two/> .
+@prefix rdfs: <{RDFS.base}> .
+@prefix obot: <{OBOT.base}> .
+:Robot rdfs:subClassOf obot:Agent , <https://example.org/Machine> .
+:r2 a :Robot .
+:r3 a :Robot .
+:r2 a <https://example.org/Machine> , <{PROV.Agent.value}> .
+""",
+)
+
 PAIRS = {
     "fixtures": (activities_path().read_text(encoding="utf-8"), robots_path().read_text(encoding="utf-8")),
     "blank-nodes": (BLANK_ACTIVITIES, BLANK_ROBOTS),
     "prefix-rebinding": (PREFIX_A, PREFIX_B),
+    "in-graph-axioms": AXIOMS,
 }
 
 
@@ -33,12 +54,12 @@ def test_one_pass_union_equals_merge_then_infer(tmp_path, pair, as_graph):
     for i, text in enumerate(PAIRS[pair]):
         paths.append(tmp_path / f"{i}.ttl")
         paths[-1].write_text(text, encoding="utf-8")
-    expected = infer_types(merge_graphs([parse_turtle(p.read_text(encoding="utf-8")) for p in paths]))
     sources = [parse_turtle(p.read_text(encoding="utf-8")) if graph else p for p, graph in zip(paths, as_graph)]
+    triples, prefixes = oracle_load(sources)
     got = KnowledgeBase.load(*sources).graph
     assert got.frozen
-    assert list(got) == list(expected)
-    assert list(got.prefixes.items()) == list(expected.prefixes.items())
+    assert list(got) == triples
+    assert list(got.prefixes.items()) == prefixes
 
 
 @pytest.mark.parametrize("pair", PAIRS)
@@ -47,10 +68,11 @@ def test_one_pass_union_without_inference_equals_merge(tmp_path, pair):
     for i, text in enumerate(PAIRS[pair]):
         paths.append(tmp_path / f"{i}.ttl")
         paths[-1].write_text(text, encoding="utf-8")
-    expected = merge_graphs([parse_turtle(p.read_text(encoding="utf-8")) for p in paths])
+    triples, prefixes = oracle_load(paths, infer=False)
     got = load_graph(paths, infer=False)
     assert got.frozen
-    assert list(got) == list(expected)
+    assert list(got) == triples
+    assert list(got.prefixes.items()) == prefixes
 
 
 # Blank subjects, blank objects and blank-free triples interleaved, with the label _:x in both documents.

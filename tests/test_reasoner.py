@@ -234,6 +234,30 @@ def test_cq2_broken_chain_is_an_error():
         assert str(excinfo.value) == message
 
 
+def test_a_forked_chain_builds_one_chain_error(monkeypatch):
+    built = []
+
+    class CountedChainError(ChainError):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr("ontobot.reasoner.ChainError", CountedChainError)
+    kb = mini_kb(
+        """
+        :act a prov:Activity ; rdfs:label "Forked" ; pko:executesProcedure :proc .
+        :proc a pko:Procedure ; rdfs:label "Fork" ; pko:hasStep :s1 , :s2 , :s3 .
+        :s1 a pplan:Step ; rdfs:label "One" ; pko:nextStep :s2 , :s3 .
+        :s2 a pplan:Step ; rdfs:label "Two" .
+        :s3 a pplan:Step ; rdfs:label "Three" .
+        """
+    )
+    with pytest.raises(ChainError) as excinfo:
+        kb.task_plan("Forked")
+    assert str(excinfo.value) == "cannot order pko:nextStep chain of Fork: fork at <https://example.org/s1>"
+    assert built == [("pko:nextStep", "Fork", "fork at <https://example.org/s1>")]
+
+
 def test_cq2_matches_query_engine(kb):
     q = parse_query(query_path("cq2_action_sequence").read_text(encoding="utf-8"))
     via_query = {

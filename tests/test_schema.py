@@ -8,7 +8,7 @@ import pytest
 
 from helpers import oracle_infer
 from ontobot.fixtures import activities_path, queries_dir, robots_path, vocabulary_path
-from ontobot.graph import Graph, Term, Triple, iri, literal
+from ontobot.graph import Graph, Term, Triple, blank, iri, literal
 from ontobot.namespaces import DUL, EX, FOAF, OBOT, PKO, PPLAN, PROV, RDF, RDFS, ROS, SOMA
 from ontobot.query import Var, parse_query
 from ontobot.schema import SUBCLASS_AXIOMS, Violation, infer_types, validate
@@ -324,14 +324,21 @@ def test_action_without_target_is_a_warning_not_violation():
 
 
 def test_unlabelled_activity_step_action_reported_as_r4():
-    g = Graph()
-    g.insert(Triple(EX.a, RDF.type, PROV.Activity))
-    g.insert(Triple(EX.s, RDF.type, PPLAN.Step))
-    g.insert(Triple(EX.act, RDF.type, PKO.Action))
-    g.insert(Triple(EX.act, RDFS.label, literal("labelled action")))
-    g.freeze()
-    unlabelled = {v.subject for v in validate(g).violations if v.rule == "R4"}
-    assert unlabelled == {EX.a, EX.s}
+    # Only a literal is a label (rdfs:label has the range rdfs:Literal): an IRI or a blank node names nothing.
+    for labels, unlabelled in (
+        ({EX.act: literal("labelled action")}, {EX.a, EX.s}),
+        ({EX.a: EX.Name, EX.s: blank("name"), EX.act: literal("labelled action")}, {EX.a, EX.s}),
+        ({EX.a: literal("Activity", lang="en"), EX.act: literal("act"),
+          EX.s: literal("Step", datatype="http://www.w3.org/2001/XMLSchema#string")}, set()),
+    ):
+        g = Graph()
+        g.insert(Triple(EX.a, RDF.type, PROV.Activity))
+        g.insert(Triple(EX.s, RDF.type, PPLAN.Step))
+        g.insert(Triple(EX.act, RDF.type, PKO.Action))
+        for node, label in labels.items():
+            g.insert(Triple(node, RDFS.label, label))
+        g.freeze()
+        assert {v.subject for v in validate(g).violations if v.rule == "R4"} == unlabelled, labels
 
 
 def test_inference_never_adds_r1_violations(kb, activities, robots):
