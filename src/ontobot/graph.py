@@ -6,15 +6,15 @@ refuses inserts and prefix folding. A load keeps each triple in one place: the
 triple set, in insertion order. Every index is built from it on first request
 and kept exact from then on by later inserts: the predicate index, the subject
 and object indexes over all triples, and the groups, each one predicate's
-triples keyed by their subject or by their object, even before that
-predicate's first triple. ``Graph.lookup`` is the one place that picks which
-of these answers a pattern, from the positions it binds;
-``subjects``/``objects`` and most compiled query steps read through it, but a
-step with a constant predicate and one bound end reads that predicate's
-``Graph.group`` view, as ``KnowledgeBase._walk`` and ``task_plan`` do. An
-index is built in a local dict and published with one assignment, so a reader
-of a frozen graph never sees one half built. ``Graph.add_graph`` reuses each
-source triple with no blank end and rebuilds the rest.
+triples keyed by their subject or by their object, even before that predicate's
+first triple. A graph is read through ``Graph.lookup`` and ``Graph.group``
+alone. ``lookup`` is the one place that picks which index answers a pattern,
+from the positions it binds, and most compiled query steps read through it; a
+walk along a constant predicate from a bound end reads that predicate's
+``group`` view, as ``KnowledgeBase._walk``, ``_profile`` and ``task_plan`` do.
+An index is built in a local dict and published with one assignment, so a
+reader of a frozen graph never sees one half built. ``Graph.add_graph`` reuses
+each source triple with no blank end and rebuilds the rest.
 
 Terms are interned: building a term twice, through ``Term(...)`` or the
 ``iri`` / ``blank`` / ``literal`` factories, yields the same object, so
@@ -243,14 +243,6 @@ class Graph:
         if position not in (0, 2):
             raise GraphError(f"triples are grouped by subject (0) or object (2), not by position {position!r}")
         return MappingProxyType(self._grouped(p, position))
-
-    def subjects(self, p: Term, o: Term) -> list[Term]:
-        """The subjects of ``p`` with object ``o``, in insertion order; distinct, as the triples are."""
-        return [t[0] for t in self.lookup(None, p, o)]
-
-    def objects(self, s: Term, p: Term) -> list[Term]:
-        """The objects of ``s`` through ``p``, in insertion order; distinct, as the triples are."""
-        return [t[2] for t in self.lookup(s, p, None)]
 
     def fold_prefixes(self, prefixes: Mapping[str, str]) -> None:
         """Bind each name of ``prefixes`` that this graph does not bind yet; a frozen graph refuses."""

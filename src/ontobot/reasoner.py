@@ -121,17 +121,6 @@ class FeasibilityReport(NamedTuple):
     activity_label: str
     steps: tuple[StepFeasibility, ...]
 
-    @property
-    def missing(self) -> frozenset[Term]:
-        out: set[Term] = set()
-        for step in self.steps:
-            out.update(step.missing)
-        return frozenset(out)
-
-    @property
-    def achievable(self) -> bool:
-        return all(step.achievable for step in self.steps)
-
 
 class FeasibilityMatrix(NamedTuple):
     """Achievability of every top-level step of every activity, per robot."""
@@ -239,8 +228,8 @@ class KnowledgeBase:
         self.graph = graph.freeze()
         self._report: ValidationReport | None = None
         self._labels = literal_labels(graph)
-        self._activities = {node: self.label_of(node) for node in graph.subjects(RDF.type, PROV.Activity)}
-        self._agents = {node: self.label_of(node) for node in graph.subjects(RDF.type, OBOT.Agent)}
+        self._activities = {node: self.label_of(node) for node, _, _ in graph.lookup(None, RDF.type, PROV.Activity)}
+        self._agents = {node: self.label_of(node) for node, _, _ in graph.lookup(None, RDF.type, OBOT.Agent)}
         self._activity_names, self._agent_names = _Names("activity", self._activities), _Names("robot", self._agents)
         self._facts: dict[Term, _ActivityFacts] = {}
         self._profiles: dict[Term, CapabilityProfile] = {}
@@ -349,14 +338,17 @@ class KnowledgeBase:
 
     def _profile(self, robot: Term) -> CapabilityProfile:
         provenance: dict[Term, dict[CapabilityChain, None]] = {}  # ordered sets of chains
-        for node in self.graph.objects(robot, OBOT.hasNode):
-            for component in self.graph.objects(node, ROS.communicatesThrough):
-                for comm in self.graph.subjects(ROS.hasComponent, component):
-                    if Triple(comm, RDF.type, ROS.ROSCommunication) not in self.graph:
+        graph, group = self.graph, self.graph.group
+        through, comms_of = group(ROS.communicatesThrough, 0).get, group(ROS.hasComponent, 2).get
+        messages, evokes, enables = group(ROS.hasMessage, 0).get, group(ROS.evokes, 0).get, group(OBOT.enablesAffordance, 0).get
+        for _, _, node in group(OBOT.hasNode, 0).get(robot, ()):
+            for _, _, component in through(node, ()):
+                for comm, _, _ in comms_of(component, ()):
+                    if (comm, RDF.type, ROS.ROSCommunication) not in graph:
                         continue
-                    for message in self.graph.objects(comm, ROS.hasMessage):
-                        for capability in self.graph.objects(message, ROS.evokes):
-                            for affordance in self.graph.objects(capability, OBOT.enablesAffordance):
+                    for _, _, message in messages(comm, ()):
+                        for _, _, capability in evokes(message, ()):
+                            for _, _, affordance in enables(capability, ()):
                                 provenance.setdefault(affordance, {})[CapabilityChain(node, message, capability)] = None
         profile = self._profiles[robot] = CapabilityProfile(
             robot=robot,

@@ -16,7 +16,7 @@ every superclass, using ``SUBCLASS_AXIOMS`` and the graph's own axioms.
 ``validate`` runs four advisory rule groups (R1 domain/range, R2 order chains,
 R3 action connectivity, R4 labels, read from ``literal_labels``, the one rule
 for a node's name) and reports violations as data; an invalid graph is still
-readable and queryable. It groups no triples itself: R2 and R3 read the graph's
+readable and queryable. It groups no triples itself: R2-R4 read the graph's
 own groups (``Graph.group``), the one grouping of triples by position, and
 leave them built and kept exact, so a later insert shows in the next report.
 """
@@ -164,9 +164,9 @@ def _check_order_chains(g: Graph, out: ValidationReport) -> None:
 
 def _check_action_connectivity(g: Graph, out: ValidationReport) -> None:
     for action in g.group(PKO.requiresAction, 2):
-        if not g.objects(action, OBOT.requiresAffordance):
+        if not g.lookup(action, OBOT.requiresAffordance, None):
             out.violations.append(Violation("R3", action, "action requires no affordance"))
-        targets = g.objects(action, OBOT.actsOn)
+        targets = g.lookup(action, OBOT.actsOn, None)
         if len(targets) > 1:
             out.violations.append(Violation("R3", action, f"action has {len(targets)} obot:actsOn targets (at most 1 allowed)"))
         elif not targets:
@@ -175,10 +175,14 @@ def _check_action_connectivity(g: Graph, out: ValidationReport) -> None:
 
 def _check_labels(g: Graph, out: ValidationReport) -> None:
     labels = literal_labels(g)
-    for cls, label in ((PROV.Activity, "prov:Activity"), (PPLAN.Step, "pplan:Step"), (PKO.Action, "pko:Action")):
-        for node in g.subjects(RDF.type, cls):
+    for cls, label in ((PROV.Activity, "prov:Activity"), (PPLAN.Step, "pplan:Step"), (PKO.Action, "pko:Action"),
+                       (OBOT.Agent, "obot:Agent")):
+        for node, _, _ in g.lookup(None, RDF.type, cls):
             if node not in labels:
                 out.violations.append(Violation("R4", node, f"{label} instance has no rdfs:label"))
+    for procedure in g.group(PKO.executesProcedure, 2):
+        if procedure not in labels:
+            out.violations.append(Violation("R4", procedure, "pko:executesProcedure object has no rdfs:label"))
 
 
 def validate(g: Graph) -> ValidationReport:

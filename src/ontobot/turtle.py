@@ -568,7 +568,7 @@ def serialize_turtle(graph: Graph) -> str:
         )
         parts: list[str] = []
         for predicate in predicates:
-            objects = sorted(graph.objects(subject, predicate), key=Term.sort_key)
+            objects = sorted([t[2] for t in graph.lookup(subject, predicate, None)], key=Term.sort_key)
             p_text = "a" if predicate == RDF.type else term_to_text(predicate, prefixes, escape=True)
             o_text = " , ".join(map(text, objects))
             parts.append(f"{p_text} {o_text}")

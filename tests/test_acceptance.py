@@ -218,13 +218,25 @@ def test_criterion_10_cross_oracle_consistency(kb):
     _pass(10, "reasoner results equal verbatim query evaluation for CQ1-CQ3 and robot profiles")
 
 
-def test_criterion_10_random_cross_oracle(tmp_path, capsys):
+def test_criterion_10_random_cross_oracle(kb, tmp_path, capsys):
     # The same comparison on seeded graphs in the fixtures' domain, with the nested-loop
     # oracle in place of evaluate(); the first graphs also go through the CLI.
     q1, q3, qr = (
         parse_query(query_path(name).read_text(encoding="utf-8"))
         for name in ("cq1_object_affordances", "cq3_required_affordances", "robot_affordances")
     )
+    chains = qr._replace(projection=["robot", "affordance", "node", "msg", "capability"])
+
+    def assert_provenance_is_every_chain(kb: KnowledgeBase, seed: object) -> None:
+        # Each robot's provenance holds each (node, message, capability) chain to an affordance once, and no other.
+        rows = oracle_evaluate(chains, kb.graph)
+        for robot, _ in kb.agents():
+            provenance = kb.capability_profile(robot).provenance
+            assert all(len(set(found)) == len(found) for found in provenance.values()), (seed, robot)
+            got = {(affordance, *chain) for affordance, found in provenance.items() for chain in found}
+            assert got == {row[1:] for row in rows if row[0] is robot}, (seed, robot)
+
+    assert_provenance_is_every_chain(kb, "fixtures")
     seeds, cli_runs = 120, 0
     for seed in range(seeds):
         graph = random_ontobot_graph(random.Random(seed))
@@ -238,6 +250,7 @@ def test_criterion_10_random_cross_oracle(tmp_path, capsys):
             assert kb.required_affordances(activity) == {aff for name, aff in rows3 if name.value == label}, seed
         for robot, label in kb.agents():
             assert kb.capability_profile(robot).affordances == {aff for name, aff in rows_r if name.value == label}, seed
+        assert_provenance_is_every_chain(kb, seed)
         if seed >= 20:
             continue
         path = tmp_path / f"{seed}.ttl"
@@ -257,5 +270,6 @@ def test_criterion_10_random_cross_oracle(tmp_path, capsys):
             err = capsys.readouterr().err
             assert code in (0, 1, 2, 4) and "internal error" not in err, (seed, argv, code, err)
             cli_runs += 1
-    _pass(10, f"reasoner, evaluate() and the nested-loop oracle agree on {seeds} random OntoBOT graphs; "
+    _pass(10, f"reasoner, evaluate() and the nested-loop oracle agree on {seeds} random OntoBOT graphs, "
+              "capability provenance included; "
               f"{cli_runs} CLI runs exited 0-2 or 4")

@@ -120,18 +120,23 @@ def test_validate_fails_a_literal_action_that_cq2_cannot_order(capsys, tmp_path)
     assert err == "ontobot: cannot order obot:nextAction chain of Get the glass: 2 chain heads (incomplete chain)\n"
 
 
+LABEL_PROBE_PREFIXES = (
+    "@prefix : <https://example.org/> .\n"
+    "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+    "@prefix prov: <http://www.w3.org/ns/prov#> .\n"
+    "@prefix pplan: <http://purl.org/net/p-plan#> .\n"
+    "@prefix pko: <https://w3id.org/pko#> .\n"
+    "@prefix obot: <https://w3id.org/onto-bot#> .\n"
+    "@prefix soma: <http://www.ease-crc.org/ont/SOMA.owl#> .\n"
+)
+
+
 def test_validate_fails_an_activity_and_a_step_labelled_only_by_iris(capsys, tmp_path):
     # An IRI label is no name: answers would show the IRI, and the label would not resolve.
     kg = tmp_path / "iri-labels.ttl"
     kg.write_text(
-        "@prefix : <https://example.org/> .\n"
-        "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
-        "@prefix prov: <http://www.w3.org/ns/prov#> .\n"
-        "@prefix pplan: <http://purl.org/net/p-plan#> .\n"
-        "@prefix pko: <https://w3id.org/pko#> .\n"
-        "@prefix obot: <https://w3id.org/onto-bot#> .\n"
-        "@prefix soma: <http://www.ease-crc.org/ont/SOMA.owl#> .\n"
-        ":act a prov:Activity ; rdfs:label :ActName ; pko:executesProcedure :p1 .\n"
+        LABEL_PROBE_PREFIXES
+        + ":act a prov:Activity ; rdfs:label :ActName ; pko:executesProcedure :p1 .\n"
         ':p1 rdfs:label "P1" ; pko:hasStep :s1 .\n'
         ":s1 a pplan:Step ; rdfs:label :StepName ; pko:requiresAction :a1 .\n"
         ':a1 a pko:Action ; rdfs:label "grasp" ; obot:requiresAffordance soma:Grasping ; obot:actsOn :cup .\n'
@@ -147,6 +152,28 @@ def test_validate_fails_an_activity_and_a_step_labelled_only_by_iris(capsys, tmp
     ]
     code, out, err = run(capsys, "cq", "2", "-k", str(kg), "--activity", "ActName")
     assert (code, out, err) == (4, "", "ontobot: unknown activity: 'ActName'; available: 'https://example.org/act'\n")
+
+
+def test_validate_fails_a_robot_and_a_procedure_with_no_label(capsys, tmp_path):
+    # The matrix names each procedure a step and each robot a column: without a label it would show their IRIs.
+    kg = tmp_path / "no-labels.ttl"
+    kg.write_text(
+        LABEL_PROBE_PREFIXES
+        + ':act a prov:Activity ; rdfs:label "Act" ; pko:executesProcedure :p1 .\n'
+        ":p1 a pko:Procedure ; pko:hasStep :s1 .\n"
+        ':s1 a pplan:Step ; rdfs:label "S1" ; pko:requiresAction :a1 .\n'
+        ':a1 a pko:Action ; rdfs:label "grasp" ; obot:requiresAffordance soma:Grasping ; obot:actsOn :cup .\n'
+        ":cup a obot:Component .\n"
+        ":bot a obot:Agent .\n",
+        encoding="utf-8",
+    )
+    code, out, _ = run(capsys, "validate", str(kg))
+    assert code == 1
+    assert out.splitlines() == [
+        "R4  :bot  obot:Agent instance has no rdfs:label",
+        "R4  :p1  pko:executesProcedure object has no rdfs:label",
+        "FAIL: 2 violations, 0 warnings",
+    ]
 
 
 def test_validate_missing_file_exits_2(capsys):

@@ -539,7 +539,8 @@ def test_cq6_hsr_gap_report(kb):
     assert by_label["Retrieve food"].achievable
     assert not by_label["Serve food"].achievable
     assert by_label["Serve food"].missing == {SOMA.Pouring}
-    assert not report.achievable
+    assert not all(step.achievable for step in report.steps)
+    assert frozenset().union(*(step.missing for step in report.steps)) == {SOMA.Pouring}
 
 
 def test_cq6_ur3_gap_report(kb):
@@ -555,7 +556,7 @@ def test_cq6_stretch_misses_holding_everywhere(kb):
     stretch = kb.agent_by_label("Stretch")
     for activity, _ in kb.activities():
         report = kb.gap_report(stretch, activity)
-        assert not report.achievable
+        assert report.steps
         for step in report.steps:
             assert not step.achievable
             assert SOMA.Holding in step.missing
@@ -564,7 +565,7 @@ def test_cq6_stretch_misses_holding_everywhere(kb):
 def test_cq6_tiago_achieves_everything(kb):
     tiago = kb.agent_by_label("TIAGo")
     for activity, _ in kb.activities():
-        assert kb.gap_report(tiago, activity).achievable
+        assert all(step.achievable for step in kb.gap_report(tiago, activity).steps)
 
 
 def test_feasibility_matrix_expected_cells(kb):
@@ -598,6 +599,8 @@ def test_matrix_empty_without_robots(activities):
     matrix = kb.feasibility_matrix()
     assert matrix.robots == ()
     assert matrix.cells == {}
+    with pytest.raises(UnknownEntityError, match=r"^unknown robot: 'HSR'; available: \(none\)$"):
+        kb.capability_profile("HSR")
 
 
 def test_cq3_decomposes_into_cq6_step_requirements(kb):
@@ -614,7 +617,7 @@ def test_cq5_cq4_cq6_consistency(kb):
         for robot, _ in kb.agents():
             in_cq4 = robot in capable
             via_cq5 = kb.can_execute_all(robot, [activity])
-            via_cq6 = kb.gap_report(robot, activity).achievable
+            via_cq6 = all(step.achievable for step in kb.gap_report(robot, activity).steps)
             assert in_cq4 == via_cq5 == via_cq6
 
 

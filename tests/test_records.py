@@ -143,9 +143,6 @@ def test_record_methods():
     done = StepFeasibility(A, "grasp", frozenset({A}), frozenset())
     short = StepFeasibility(B, "pour", frozenset({A, B}), frozenset({B}))
     assert done.achievable and not short.achievable
-    report = FeasibilityReport(A, "HSR", B, "breakfast", (done, short))
-    assert report.missing == frozenset({B}) and not report.achievable
-    assert FeasibilityReport(A, "HSR", B, "breakfast", (done,)).achievable
     matrix = FeasibilityMatrix(((A, "HSR"),), ((B, A, "grasp"), (B, B, "pour")), {(A, A): True, (A, B): False})
     assert matrix.achievable(A, A) and not matrix.achievable(A, B)
 

@@ -22,8 +22,8 @@ def vocabulary() -> Graph:
 def test_minted_vocabulary_membership():
     # The newly minted namespace holds exactly these classes and properties.
     g = vocabulary()
-    classes = {c for c in g.subjects(RDF.type, RDFS.Class) if c in OBOT}
-    properties = {p for p in g.subjects(RDF.type, RDF.Property) if p in OBOT}
+    classes = {t.s for t in g.lookup(None, RDF.type, RDFS.Class) if t.s in OBOT}
+    properties = {t.s for t in g.lookup(None, RDF.type, RDF.Property) if t.s in OBOT}
     assert classes == {OBOT.Agent, OBOT.Environment, OBOT.Component, OBOT.Affordance}
     assert properties == {
         OBOT.hasNode,
@@ -91,13 +91,13 @@ def test_infer_types_adds_each_superclass_where_the_first_asserted_type_reaching
     for s, cls in ((EX.s1, EX.A), (EX.s2, EX.D), (EX.s1, EX.B)):
         g.insert(Triple(s, RDF.type, cls))
     inferred = infer_types(g.freeze())
-    assert inferred.subjects(RDF.type, EX.C) == [EX.s1, EX.s2]
-    assert inferred.objects(EX.s1, RDF.type) == [EX.A, EX.B, EX.C]
+    assert [t.s for t in inferred.lookup(None, RDF.type, EX.C)] == [EX.s1, EX.s2]
+    assert [t.o for t in inferred.lookup(EX.s1, RDF.type, None)] == [EX.A, EX.B, EX.C]
 
 
 def test_an_agent_gets_its_inferred_types_in_sorted_axiom_order(kb):
     # The vocabulary's superclasses of obot:Agent, by IRI: DUL's, then PROV's, then FOAF's.
-    assert kb.graph.objects(EX.tiago, RDF.type) == [OBOT.Agent, DUL.Agent, PROV.Agent, FOAF.Agent]
+    assert [t.o for t in kb.graph.lookup(EX.tiago, RDF.type, None)] == [OBOT.Agent, DUL.Agent, PROV.Agent, FOAF.Agent]
 
 
 def _assert_inferred_as_the_oracle_orders_them(g: Graph) -> None:
@@ -123,7 +123,7 @@ def _assert_inferred_as_the_oracle_orders_them(g: Graph) -> None:
             if t.s not in expected.setdefault(cls, []):
                 expected[cls].append(t.s)
     assert set(inferred.group(RDF.type, 2)) == set(expected)
-    assert {cls: inferred.subjects(RDF.type, cls) for cls in expected} == expected
+    assert {cls: [t.s for t in inferred.lookup(None, RDF.type, cls)] for cls in expected} == expected
 
 
 def test_infer_types_agrees_with_a_brute_force_oracle_on_the_fixtures(union):
@@ -325,20 +325,24 @@ def test_action_without_target_is_a_warning_not_violation():
 
 def test_unlabelled_activity_step_action_reported_as_r4():
     # Only a literal is a label (rdfs:label has the range rdfs:Literal): an IRI or a blank node names nothing.
+    # A robot and a procedure that an activity executes need one too: the feasibility matrix names both.
     for labels, unlabelled in (
-        ({EX.act: literal("labelled action")}, {EX.a, EX.s}),
-        ({EX.a: EX.Name, EX.s: blank("name"), EX.act: literal("labelled action")}, {EX.a, EX.s}),
-        ({EX.a: literal("Activity", lang="en"), EX.act: literal("act"),
-          EX.s: literal("Step", datatype="http://www.w3.org/2001/XMLSchema#string")}, set()),
+        ({EX.act: literal("labelled action")}, [EX.a, EX.s, EX.bot, EX.p]),
+        ({EX.a: EX.Name, EX.s: blank("name"), EX.act: literal("labelled action"), EX.p: EX.Name}, [EX.a, EX.s, EX.bot, EX.p]),
+        ({EX.a: literal("Activity", lang="en"), EX.act: literal("act"), EX.bot: literal("bot"), EX.p: literal("p"),
+          EX.s: literal("Step", datatype="http://www.w3.org/2001/XMLSchema#string")}, []),
     ):
         g = Graph()
         g.insert(Triple(EX.a, RDF.type, PROV.Activity))
         g.insert(Triple(EX.s, RDF.type, PPLAN.Step))
         g.insert(Triple(EX.act, RDF.type, PKO.Action))
+        g.insert(Triple(EX.bot, RDF.type, OBOT.Agent))
+        g.insert(Triple(EX.a, PKO.executesProcedure, EX.p))
+        g.insert(Triple(EX.a2, PKO.executesProcedure, EX.p))  # a shared procedure is reported once
         for node, label in labels.items():
             g.insert(Triple(node, RDFS.label, label))
         g.freeze()
-        assert {v.subject for v in validate(g).violations if v.rule == "R4"} == unlabelled, labels
+        assert [v.subject for v in validate(g).violations if v.rule == "R4"] == unlabelled, labels
 
 
 def test_inference_never_adds_r1_violations(kb, activities, robots):
@@ -376,5 +380,5 @@ def test_vocabulary_file_declares_every_term_the_fixtures_and_queries_use():
     classes = {t.o for t in patterns if t.p is RDF.type and not isinstance(t.o, Var)}
     vocab = vocabulary()
     assert len(predicates) == 18 and len(classes) == 12
-    assert predicates - set(vocab.subjects(RDF.type, RDF.Property)) == set()
-    assert classes - set(vocab.subjects(RDF.type, RDFS.Class)) == set()
+    assert predicates - {t.s for t in vocab.lookup(None, RDF.type, RDF.Property)} == set()
+    assert classes - {t.s for t in vocab.lookup(None, RDF.type, RDFS.Class)} == set()

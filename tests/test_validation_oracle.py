@@ -16,7 +16,7 @@ from ontobot.namespaces import DUL, EX, OBOT, PKO, PPLAN, PROV, RDF, RDFS, ROS, 
 from ontobot.schema import validate
 
 CHAINS = {PKO.nextStep: "pko:nextStep", OBOT.nextAction: "obot:nextAction"}
-LABELLED = {PROV.Activity: "prov:Activity", PPLAN.Step: "pplan:Step", PKO.Action: "pko:Action"}
+LABELLED = {PROV.Activity: "prov:Activity", PPLAN.Step: "pplan:Step", PKO.Action: "pko:Action", OBOT.Agent: "obot:Agent"}
 CYCLE = " chain contains a cycle"
 
 Report = tuple[str, "Term | Triple", str]
@@ -94,10 +94,15 @@ def oracle_validate(triples: set[Triple]) -> tuple[set[Report], set[Report], dic
             violations.add(("R3", action, f"action has {len(targets)} obot:actsOn targets (at most 1 allowed)"))
         elif not targets:
             warnings.add(("R3", action, "action has no obot:actsOn target"))
-    # R4: a typed activity, step or action has a literal rdfs:label.
-    for s, p, cls in triples:
-        if p == RDF.type and cls in LABELLED and not any(o.kind == LITERAL for o in objects(s, RDFS.label)):
-            violations.add(("R4", s, f"{LABELLED[cls]} instance has no rdfs:label"))
+    # R4: a typed activity, step, action or robot, and every procedure an activity executes, has a literal rdfs:label.
+    def unlabelled(x: Term) -> bool:
+        return not any(o.kind == LITERAL for o in objects(x, RDFS.label))
+
+    for s, p, o in triples:
+        if p == RDF.type and o in LABELLED and unlabelled(s):
+            violations.add(("R4", s, f"{LABELLED[o]} instance has no rdfs:label"))
+        if p == PKO.executesProcedure and unlabelled(o):
+            violations.add(("R4", o, "pko:executesProcedure object has no rdfs:label"))
     return violations, warnings, cycles
 
 
@@ -205,6 +210,7 @@ TEMPLATES = {
     "R3 action has N obot:actsOn targets (at most N allowed)",
     "R3 action has no obot:actsOn target",
     *(f"R4 {name} instance has no rdfs:label" for name in LABELLED.values()),
+    "R4 pko:executesProcedure object has no rdfs:label",
 }
 
 
