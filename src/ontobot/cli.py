@@ -26,15 +26,15 @@ import argparse
 import io
 import os
 import sys
+from collections import namedtuple
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from ontobot import fixtures
 from ontobot.graph import GraphError, Term
-from ontobot.query import QueryParseError, UnsupportedFeatureError, evaluate, parse_query
 from ontobot.reasoner import ChainError, KnowledgeBase, UnknownEntityError, load_graph
 from ontobot.schema import validate
-from ontobot.turtle import TurtleParseError, term_to_text
+from ontobot.turtle import QueryParseError, TurtleParseError, UnsupportedFeatureError, term_to_text
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -49,10 +49,10 @@ class _Fail(Exception):
     """Bad input the CLI found itself: exit code 2."""
 
 
-class ResultTable(NamedTuple):
-    id: str
-    columns: list[str]
-    rows: list[list[object]]  # cells: str, bool, or list[str]
+class ResultTable(namedtuple("ResultTable", "id columns rows")):
+    """One answer as printed: its ``id``, ``columns`` (names) and ``rows`` (lists of str, bool or list[str] cells)."""
+
+    __slots__ = ()
 
 
 def _plain_cell(cell: object, fmt: str) -> str:
@@ -141,6 +141,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
+    from ontobot.query import evaluate, parse_query  # only this command loads the query layer
+
     try:
         query = parse_query(_read_text(args.query_file))
     except QueryParseError as exc:

@@ -25,9 +25,10 @@ enters it in one ``setdefault``, so threads that build it at once get one object
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import count
 from types import MappingProxyType
-from typing import Callable, Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 IRI = "iri"
 BLANK = "blank"
@@ -138,12 +139,10 @@ def blank_minter(prefix: str) -> Callable[[], Term]:
     return lambda: blank(f"{prefix}{next(numbers)}")
 
 
-class Triple(NamedTuple):
-    """A subject-predicate-object statement."""
+class Triple(namedtuple("Triple", "s p o")):
+    """A subject-predicate-object statement: three ``Term``s."""
 
-    s: Term
-    p: Term
-    o: Term
+    __slots__ = ()
 
     def n3(self) -> str:
         return f"{self.s.n3()} {self.p.n3()} {self.o.n3()} ."

@@ -10,7 +10,9 @@ Anything beyond that subset (FILTER, OPTIONAL, UNION, GROUP BY, HAVING,
 ORDER BY, ...) raises :class:`UnsupportedFeatureError` naming the feature,
 distinct from plain syntax errors so callers can report it separately. The
 parser's ``fail`` names it: a syntax error at such a keyword, wherever it
-stands, becomes the feature.
+stands, becomes the feature. Both query errors are defined in ``turtle``,
+beside ``TurtleParseError``, so the CLI catches them without loading this
+module; they are importable from here too.
 
 Triple patterns are Turtle statements with variables, so the parser is the
 Turtle statement parser (``turtle._StatementParser``) with the lexer's
@@ -41,50 +43,37 @@ by column, and rows with equal keys keep the order they were found in.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import partial
 from heapq import heapify, heappop, heappush
 from itertools import count
 from operator import itemgetter
-from typing import Callable, Collection, Iterator, NamedTuple, NoReturn, Union
+from typing import Callable, Collection, Iterator, NoReturn, Union
 
 from ontobot.graph import Graph, Term
-from ontobot.turtle import ParseDiagnostic, _kind, _StatementParser, _unescape, _value
+from ontobot.turtle import QueryParseError, UnsupportedFeatureError, _kind, _StatementParser, _unescape, _value
 
 
-class QueryParseError(Exception):
-    def __init__(self, diagnostic: ParseDiagnostic, source: object = None):
-        super().__init__(str(diagnostic) if source is None else f"{source}: {diagnostic}")
-        self.diagnostic = diagnostic
+class Var(namedtuple("Var", "name")):
+    """A query variable, by its ``name`` without the ``?``."""
 
-
-class UnsupportedFeatureError(Exception):
-    """The query uses a SPARQL feature outside the supported subset."""
-
-    def __init__(self, feature: str, line: int, column: int):
-        super().__init__(f"unsupported feature: {feature}")
-        self.feature = feature
-        self.line = line
-        self.column = column
-
-
-class Var(NamedTuple):
-    name: str
+    __slots__ = ()
 
 
 PatternTerm = Union[Term, Var]
 
 
-class TriplePattern(NamedTuple):
-    s: PatternTerm
-    p: PatternTerm
-    o: PatternTerm
+class TriplePattern(namedtuple("TriplePattern", "s p o")):
+    """A triple pattern: each position a ``Term`` or a ``Var``."""
+
+    __slots__ = ()
 
 
-class Query(NamedTuple):
-    prefixes: dict[str, str]
-    projection: list[str]
-    distinct: bool
-    pattern: list[TriplePattern]
+class Query(namedtuple("Query", "prefixes projection distinct pattern")):
+    """A parsed query: ``prefixes`` (name to namespace), the ``projection``'s variable names, the
+    ``distinct`` flag, and the ``pattern``, a list of :class:`TriplePattern`."""
+
+    __slots__ = ()
 
 
 _UNSUPPORTED_KEYWORDS = {

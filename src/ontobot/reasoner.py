@@ -28,9 +28,10 @@ exposes. A step's required set is the union over all actions beneath it.
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from ontobot.graph import Graph, Term, Triple, blank_minter
 from ontobot.namespaces import OBOT, PKO, PROV, RDF, ROS
@@ -59,75 +60,74 @@ class ChainError(ValueError):
         self.reason = reason
 
 
-class PlanAction(NamedTuple):
-    action: Term
-    label: str
-    target: Term | None
-    affordances: frozenset[Term]
+class PlanAction(namedtuple("PlanAction", "action label target affordances")):
+    """A plan's action: the ``target`` it acts on (or ``None``) and the frozenset of ``affordances`` it requires."""
+
+    __slots__ = ()
 
 
-class PlanStep(NamedTuple):
-    step: Term
-    label: str
-    actions: tuple[PlanAction, ...]
+class PlanStep(namedtuple("PlanStep", "step label actions")):
+    """A step of a procedure, with its ``actions`` in chain order: a tuple of :class:`PlanAction`."""
+
+    __slots__ = ()
 
 
-class PlanProcedure(NamedTuple):
-    procedure: Term
-    label: str
-    steps: tuple[PlanStep, ...]
+class PlanProcedure(namedtuple("PlanProcedure", "procedure label steps")):
+    """A procedure of an activity, with its ``steps`` in chain order: a tuple of :class:`PlanStep`."""
+
+    __slots__ = ()
 
 
-class TaskPlan(NamedTuple):
-    activity: Term
-    label: str
-    procedures: tuple[PlanProcedure, ...]
+class TaskPlan(namedtuple("TaskPlan", "activity label procedures")):
+    """CQ2's answer: an activity and its ``procedures``, a tuple of :class:`PlanProcedure`."""
+
+    __slots__ = ()
 
 
-class _ActivityFacts(NamedTuple):
-    procedures: tuple[tuple[Term, str, frozenset[Term]], ...]  # (procedure, label, required set)
-    required: frozenset[Term]  # the union of the procedures' sets
-    pairs: frozenset[tuple[Term, Term]]  # CQ1's (component, affordance) pairs
+class _ActivityFacts(namedtuple("_ActivityFacts", "procedures required pairs")):
+    """An activity's kept record: ``procedures``, ``(procedure, label, required set)`` triples; ``required``,
+    the union of their sets; and ``pairs``, CQ1's ``(component, affordance)`` pairs."""
+
+    __slots__ = ()
 
 
-class CapabilityChain(NamedTuple):
-    node: Term
-    message: Term
-    capability: Term
+class CapabilityChain(namedtuple("CapabilityChain", "node message capability")):
+    """The ROS node, message and capability through which a robot enables an affordance."""
+
+    __slots__ = ()
 
 
-class CapabilityProfile(NamedTuple):
-    robot: Term
-    label: str
-    affordances: frozenset[Term]
-    provenance: Mapping[Term, tuple[CapabilityChain, ...]]
+class CapabilityProfile(namedtuple("CapabilityProfile", "robot label affordances provenance")):
+    """A robot's enabled ``affordances``, and their ``provenance``: a read-only mapping from each affordance
+    to its tuple of :class:`CapabilityChain`."""
+
+    __slots__ = ()
 
 
-class StepFeasibility(NamedTuple):
-    step: Term
-    label: str
-    required: frozenset[Term]
-    missing: frozenset[Term]
+class StepFeasibility(namedtuple("StepFeasibility", "step label required missing")):
+    """One top-level step of a gap report: the affordances it ``required`` and those the robot is ``missing``."""
+
+    __slots__ = ()
 
     @property
     def achievable(self) -> bool:
         return not self.missing
 
 
-class FeasibilityReport(NamedTuple):
-    robot: Term
-    robot_label: str
-    activity: Term
-    activity_label: str
-    steps: tuple[StepFeasibility, ...]
+class FeasibilityReport(namedtuple("FeasibilityReport", "robot robot_label activity activity_label steps")):
+    """CQ6's gap report: a robot, an activity, and its ``steps``, a tuple of :class:`StepFeasibility`."""
+
+    __slots__ = ()
 
 
-class FeasibilityMatrix(NamedTuple):
-    """Achievability of every top-level step of every activity, per robot."""
+class FeasibilityMatrix(namedtuple("FeasibilityMatrix", "robots steps cells")):
+    """Achievability of every top-level step of every activity, per robot.
 
-    robots: tuple[tuple[Term, str], ...]
-    steps: tuple[tuple[Term, Term, str], ...]  # (activity, step, step label)
-    cells: Mapping[tuple[Term, Term], bool]  # (robot, step) -> achievable
+    ``robots`` holds ``(robot, label)`` pairs, ``steps`` ``(activity, step, step label)``
+    triples, and ``cells`` maps ``(robot, step)`` to achievable (a bool).
+    """
+
+    __slots__ = ()
 
     def achievable(self, robot: Term, step: Term) -> bool:
         return self.cells[(robot, step)]

@@ -23,7 +23,7 @@ leave them built and kept exact, so a later insert shows in the next report.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from ontobot.graph import IRI, LITERAL, Graph, Term, Triple
 from ontobot.namespaces import DUL, FOAF, OBOT, PKO, PPLAN, PROV, RDF, RDFS, ROS, SOMA
@@ -83,15 +83,16 @@ def infer_types(g: Graph) -> Graph:
     return out.freeze()
 
 
-class Violation(NamedTuple):
-    rule: str
-    subject: Term | Triple
-    message: str
+class Violation(namedtuple("Violation", "rule subject message")):
+    """One finding: its ``rule`` (``"R1"``-``"R4"``), ``subject`` (a ``Term`` or a ``Triple``) and ``message``."""
+
+    __slots__ = ()
 
 
-class ValidationReport(NamedTuple):
-    violations: list[Violation]
-    warnings: list[Violation]
+class ValidationReport(namedtuple("ValidationReport", "violations warnings")):
+    """The ``violations`` and the ``warnings`` of one run, each a list of :class:`Violation` in report order."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -112,6 +113,11 @@ def _check_domain_range(g: Graph, out: ValidationReport) -> None:
             out.violations.append(Violation("R1", t, "obot:actsOn target must be a component, not a literal"))
         elif (t.o, RDF.type, OBOT.Component) not in g:
             out.violations.append(Violation("R1", t, "obot:actsOn target is not typed obot:Component"))
+    for prop, message in ((PKO.executesProcedure, "pko:executesProcedure object must be a procedure"),
+                          (PKO.hasStep, "pko:hasStep object must be a step")):
+        for t in g.lookup(None, prop, None):
+            if t.o.kind == LITERAL:
+                out.violations.append(Violation("R1", t, f"{message}, not a literal"))
     for prop, label in ((OBOT.requiresAffordance, "obot:requiresAffordance"),
                         (OBOT.enablesAffordance, "obot:enablesAffordance")):
         for t in g.lookup(None, prop, None):
@@ -181,7 +187,7 @@ def _check_labels(g: Graph, out: ValidationReport) -> None:
             if node not in labels:
                 out.violations.append(Violation("R4", node, f"{label} instance has no rdfs:label"))
     for procedure in g.group(PKO.executesProcedure, 2):
-        if procedure not in labels:
+        if procedure not in labels and procedure.kind != LITERAL:  # R1 reports a literal procedure
             out.violations.append(Violation("R4", procedure, "pko:executesProcedure object has no rdfs:label"))
 
 

@@ -37,8 +37,11 @@ read twice. Each triple goes straight to the parser's ``add``
 holds no index).
 
 Errors carry a :class:`ParseDiagnostic` with a 1-based line and column into
-the source text. Tokens carry no offsets: a diagnostic finds its token's
-offset by lexing the text again with ``finditer``, only when it is raised.
+the source text. Both dialects' errors are defined here:
+:class:`TurtleParseError`, :class:`QueryParseError` and
+:class:`UnsupportedFeatureError`. Tokens carry no offsets: a diagnostic
+finds its token's offset by lexing the text again with ``finditer``, only
+when it is raised.
 The first lexical error, a bad escape included, ends the token list in an
 ``_ERROR`` token, and its diagnostic is kept. Turtle raises it before
 parsing, so it is reported ahead of any syntax error; a query, when the
@@ -53,9 +56,10 @@ the graph's when it ends. A failed ``parse_turtle`` returns no partial graph.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from functools import cache, partial
 from itertools import count, islice
-from typing import Callable, Mapping, NamedTuple, NoReturn
+from typing import Callable, Mapping, NoReturn
 
 from ontobot.graph import (
     BLANK,
@@ -72,21 +76,39 @@ from ontobot.graph import (
 from ontobot.namespaces import RDF
 
 
-class ParseDiagnostic(NamedTuple):
-    """Location and description of a problem in a source text."""
+class ParseDiagnostic(namedtuple("ParseDiagnostic", "line column message")):
+    """Location and description of a problem in a source text: 1-based ``line`` and ``column``, and ``message``."""
 
-    line: int
-    column: int
-    message: str
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"line {self.line}, column {self.column}: {self.message}"
 
 
-class TurtleParseError(Exception):
+class _ParseError(Exception):
+    """A text that does not parse: its diagnostic, after the source it came from when one is given."""
+
     def __init__(self, diagnostic: ParseDiagnostic, source: object = None):
         super().__init__(str(diagnostic) if source is None else f"{source}: {diagnostic}")
         self.diagnostic = diagnostic
+
+
+class TurtleParseError(_ParseError):
+    """A Turtle document does not parse."""
+
+
+class QueryParseError(_ParseError):
+    """A query does not parse."""
+
+
+class UnsupportedFeatureError(Exception):
+    """The query uses a SPARQL feature outside the supported subset."""
+
+    def __init__(self, feature: str, line: int, column: int):
+        super().__init__(f"unsupported feature: {feature}")
+        self.feature = feature
+        self.line = line
+        self.column = column
 
 
 _ESCAPES = {
@@ -235,7 +257,7 @@ class _StatementParser:
     variables = False
     rejected: Mapping[str, str] = {}
     list_ends: frozenset[str] = frozenset({".", ""})
-    # tuple.__new__ builds the NamedTuple in C, with no Python frame per triple.
+    # tuple.__new__ builds the record in C, with no Python frame per triple.
     triple: Callable[[tuple], tuple] = staticmethod(partial(tuple.__new__, Triple))
     add: Callable[[tuple], None]
 

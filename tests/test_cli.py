@@ -176,6 +176,24 @@ def test_validate_fails_a_robot_and_a_procedure_with_no_label(capsys, tmp_path):
     ]
 
 
+def test_validate_fails_a_literal_procedure_and_a_literal_step_once_each(capsys, tmp_path):
+    # No label can name a literal, which cannot be a subject: R1 reports each link, and R4 adds nothing.
+    kg = tmp_path / "literal-nodes.ttl"
+    kg.write_text(
+        LABEL_PROBE_PREFIXES
+        + ':act a prov:Activity ; rdfs:label "Act" ; pko:executesProcedure :p1 , "make tea" .\n'
+        ':p1 a pko:Procedure ; rdfs:label "P1" ; pko:hasStep "boil" .\n',
+        encoding="utf-8",
+    )
+    code, out, _ = run(capsys, "validate", str(kg))
+    assert code == 1
+    assert out.splitlines() == [
+        'R1  :act pko:executesProcedure "make tea"  pko:executesProcedure object must be a procedure, not a literal',
+        'R1  :p1 pko:hasStep "boil"  pko:hasStep object must be a step, not a literal',
+        "FAIL: 2 violations, 0 warnings",
+    ]
+
+
 def test_validate_missing_file_exits_2(capsys):
     code, _, err = run(capsys, "validate", "/no/such/file.ttl")
     assert code == 2

@@ -1,4 +1,4 @@
-"""The public result records: construction, repr, equality, hashing, immutability."""
+"""The public result records: construction, repr, equality, hashing, immutability; and what a fresh import loads."""
 
 from __future__ import annotations
 
@@ -9,7 +9,9 @@ from types import MappingProxyType
 
 import pytest
 
+import ontobot
 from ontobot.cli import ResultTable
+from ontobot.graph import Triple
 from ontobot.namespaces import EX
 from ontobot.query import Query, TriplePattern, Var
 from ontobot.reasoner import (
@@ -32,6 +34,33 @@ FROZEN, MUTABLE, UNHASHABLE = "frozen", "mutable", "unhashable"
 # (type, keyword arguments in field order, expected repr, kind). FROZEN types hash as
 # the tuple of their fields; UNHASHABLE ones are frozen but hold a mapping.
 _CASES = [
+    (
+        Triple,
+        dict(s=A, p=B, o=A),
+        "Triple(s=Term(<https://example.org/a>), p=Term(<https://example.org/b>), o=Term(<https://example.org/a>))",
+        FROZEN,
+    ),
+    (Var, dict(name="x"), "Var(name='x')", FROZEN),
+    (
+        TriplePattern,
+        dict(s=Var("x"), p=A, o=B),
+        "TriplePattern(s=Var(name='x'), p=Term(<https://example.org/a>), o=Term(<https://example.org/b>))",
+        FROZEN,
+    ),
+    (
+        Violation,
+        dict(rule="R1", subject=Triple(A, B, A), message="no"),
+        "Violation(rule='R1', subject=Triple(s=Term(<https://example.org/a>), p=Term(<https://example.org/b>), "
+        "o=Term(<https://example.org/a>)), message='no')",
+        FROZEN,
+    ),
+    (
+        CapabilityChain,
+        dict(node=A, message=B, capability=A),
+        "CapabilityChain(node=Term(<https://example.org/a>), message=Term(<https://example.org/b>), "
+        "capability=Term(<https://example.org/a>))",
+        FROZEN,
+    ),
     (
         ParseDiagnostic,
         dict(line=3, column=7, message="expected '.'"),
@@ -122,6 +151,8 @@ _CASES = [
 def test_record_behaviour(cls, fields, expected_repr, kind):
     record = cls(**fields)
     assert repr(record) == expected_repr
+    assert cls._fields == tuple(fields)
+    assert not hasattr(record, "__dict__")  # no per-record dict: each class keeps __slots__ empty
     assert record == cls(**fields)
     assert record == cls(*fields.values())
     assert [getattr(record, name) for name in fields] == list(fields.values())
@@ -147,18 +178,22 @@ def test_record_methods():
     assert matrix.achievable(A, A) and not matrix.achievable(A, B)
 
 
-def after_cli_import(expression: str) -> str:
-    """What ``expression`` prints in a fresh process, right after ``import ontobot.cli``."""
+def after_cli_import(expression: str, statement: str = "import ontobot.cli") -> str:
+    """What ``expression`` prints in a fresh process, right after ``statement``."""
     # -S keeps site-packages .pth files from importing any module first.
     src = str(Path(__file__).resolve().parents[1] / "src")
-    script = f"import sys; sys.path.insert(0, {src!r}); import ontobot.cli; print({expression})"
+    script = f"import sys; sys.path.insert(0, {src!r}); {statement}; print({expression})"
     result = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, encoding="utf-8", check=True)
     return result.stdout.strip()
 
 
-def loaded_by_cli_import(names: set[str]) -> str:
-    """Those of ``names`` that a fresh ``import ontobot.cli`` loads, as a sorted list's repr."""
-    return after_cli_import(f"sorted({names!r} & set(sys.modules))")
+def loaded_by_cli_import(names: set[str], statement: str = "import ontobot.cli") -> str:
+    """Those of ``names`` that a fresh ``statement`` loads, as a sorted list's repr."""
+    return after_cli_import(f"sorted({names!r} & set(sys.modules))", statement)
+
+
+LAYERS = {f"ontobot.{name}" for name in ("cli", "fixtures", "graph", "namespaces", "query", "reasoner", "schema",
+                                         "turtle")}
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
@@ -175,3 +210,26 @@ def test_cli_import_compiles_no_lexer_pattern():
     # The escape and IRI-body patterns are compiled through _pattern on first use too.
     patterns = "ontobot.turtle._lexer, ontobot.turtle._pattern"
     assert after_cli_import(f"[f.cache_info().currsize for f in ({patterns})]") == "[0, 0]"
+
+
+def test_cli_import_loads_no_query_layer():
+    # Only `ontobot query` runs the query layer, and it imports it when it runs: cq and validate never load it.
+    assert loaded_by_cli_import({"ontobot.query", "heapq"}) == "[]"
+
+
+def test_package_import_loads_a_layer_when_one_of_its_names_is_first_read():
+    assert loaded_by_cli_import(LAYERS, "import ontobot") == "[]"
+    assert loaded_by_cli_import(LAYERS, "import ontobot; dir(ontobot)") == "[]"
+    assert loaded_by_cli_import(LAYERS, "import ontobot; ontobot.Term") == "['ontobot.graph']"
+    assert loaded_by_cli_import(LAYERS, "from ontobot import validate") == (
+        "['ontobot.graph', 'ontobot.namespaces', 'ontobot.schema']"
+    )
+
+
+def test_package_dir_covers_every_public_name_and_an_unknown_name_raises():
+    assert after_cli_import("sorted(set(ontobot.__all__) - set(dir(ontobot)))", "import ontobot") == "[]"
+    assert set(ontobot.__all__) <= set(dir(ontobot))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        getattr(ontobot, "no_such_name")
+    # A subpackage is no public name, so the import system finds it.
+    assert after_cli_import("fixtures.__name__", "from ontobot import fixtures") == "ontobot.fixtures"

@@ -493,6 +493,23 @@ def test_term_to_text_cell_and_turtle_forms(term, cell, turtle):
 
 
 @pytest.mark.parametrize(
+    "value, prefixes, shown",
+    [
+        # An empty namespace compacts nothing, even an IRI that would be a safe local name whole.
+        ("sa", {"e": ""}, "<sa>"),
+        # A prefix name the lexer would not read back is never used, even where its namespace is the longest match.
+        ("https://e.org/sa", {"1x": "https://e.org/"}, "<https://e.org/sa>"),
+        ("https://e.org/sa", {"ex": "https://e.org/", "1x": "https://e.org/s"}, "ex:sa"),
+        # The longest matching namespace wins, whichever comes first.
+        ("https://e.org/sa", {"ex": "https://e.org/", "exs": "https://e.org/s"}, "exs:a"),
+        ("https://e.org/sa", {"exs": "https://e.org/s", "ex": "https://e.org/"}, "exs:a"),
+    ],
+)
+def test_term_to_text_picks_the_prefix_the_lexer_reads_back(value, prefixes, shown):
+    assert term_to_text(iri(value), prefixes) == term_to_text(iri(value), prefixes, escape=True) == shown
+
+
+@pytest.mark.parametrize(
     "term, n3",
     [
         (literal("colour", lang="en-GB"), '"colour"@en-GB'),

@@ -18,6 +18,9 @@ from ontobot.schema import validate
 CHAINS = {PKO.nextStep: "pko:nextStep", OBOT.nextAction: "obot:nextAction"}
 LABELLED = {PROV.Activity: "prov:Activity", PPLAN.Step: "pplan:Step", PKO.Action: "pko:Action", OBOT.Agent: "obot:Agent"}
 CYCLE = " chain contains a cycle"
+# The links whose object is a node: a literal there is an R1 violation.
+NODE_RANGES = {PKO.executesProcedure: "pko:executesProcedure object must be a procedure",
+               PKO.hasStep: "pko:hasStep object must be a step"}
 
 Report = tuple[str, "Term | Triple", str]
 
@@ -44,6 +47,8 @@ def oracle_validate(triples: set[Triple]) -> tuple[set[Report], set[Report], dic
                 violations.add(("R1", t, "obot:actsOn target must be a component, not a literal"))
             elif not typed(o, OBOT.Component):
                 violations.add(("R1", t, "obot:actsOn target is not typed obot:Component"))
+        elif p in NODE_RANGES and o.kind == LITERAL:
+            violations.add(("R1", t, f"{NODE_RANGES[p]}, not a literal"))
         elif p in (OBOT.requiresAffordance, OBOT.enablesAffordance):
             affordance = o.kind == IRI and (o.value.startswith(SOMA.base) or typed(o, OBOT.Affordance)
                                             or typed(o, SOMA.Affordance))
@@ -94,14 +99,15 @@ def oracle_validate(triples: set[Triple]) -> tuple[set[Report], set[Report], dic
             violations.add(("R3", action, f"action has {len(targets)} obot:actsOn targets (at most 1 allowed)"))
         elif not targets:
             warnings.add(("R3", action, "action has no obot:actsOn target"))
-    # R4: a typed activity, step, action or robot, and every procedure an activity executes, has a literal rdfs:label.
+    # R4: a typed activity, step, action or robot, and every procedure an activity executes (R1 reports a literal
+    # one), has a literal rdfs:label.
     def unlabelled(x: Term) -> bool:
         return not any(o.kind == LITERAL for o in objects(x, RDFS.label))
 
     for s, p, o in triples:
         if p == RDF.type and o in LABELLED and unlabelled(s):
             violations.add(("R4", s, f"{LABELLED[o]} instance has no rdfs:label"))
-        if p == PKO.executesProcedure and unlabelled(o):
+        if p == PKO.executesProcedure and o.kind != LITERAL and unlabelled(o):
             violations.add(("R4", o, "pko:executesProcedure object has no rdfs:label"))
     return violations, warnings, cycles
 
@@ -154,7 +160,7 @@ def seed_fault(rng: random.Random, triples: list[Triple]) -> None:
     """Apply one random fault to ``triples`` in place."""
     actions = _members(triples, PKO.requiresAction)
     kind = rng.choice(["drop-type", "literal-target", "second-target", "literal-action", "fork", "join", "cycle",
-                       "drop-label", "iri-label", "typed-step", "typed-affordance", "r1-link"])
+                       "drop-label", "iri-label", "typed-step", "typed-affordance", "r1-link", "literal-node"])
     if kind == "drop-type":
         _drop(rng, triples, RDF.type)
     elif kind == "literal-target":
@@ -178,6 +184,10 @@ def seed_fault(rng: random.Random, triples: list[Triple]) -> None:
         p = rng.choice([OBOT.requiresAffordance, OBOT.enablesAffordance])
         triples.append(Triple(rng.choice(actions), p, EX.Wiping))
         triples.append(Triple(EX.Wiping, RDF.type, rng.choice([OBOT.Affordance, SOMA.Affordance, OBOT.Component])))
+    elif kind == "literal-node":  # a literal procedure of an activity, or a literal step of a procedure
+        p = rng.choice(list(NODE_RANGES))
+        owners = [s for s, q, _ in triples if q == p] or [EX.owner]
+        triples.append(Triple(rng.choice(owners), p, literal("make tea")))
     else:
         p = rng.choice([OBOT.actsOn, OBOT.requiresAffordance, OBOT.enablesAffordance, OBOT.hasNode, DUL.hasComponent])
         nodes = [t.s for t in triples] + [EX.elsewhere, SOMA.Wiping, literal("x")]
@@ -204,6 +214,7 @@ TEMPLATES = {
     "R1 obot:hasNode object is not typed ros:Node",
     "R1 dul:hasComponent subject is not typed obot:Environment",
     "R1 dul:hasComponent object is not typed obot:Component",
+    *(f"R1 {message}, not a literal" for message in NODE_RANGES.values()),
     *(f"R2 {name} {fault}" for name in CHAINS.values() for fault in
       ("fork: node has N successors", "join: node has N predecessors", "chain contains a cycle")),
     "R3 action requires no affordance",
