@@ -213,7 +213,8 @@ class KnowledgeBase:
     (``schema.literal_labels``), the activity and agent maps and their name
     indexes are built at construction; the validation report, each activity's
     record (procedure sets, required set, CQ1 pairs), each robot's capability
-    profile and the matrix on first request, as one CLI run asks one question.
+    profile, each gap report (one per robot and activity pair asked) and the
+    matrix on first request, as one CLI run asks one question.
     Each question resolves its names and reads these records itself, never
     through another. A name is a label or full IRI: a label beats an equal IRI,
     the first in load order wins a repeated one, and a miss raises
@@ -226,13 +227,14 @@ class KnowledgeBase:
 
     def __init__(self, graph: Graph):
         self.graph = graph.freeze()
-        self._report: ValidationReport | None = None
+        self._validation: ValidationReport | None = None
         self._labels = literal_labels(graph)
         self._activities = {node: self.label_of(node) for node, _, _ in graph.lookup(None, RDF.type, PROV.Activity)}
         self._agents = {node: self.label_of(node) for node, _, _ in graph.lookup(None, RDF.type, OBOT.Agent)}
         self._activity_names, self._agent_names = _Names("activity", self._activities), _Names("robot", self._agents)
         self._facts: dict[Term, _ActivityFacts] = {}
         self._profiles: dict[Term, CapabilityProfile] = {}
+        self._reports: dict[tuple[Term, Term], FeasibilityReport] = {}
         self._matrix: FeasibilityMatrix | None = None
 
     @classmethod
@@ -243,9 +245,9 @@ class KnowledgeBase:
     @property
     def report(self) -> ValidationReport:
         """The graph's validation report, run on first access and then kept."""
-        if self._report is None:
-            self._report = validate(self.graph)
-        return self._report
+        if self._validation is None:
+            self._validation = validate(self.graph)
+        return self._validation
 
     # -- entity lookup -----------------------------------------------------
 
@@ -378,12 +380,18 @@ class KnowledgeBase:
     # -- competency question 6 ----------------------------------------------
 
     def gap_report(self, robot: Term | str, activity: Term | str) -> FeasibilityReport:
-        """Which steps of the activity the robot can and cannot achieve, and why."""
+        """Which steps of the activity the robot can and cannot achieve, and why; built on first request and kept,
+        one report per robot and activity pair asked."""
         activity, robot = self._activity_names[activity], self._agent_names[robot]  # as CQ5 resolves them
+        return self._reports.get((robot, activity)) or self._report(robot, activity)
+
+    def _report(self, robot: Term, activity: Term) -> FeasibilityReport:
         profile = self._profiles.get(robot) or self._profile(robot)
         steps = tuple([StepFeasibility(step, label, required, required - profile.affordances)
                        for step, label, required in (self._facts.get(activity) or self._walk(activity)).procedures])
-        return FeasibilityReport(robot, profile.label, activity, self._activities[activity], steps)
+        report = self._reports[(robot, activity)] = FeasibilityReport(
+            robot, profile.label, activity, self._activities[activity], steps)
+        return report
 
     def feasibility_matrix(self) -> FeasibilityMatrix:
         """Achievability of every activity's top-level steps for every robot.
