@@ -24,6 +24,7 @@ leave them built and kept exact, so a later insert shows in the next report.
 from __future__ import annotations
 
 from collections import namedtuple
+from typing import Mapping, Sequence
 
 from ontobot.graph import IRI, LITERAL, Graph, Term, Triple
 from ontobot.namespaces import DUL, FOAF, OBOT, PKO, PPLAN, PROV, RDF, RDFS, ROS, SOMA
@@ -42,6 +43,8 @@ SUBCLASS_AXIOMS: frozenset[tuple[Term, Term]] = frozenset(
 
 #: The order-chain predicates, each with the name that R2 and a plan's ``ChainError`` give it, in R2's report order.
 ORDER_CHAINS: dict[Term, str] = {PKO.nextStep: "pko:nextStep", OBOT.nextAction: "obot:nextAction"}
+#: Each order chain's member predicate: the chain orders the members an owner has under it.
+_CHAIN_MEMBERS: dict[Term, Term] = {PKO.nextStep: PKO.hasStep, OBOT.nextAction: PKO.requiresAction}
 
 
 def literal_labels(g: Graph) -> dict[Term, str]:
@@ -166,6 +169,21 @@ def _check_order_chains(g: Graph, out: ValidationReport) -> None:
                 elif link.o in succ and link.o not in done:
                     path.add(link.o)
                     stack.append((link.o, iter(succ[link.o])))
+        for owner, members in g.group(_CHAIN_MEMBERS[prop], 0).items():
+            if not _one_path({t.o for t in members}, succ):
+                out.violations.append(Violation("R2", owner, f"{label} chain: its {len(members)} members do not form one path"))
+
+
+def _one_path(members: set[Term], succ: Mapping[Term, Sequence[Triple]]) -> bool:
+    """Whether the chain links between ``members`` order them all as one path; ``succ`` groups the links by subject."""
+    links = [t for m in members for t in succ.get(m, ()) if t.o in members]
+    heads = members.difference([t.o for t in links])
+    if len(links) != len(members) - 1 or len(heads) != 1:
+        return False  # so no member has two predecessors, and the walk below never revisits one
+    after, node, walked = {t.s: t.o for t in links}, heads.pop(), 1
+    while node in after:
+        node, walked = after[node], walked + 1
+    return walked == len(members)
 
 
 def _check_action_connectivity(g: Graph, out: ValidationReport) -> None:

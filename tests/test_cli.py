@@ -102,7 +102,8 @@ def test_validate_writes_an_iri_as_turtle_so_a_record_stays_one_line(capsys, tmp
 
 
 def test_validate_fails_a_literal_action_that_cq2_cannot_order(capsys, tmp_path):
-    # A literal reached by pko:requiresAction is an action too: R3 checks it, and CQ2 cannot order it.
+    # A literal reached by pko:requiresAction is an action too: R3 checks it, and CQ2 cannot order it, which R2
+    # reports at the step whose actions the literal leaves unchained.
     lines = activities_path().read_text(encoding="utf-8").splitlines(keepends=True)
     assert lines[133] == "    pko:requiresAction :graspGlass , :putGlassDown .\n"
     lines[133] = '    pko:requiresAction :graspGlass , :putGlassDown , "wipe the glass" .\n'
@@ -111,9 +112,10 @@ def test_validate_fails_a_literal_action_that_cq2_cannot_order(capsys, tmp_path)
     code, out, _ = run(capsys, "validate", str(kg), str(robots_path()))
     assert code == 1
     assert out.splitlines() == [
+        "R2  :getGlass  obot:nextAction chain: its 3 members do not form one path",
         'R3  "wipe the glass"  action requires no affordance',
         'R3  "wipe the glass"  warning: action has no obot:actsOn target',
-        "FAIL: 1 violations, 1 warnings",
+        "FAIL: 2 violations, 1 warnings",
     ]
     code, out, err = run(capsys, "cq", "2", "-k", str(kg), "-k", str(robots_path()), "--activity", "Prepare breakfast")
     assert (code, out) == (2, "")

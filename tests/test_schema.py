@@ -201,6 +201,25 @@ def test_next_step_fork_and_join_reported_as_r2():
     assert any("join" in message for message in rules)
 
 
+def test_each_owner_whose_members_form_no_one_path_reported_as_r2():
+    # R2 holds every owner's members to the links between them, as CQ2 orders them, and reports every faulty owner.
+    g = Graph()
+    for t in ((EX.p1, PKO.hasStep, EX.s1), (EX.p1, PKO.hasStep, EX.s2), (EX.p1, PKO.hasStep, EX.s3),
+              (EX.s1, PKO.nextStep, EX.s2),  # :s3 is linked to neither: an incomplete chain
+              (EX.p2, PKO.hasStep, EX.s4), (EX.p2, PKO.hasStep, EX.s5), (EX.s5, PKO.nextStep, EX.s4),  # one path
+              (EX.p3, PKO.hasStep, EX.s6),  # one step needs no link
+              (EX.p4, PKO.hasStep, EX.s7), (EX.p4, PKO.hasStep, EX.s8),  # no link at all
+              (EX.s4, PKO.requiresAction, EX.a1), (EX.s4, PKO.requiresAction, EX.a2),
+              (EX.a1, OBOT.nextAction, EX.a3)):  # a link to a non-member orders no member
+        g.insert(Triple(*t))
+    g.freeze()
+    assert [v for v in validate(g).violations if v.rule == "R2"] == [
+        Violation("R2", EX.p1, "pko:nextStep chain: its 3 members do not form one path"),
+        Violation("R2", EX.p4, "pko:nextStep chain: its 2 members do not form one path"),
+        Violation("R2", EX.s4, "obot:nextAction chain: its 2 members do not form one path"),
+    ]
+
+
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
 def test_cycle_behind_a_fork_reported_in_every_insertion_order(order):
     # :a forks to :b and :c, and :c leads back to :a. Whichever successor of
@@ -233,6 +252,7 @@ def test_validate_sees_links_inserted_after_an_earlier_report():
         Violation("R2", EX.s1, "pko:nextStep fork: node has 2 successors"),
         Violation("R2", EX.s2, "pko:nextStep join: node has 2 predecessors"),
         Violation("R2", EX.s1, "pko:nextStep chain contains a cycle"),
+        Violation("R2", EX.step, "obot:nextAction chain: its 2 members do not form one path"),
         Violation("R3", EX.wave, "action requires no affordance"),
     ]
 

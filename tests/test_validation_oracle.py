@@ -16,6 +16,7 @@ from ontobot.namespaces import DUL, EX, OBOT, PKO, PPLAN, PROV, RDF, RDFS, ROS, 
 from ontobot.schema import validate
 
 CHAINS = {PKO.nextStep: "pko:nextStep", OBOT.nextAction: "obot:nextAction"}
+MEMBERS = {PKO.nextStep: PKO.hasStep, OBOT.nextAction: PKO.requiresAction}  # the members each chain orders
 LABELLED = {PROV.Activity: "prov:Activity", PPLAN.Step: "pplan:Step", PKO.Action: "pko:Action", OBOT.Agent: "obot:Agent"}
 CYCLE = " chain contains a cycle"
 # The links whose object is a node: a literal there is an R1 violation.
@@ -90,6 +91,27 @@ def oracle_validate(triples: set[Triple]) -> tuple[set[Report], set[Report], dic
             reach[start] = seen
         on_cycle = [x for x in succ if x in reach[x]]
         cycles[name] = {x: frozenset(y for y in on_cycle if y in reach[x] and x in reach[y]) for x in on_cycle}
+        # An owner's members form one path when their links between them are those of one order: the order in
+        # which each member reaches, over those links, one member fewer than the one before it.
+        for owner in {s for s, q, _ in triples if q == MEMBERS[p]}:
+            members = set(objects(owner, MEMBERS[p]))
+            inner = {(s, o) for s, o in links if s in members and o in members}
+
+            def reached(x: Term) -> int:
+                seen, frontier = set(), [x]
+                while frontier:
+                    for s, o in inner:
+                        if s == frontier[-1] and o not in seen:
+                            seen.add(o)
+                            frontier.append(o)
+                            break
+                    else:
+                        frontier.pop()
+                return len(seen)
+
+            order = sorted(members, key=reached, reverse=True)
+            if inner != set(zip(order, order[1:])):
+                violations.add(("R2", owner, f"{name} chain: its {len(members)} members do not form one path"))
     # R3: every object of pko:requiresAction, a literal too, is an action.
     for action in {o for _, p, o in triples if p == PKO.requiresAction}:
         if not objects(action, OBOT.requiresAffordance):
@@ -160,9 +182,12 @@ def seed_fault(rng: random.Random, triples: list[Triple]) -> None:
     """Apply one random fault to ``triples`` in place."""
     actions = _members(triples, PKO.requiresAction)
     kind = rng.choice(["drop-type", "literal-target", "second-target", "literal-action", "fork", "join", "cycle",
-                       "drop-label", "iri-label", "typed-step", "typed-affordance", "r1-link", "literal-node"])
+                       "drop-label", "iri-label", "typed-step", "typed-affordance", "r1-link", "literal-node",
+                       "drop-link"])
     if kind == "drop-type":
         _drop(rng, triples, RDF.type)
+    elif kind == "drop-link":  # most often leaves a chain incomplete
+        _drop(rng, triples, rng.choice(list(CHAINS)))
     elif kind == "literal-target":
         triples.append(Triple(rng.choice(actions), OBOT.actsOn, literal("the cup")))
     elif kind == "second-target":
@@ -216,7 +241,8 @@ TEMPLATES = {
     "R1 dul:hasComponent object is not typed obot:Component",
     *(f"R1 {message}, not a literal" for message in NODE_RANGES.values()),
     *(f"R2 {name} {fault}" for name in CHAINS.values() for fault in
-      ("fork: node has N successors", "join: node has N predecessors", "chain contains a cycle")),
+      ("fork: node has N successors", "join: node has N predecessors", "chain contains a cycle",
+       "chain: its N members do not form one path")),
     "R3 action requires no affordance",
     "R3 action has N obot:actsOn targets (at most N allowed)",
     "R3 action has no obot:actsOn target",
