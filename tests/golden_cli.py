@@ -193,6 +193,15 @@ ERRORS = {
 :a3 obot:nextAction :a2 .
 :a1 obot:nextAction :a2 , :a3 .
 """,
+    # Three steps and one link: each node is well formed, but the chain leaves :s3 out, so validate fails it
+    # and CQ2 cannot order it.
+    "incomplete.ttl": _HEAD + """
+:act a prov:Activity ; rdfs:label "Act" ; pko:executesProcedure :p1 .
+:p1 rdfs:label "P1" ; pko:hasStep :s1 , :s2 , :s3 .
+:s1 a pplan:Step ; rdfs:label "S1" ; pko:nextStep :s2 .
+:s2 a pplan:Step ; rdfs:label "S2" .
+:s3 a pplan:Step ; rdfs:label "S3" .
+""",
     "having.rq": "PREFIX : <https://example.org/>\nSELECT ?x WHERE { ?x :p ?y . HAVING (?y > 1) }\n",
     "broken.rq": "SELECT WHERE { }\n",
 }
@@ -281,6 +290,7 @@ def cases() -> list[dict]:
 
     fixtures = ["-k", "fixtures/activities.ttl", "-k", "fixtures/robots.ttl"]
     add("exit1-validate-cycle", ["validate", "errors/cycle.ttl"])
+    add("exit1-validate-incomplete-chain", ["validate", "errors/incomplete.ttl"])
     add("exit2-validate-missing-file", ["validate", "fixtures/activities.ttl", "errors/missing.ttl"])
     add("exit2-validate-parse-error", ["validate", "fixtures/activities.ttl", "errors/broken.ttl"])
     add("exit2-validate-not-utf8", ["validate", "errors/binary.ttl"])
@@ -291,6 +301,7 @@ def cases() -> list[dict]:
     add("exit2-cq2-chain-fork", ["cq", "2", "-k", "errors/fork.ttl", "--activity", "Forked"])
     add("exit2-cq2-step-chain-fork-and-join", ["cq", "2", "-k", "errors/steps.ttl", "--activity", "Tangled steps"])
     add("exit2-cq2-action-chain-fork-and-join", ["cq", "2", "-k", "errors/actions.ttl", "--activity", "Tangled actions"])
+    add("exit2-cq2-incomplete-chain", ["cq", "2", "-k", "errors/incomplete.ttl", "--activity", "Act"])
     add("exit2-query-syntax", ["query", *fixtures, "-f", "errors/broken.rq"])
     add("exit2-query-missing-file", ["query", *fixtures, "-f", "errors/missing.rq"])
     add("exit2-empty-fixtures-dir", ["cq", "4", "--activity", "Prepare breakfast"], {"ONTOBOT_FIXTURES": "errors/empty"})
