@@ -295,9 +295,9 @@ class _StatementParser:
         if tokens[-2]:
             stop = len(tokens) - 2
             self.lex_exc = self.no_token_fits(len(text) + 1 - len(tokens[-2]))
-        if "\\" in text:  # only a string or an IRI can hold an escape
+        if "\\" in text:  # of the tokens before stop, only a string or an IRI can hold a backslash
             for at, tok in enumerate(tokens[:stop]):
-                if "\\" in tok and tok[0] in '"<':
+                if "\\" in tok:
                     try:
                         _unescape(tok)
                     except ValueError as exc:

@@ -723,3 +723,12 @@ def test_ontobot_fixtures_env_var_empty_dir_exits_2(capsys, monkeypatch, tmp_pat
     code, _, err = run(capsys, "cq", "4", "--activity", "Prepare breakfast")
     assert code == 2
     assert "ONTOBOT_FIXTURES" in err
+
+
+def test_unreadable_input_without_strerror_shows_the_error_itself(capsys, monkeypatch):
+    # An OSError raised with no errno carries no strerror, so the message falls back to the error's text.
+    def refuse(*args, **kwargs):
+        raise OSError("the volume is offline")
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    assert run(capsys, "validate", "kg.ttl") == (2, "", "ontobot: cannot read kg.ttl: the volume is offline\n")

@@ -48,6 +48,7 @@ def test_parse_all_fixture_queries():
         q = parse_query(query_path(name).read_text(encoding="utf-8"))
         assert q.distinct is True
         assert len(q.pattern) == count, name
+        assert query_path(f"{name}.rq") == query_path(name)  # the suffix is added only when it is missing
 
 
 def test_unsupported_features_are_named():
@@ -65,6 +66,9 @@ def test_unsupported_features_are_named():
     with pytest.raises(UnsupportedFeatureError) as excinfo:
         parse_query(base + "} GROUP BY ?x")
     assert excinfo.value.feature == "GROUP BY"
+    with pytest.raises(UnsupportedFeatureError) as excinfo:  # no word follows, so the keyword is named alone
+        parse_query(base + "} ORDER ?x")
+    assert excinfo.value.feature == "ORDER"
     # Named wherever the keyword stands in place of what the grammar expects.
     for text, feature, column in [
         ("PREFIX FILTER <e:> SELECT ?x { ?x ?p ?o }", "FILTER", 8),
@@ -218,6 +222,9 @@ def test_distinct_deduplicates_projected_rows():
     plain = Query(prefixes={}, projection=["object"], distinct=False, pattern=pattern)
     assert len(evaluate(distinct, g)) == 1
     assert len(evaluate(plain, g)) == 2
+    # A query built with no projected variable gives one empty row per solution, and DISTINCT keeps one.
+    assert evaluate(plain._replace(projection=[]), g) == [{}, {}]
+    assert evaluate(distinct._replace(projection=[]), g) == [{}]
 
 
 def test_repeated_variable_within_pattern_requires_equality():

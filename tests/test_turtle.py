@@ -87,6 +87,11 @@ def test_object_and_predicate_lists_hand_expansion():
                 (milk, RDFS.label, literal("plain")),
             ],
         ),
+        # A prefix binding drops only the pnames it read: an IRI read before it resolves as before.
+        (
+            "<https://e.org/milk> :v :cup . @prefix e: <https://e.org/> . e:milk :v :cup .",
+            [(iri("https://e.org/milk"), v, cup)],
+        ),
         # A rebound prefix resolves afresh, both for a pname read before and one first read after.
         (
             "@prefix e: <https://e.org/a#> . :milk e:p :cup . @prefix e: <https://e.org/b#> . :milk e:p e:q .",
@@ -171,6 +176,7 @@ def test_blank_labels_are_document_scoped():
         # Term faults no fixture reaches, and every message _unescape raises.
         pytest.param('@prefix : <https://e.org/> .\n:a :b "x"^^_:d .', 2, 12, "expected a datatype IRI after '^^'", id="blank-datatype"),
         pytest.param("@prefix : <https://e.org/> .\n:a _:b :c .", 2, 4, "blank node not allowed in predicate position", id="blank-predicate"),
+        pytest.param("@prefix : <https://e.org/> .\n_:b :p :c .\n:a _:b :c .", 3, 4, "blank node not allowed in predicate position", id="blank-predicate-read-before"),
         pytest.param("@prefix : <https://e.org/> .\n:a :b <https://e.org/a b> .", 2, 7, "invalid character in IRI: ' '", id="space-in-iri"),
         pytest.param("@prefix : <https://e.org/> .\n:a :b <https://e.org/a\\> .", 2, 7, "dangling escape", id="dangling-escape"),
         pytest.param("@prefix : <https://e.org/> .\n:a :b <https://e.org/\\u12G4> .", 2, 7, "invalid \\u escape", id="u-not-hex"),
@@ -336,7 +342,8 @@ def test_unsupported_constructs_are_named():
     assert "@base" in diag("@base <https://example.org/> .").message
     assert "collection" in diag('@prefix : <https://e.org/> . :a :b ( :c ) .').message
     assert "anonymous blank node" in diag('@prefix : <https://e.org/> . :a :b [ ] .').message
-    assert "numeric literal" in diag('@prefix : <https://e.org/> . :a :b 42 .').message
+    for number in ("42", "+4", "-4.2", ".42", "4e2"):
+        assert "numeric literal" in diag(f'@prefix : <https://e.org/> . :a :b {number} .').message, number
     assert "boolean literal" in diag('@prefix : <https://e.org/> . :a :b true .').message
     assert "triple-quoted" in diag('@prefix : <https://e.org/> . :a :b """x""" .').message
 
