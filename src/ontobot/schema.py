@@ -170,17 +170,18 @@ def _check_order_chains(g: Graph, out: ValidationReport) -> None:
                     path.add(link.o)
                     stack.append((link.o, iter(succ[link.o])))
         for owner, members in g.group(_CHAIN_MEMBERS[prop], 0).items():
-            if not _one_path({t.o for t in members}, succ):
+            if not _one_path({o for _, _, o in members}, succ):
                 out.violations.append(Violation("R2", owner, f"{label} chain: its {len(members)} members do not form one path"))
 
 
 def _one_path(members: set[Term], succ: Mapping[Term, Sequence[Triple]]) -> bool:
     """Whether the chain links between ``members`` order them all as one path; ``succ`` groups the links by subject."""
-    links = [t for m in members for t in succ.get(m, ()) if t.o in members]
-    heads = members.difference([t.o for t in links])
+    links = [(s, o) for m in members for s, _, o in succ.get(m, ()) if o in members]
+    after = dict(links)  # a fork keeps one link here, so it leaves a second head below
+    heads = members.difference(after.values())
     if len(links) != len(members) - 1 or len(heads) != 1:
         return False  # so no member has two predecessors, and the walk below never revisits one
-    after, node, walked = {t.s: t.o for t in links}, heads.pop(), 1
+    node, walked = heads.pop(), 1
     while node in after:
         node, walked = after[node], walked + 1
     return walked == len(members)

@@ -19,6 +19,7 @@ bytecode and no pytest cache. The file name keeps pytest from collecting it.
 
 from __future__ import annotations
 
+import linecache
 import sys
 from pathlib import Path
 from types import CodeType
@@ -68,20 +69,20 @@ def _branch(code: CodeType, offset: int, destination: int):
 def position(code: CodeType, offset: int) -> tuple[int, str]:
     """The source line of the instruction at ``offset`` and the code it tests, read from ``co_positions()``."""
     line, end_line, column, end_column = list(code.co_positions())[offset // 2]  # one position per 2-byte unit
-    text = Path(code.co_filename).read_text(encoding="utf-8").splitlines()[line - 1]
+    text = linecache.getline(code.co_filename, line)
     return line, text[column:end_column] if end_line == line and column is not None else text.strip()
 
 
 def one_way() -> dict[Path, list[tuple[int, str, str, int]]]:
-    """Each module's branches that went one way only: (line, stripped line text, the code it tests, the line it
+    """Each module's branches that went one way only: (line, its stripped text, the code it tests, the line it
     went to)."""
     out: dict[Path, list[tuple[int, str, str, int]]] = {}
     for (code, offset), destinations in taken.items():
         if len(destinations) == 1:
-            path = Path(code.co_filename).resolve()
             line, tested = position(code, offset)
-            text = path.read_text(encoding="utf-8").splitlines()[line - 1].strip()
-            out.setdefault(path, []).append((line, text, tested, position(code, next(iter(destinations)))[0]))
+            text = linecache.getline(code.co_filename, line).strip()
+            went = position(code, next(iter(destinations)))[0]
+            out.setdefault(Path(code.co_filename).resolve(), []).append((line, text, tested, went))
     return {path: sorted(set(found)) for path, found in sorted(out.items())}
 
 
