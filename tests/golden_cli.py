@@ -202,6 +202,20 @@ ERRORS = {
 :s2 a pplan:Step ; rdfs:label "S2" .
 :s3 a pplan:Step ; rdfs:label "S3" .
 """,
+    # A procedure and a robot with no rdfs:label: the matrix would name them by their IRIs (two R4 lines).
+    "unlabelled.ttl": _HEAD + """
+:act a prov:Activity ; rdfs:label "Act" ; pko:executesProcedure :p1 .
+:p1 a pko:Procedure ; pko:hasStep :s1 .
+:s1 a pplan:Step ; rdfs:label "S1" ; pko:requiresAction :a1 .
+:a1 a pko:Action ; rdfs:label "grasp" ; obot:requiresAffordance soma:Grasping ; obot:actsOn :cup .
+:cup a obot:Component .
+:bot a obot:Agent .
+""",
+    # A literal procedure and a literal step, which no label can name: one R1 line each.
+    "literal-nodes.ttl": _HEAD + """
+:act a prov:Activity ; rdfs:label "Act" ; pko:executesProcedure :p1 , "make tea" .
+:p1 a pko:Procedure ; rdfs:label "P1" ; pko:hasStep "boil" .
+""",
     "having.rq": "PREFIX : <https://example.org/>\nSELECT ?x WHERE { ?x :p ?y . HAVING (?y > 1) }\n",
     "broken.rq": "SELECT WHERE { }\n",
 }
@@ -291,6 +305,8 @@ def cases() -> list[dict]:
     fixtures = ["-k", "fixtures/activities.ttl", "-k", "fixtures/robots.ttl"]
     add("exit1-validate-cycle", ["validate", "errors/cycle.ttl"])
     add("exit1-validate-incomplete-chain", ["validate", "errors/incomplete.ttl"])
+    add("exit1-validate-unlabelled-robot-and-procedure", ["validate", "errors/unlabelled.ttl"])
+    add("exit1-validate-literal-procedure-and-step", ["validate", "errors/literal-nodes.ttl"])
     add("exit2-validate-missing-file", ["validate", "fixtures/activities.ttl", "errors/missing.ttl"])
     add("exit2-validate-parse-error", ["validate", "fixtures/activities.ttl", "errors/broken.ttl"])
     add("exit2-validate-not-utf8", ["validate", "errors/binary.ttl"])
