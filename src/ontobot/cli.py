@@ -107,6 +107,8 @@ def _read_text(path: str | Path) -> str:
         raise _Fail(f"cannot read {path}: {exc.strerror or exc}")
     except UnicodeDecodeError as exc:
         raise _Fail(f"{path} is not valid UTF-8: {exc}")
+    except ValueError as exc:  # open() refuses a path holding a NUL byte
+        raise _Fail(f"cannot read {path}: {exc}")
 
 
 def _kg_paths(args: argparse.Namespace) -> list[Path]:

@@ -17,9 +17,15 @@ module; they are importable from here too.
 Triple patterns are Turtle statements with variables, so the parser is the
 Turtle statement parser (``turtle._StatementParser``) with the lexer's
 variables switched on. It adds only variables, the unsupported keywords,
-SELECT/WHERE and the ``}``-terminated pattern. The query is lexed into one
-list of plain token strings first, but a lexical error is raised only when
-the parser reaches it, and the parser never reaches tokens past an
+SELECT/WHERE and the ``}``-terminated pattern, in one loop over the token
+list with a local index, as Turtle's statement loop is: the prologue,
+``SELECT [DISTINCT] ?v ...``, ``WHERE {``, each subject and its ``.``, and
+the closing ``}``. Subjects, predicates and objects come from the one term
+memo, which also keeps each variable token's ``Var``; on a miss, a variable
+or an IRI with no backslash is resolved inline and kept, and any other token
+goes to ``parse_term``. The query is lexed into one list of plain token
+strings first, but a lexical error is raised only when the grammar rejects
+the error token (``fail``), and the parser never reaches tokens past an
 unsupported clause, so e.g. ``HAVING (?y > 1)`` reports HAVING rather than a
 lexical error on '>'.
 
@@ -50,8 +56,9 @@ from itertools import count
 from operator import itemgetter
 from typing import Callable, Collection, Iterator, NoReturn, Union
 
-from ontobot.graph import Graph, Term
-from ontobot.turtle import QueryParseError, UnsupportedFeatureError, _kind, _StatementParser, _unescape, _value
+from ontobot.graph import Graph, Term, iri
+from ontobot.turtle import (_ERROR, _INLINE_SIGILS, QueryParseError, UnsupportedFeatureError, _kind, _StatementParser,
+                            _unescape, _value)
 
 
 class Var(namedtuple("Var", "name")):
@@ -76,6 +83,7 @@ class Query(namedtuple("Query", "prefixes projection distinct pattern")):
     __slots__ = ()
 
 
+_VARIABLE_SIGILS = frozenset("?$")
 _UNSUPPORTED_KEYWORDS = {
     "FILTER",
     "OPTIONAL",
@@ -110,6 +118,7 @@ class _QueryParser(_StatementParser):
     }
     list_ends = frozenset({".", "}"})
     triple = staticmethod(partial(tuple.__new__, TriplePattern))
+    var = Var
 
     def __init__(self, text: str):
         super().__init__(text)
@@ -117,7 +126,9 @@ class _QueryParser(_StatementParser):
         self.add = self.pattern.append
 
     def fail(self, message: str, at: int) -> NoReturn:
-        """Name the unsupported feature whose keyword stands at ``at``, or raise the syntax error."""
+        """Raise the lexical error or name the unsupported feature whose token stands at ``at``, else the syntax error."""
+        if self.tokens[at] == _ERROR:  # no rule accepts the error token, so the parser stops where it reaches it
+            raise self.lex_exc
         feature = _keyword(self.tokens[at])
         if feature in _UNSUPPORTED_KEYWORDS:
             if feature in ("GROUP", "ORDER", "NOT"):
@@ -129,82 +140,67 @@ class _QueryParser(_StatementParser):
         super().fail(message, at)
 
     def parse(self) -> Query:
-        self.parse_prologue()
-        at, tok = self.at, self.next()
-        if _keyword(tok) != "SELECT":
-            self.fail("expected SELECT", at)
-        distinct = False
-        if _keyword(self.peek()) == "DISTINCT":
-            self.next()
-            distinct = True
+        tokens, terms = self.tokens, self.terms
+        i = 0
+        # Only a word token upper-cases to a keyword: every other token starts with a sigil or holds ':'.
+        while tokens[i].upper() == "PREFIX" or tokens[i] in ("@prefix", "@base"):
+            if tokens[i] == "@base":
+                self.fail("unsupported construct: @base", i)
+            prefix, _, local = tokens[i + 1].partition(":")
+            if _kind(tokens[i + 1]) != "pname" or local:
+                self.fail("expected a prefix name ending in ':'", i + 1)
+            if tokens[i + 2][:1] != "<":
+                self.fail("expected a namespace IRI in angle brackets", i + 2)
+            self.bind(prefix, _unescape(tokens[i + 2]))
+            i += 4 if tokens[i + 3] == "." else 3
+        if tokens[i].upper() != "SELECT":
+            self.fail("expected SELECT", i)
+        distinct = tokens[i + 1].upper() == "DISTINCT"
+        i += 2 if distinct else 1
         projection: list[str] = []
-        while _kind(self.peek()) == "var":
-            at, name = self.at, self.next()[1:]
+        while tokens[i][:1] in _VARIABLE_SIGILS:
+            name = tokens[i][1:]
             if name in projection:
-                self.fail(f"duplicate variable in projection: ?{name}", at)
+                self.fail(f"duplicate variable in projection: ?{name}", i)
             projection.append(name)
+            i += 1
         if not projection:
-            at, tok = self.at, self.next()
-            if tok == "*":
-                self.fail("projection '*' is not supported; list the variables", at)
-            self.fail("expected at least one projected variable", at)
-        at, tok = self.at, self.next()
-        if _keyword(tok) == "WHERE":
-            at, tok = self.at, self.next()
-        if tok != "{":
-            self.fail("expected '{' opening the graph pattern", at)
-        self.parse_group(at)
-        at, tok = self.at, self.next()
-        if tok:
-            self.fail(f"unexpected content after '}}': {_value(tok)!r}", at)
-        pattern_vars = {
-            t.name for pat in self.pattern for t in (pat.s, pat.p, pat.o) if isinstance(t, Var)
-        }
-        for name in projection:
-            if name not in pattern_vars:
-                self.fail(f"projected variable ?{name} does not occur in the pattern", at)
-        return Query(prefixes=self.prefixes, projection=projection, distinct=distinct, pattern=self.pattern)
-
-    def parse_prologue(self) -> None:
-        while True:
-            tok = self.peek()
-            if _keyword(tok) == "PREFIX" or tok == "@prefix":
-                self.next()
-                at, name = self.at, self.next()
-                prefix, _, local = name.partition(":")
-                if _kind(name) != "pname" or local:
-                    self.fail("expected a prefix name ending in ':'", at)
-                self.bind(prefix, _unescape(self.expect("iriref", "a namespace IRI in angle brackets")))
-                if self.peek() == ".":
-                    self.next()
-            elif tok == "@base":
-                self.fail("unsupported construct: @base", self.at)
+            self.fail("projection '*' is not supported; list the variables" if tokens[i] == "*"
+                      else "expected at least one projected variable", i)
+        if tokens[i].upper() == "WHERE":
+            i += 1
+        if tokens[i] != "{":
+            self.fail("expected '{' opening the graph pattern", i)
+        open_at = i
+        i += 1
+        while tokens[i] != "}":
+            tok = tokens[i]
+            subject = terms.get(tok)
+            if subject is None and tok[:1] in _INLINE_SIGILS and "\\" not in tok:
+                subject = terms[tok] = iri(tok[1:-1]) if tok[0] == "<" else Var(tok[1:])
+            if subject is None:
+                if not tok:
+                    self.fail("unterminated graph pattern (missing '}')", open_at)
+                self.at = i
+                subject = self.parse_term("subject")
             else:
-                return
-
-    def parse_group(self, open_at: int) -> None:
-        while True:
-            tok = self.peek()
-            if tok == "}":
-                self.next()
-                break
-            if not tok:
-                self.fail("unterminated graph pattern (missing '}')", open_at)
-            subject = self.parse_term("subject")
+                self.at = i + 1
             self.parse_predicate_object_list(subject)
-            at, tok = self.at, self.peek()
-            if tok == ".":
-                self.next()
-            elif tok != "}" and tok:
-                self.fail("expected '.' or '}' after a triple pattern", at)
+            i = self.at
+            if tokens[i] == ".":
+                i += 1
+            elif tokens[i] != "}" and tokens[i]:
+                self.fail("expected '.' or '}' after a triple pattern", i)
         if not self.pattern:
             self.fail("empty graph pattern", open_at)
-
-    def dialect_term(self, at: int, position: str) -> PatternTerm:
-        tok = self.tokens[at]
-        if _kind(tok) == "var":
-            return Var(tok[1:])
-        return super().dialect_term(at, position)
+        i += 1
+        if tokens[i]:
+            self.fail(f"unexpected content after '}}': {_value(tokens[i])!r}", i)
+        pattern_vars = {t.name for t in terms.values() if type(t) is Var}  # only pattern terms enter the memo
+        for name in projection:
+            if name not in pattern_vars:
+                self.fail(f"projected variable ?{name} does not occur in the pattern", i)
+        return Query(prefixes=self.prefixes, projection=projection, distinct=distinct, pattern=self.pattern)
 
 
 def _keyword(tok: str) -> str:

@@ -24,15 +24,16 @@ adds blank nodes and ``@prefix … .``; ``ontobot.query`` adds variables and
 SELECT/WHERE.
 
 The statement grammar is one loop over the token list with a local index:
-``_TurtleParser.parse`` reads each subject and its closing ``.``, and
-``parse_predicate_object_list`` the predicates, objects, ``,`` and ``;``. It
-reads common tokens inline: a pname, IRI or blank label already resolved,
-``a``, a string literal with no ``@lang`` or ``^^``, and the separators.
-Pnames, IRIs and blank labels resolve through one memo from token text to
-term, from which a prefix binding drops the pnames. The loop hands any other
-token to ``parse_term`` at that index, so each diagnostic, first resolution,
-new blank label and literal suffix comes from one place, and no token is
-read twice. Each triple goes straight to the parser's ``add``
+``_TurtleParser.parse`` (or ``ontobot.query``'s parser) reads each subject
+and its closing ``.``, and ``parse_predicate_object_list`` the predicates,
+objects, ``,`` and ``;``. It reads common tokens inline: a term already
+resolved, ``a``, a string literal with no ``@lang`` or ``^^``, an IRI with
+no backslash or a query variable on first sight, and the separators. Terms
+resolve through one memo from token text to term (a query variable's to its
+``Var``), from which a prefix binding drops the pnames. The loop hands any
+other token to ``parse_term`` at that index, so each diagnostic, pname
+resolution, new blank label and literal suffix comes from one place, and no
+token is read twice. Each triple goes straight to the parser's ``add``
 (``Graph.loader`` for Turtle: one write into the triple set while the graph
 holds no index).
 
@@ -224,6 +225,9 @@ def _value(tok: str) -> str:
 _ERROR = "\n"
 # A string token followed by a token with one of these starts may carry a suffix.
 _SUFFIX_STARTS = frozenset("@^")
+# The starts of the tokens the statement grammar resolves inline on first sight, when they hold no backslash:
+# an IRI and, in a query, a variable.
+_INLINE_SIGILS = frozenset("<?$")
 _LEX_ERRORS = {
     "@": "malformed '@' directive or language tag",
     "^": "expected '^^'",
@@ -246,7 +250,8 @@ class _StatementParser:
     """The lexer and the statement grammar that Turtle and queries share.
 
     A subclass sets ``error`` (the exception a diagnostic raises),
-    ``variables`` (the query dialect's tokens), ``rejected`` (messages for
+    ``variables`` (the query dialect's tokens) with ``var`` (which makes a
+    variable's term from its name), ``rejected`` (messages for
     term kinds its dialect refuses), ``list_ends`` (the tokens that may close
     a ``;`` list) and ``triple`` (which builds each parsed triple from a
     plain ``(s, p, o)`` tuple), and gives each instance ``add``, which takes
@@ -260,13 +265,14 @@ class _StatementParser:
     # tuple.__new__ builds the record in C, with no Python frame per triple.
     triple: Callable[[tuple], tuple] = staticmethod(partial(tuple.__new__, Triple))
     add: Callable[[tuple], None]
+    var: Callable[[str], tuple]
 
     def __init__(self, text: str):
         if text.startswith("\ufeff"):
             text = text[1:]
         self.text = text
         self.prefixes: dict[str, str] = {}
-        # Pname, IRI and blank-label tokens, resolved under the current prefixes.
+        # Pname, IRI, blank-label and variable tokens, resolved under the current prefixes.
         self.terms: dict[str, Term] = {}
         self.lex_exc: Exception | None = None
         self.tokens = self.lex()
@@ -334,9 +340,7 @@ class _StatementParser:
 
     def next(self) -> str:
         tok = self.tokens[self.at]
-        if tok:
-            if tok == _ERROR:
-                raise self.lex_exc
+        if tok:  # the error token is raised by the diagnostic that rejects it
             self.at += 1
         return tok
 
@@ -348,7 +352,8 @@ class _StatementParser:
 
     def bind(self, prefix: str, namespace: str) -> None:
         self.prefixes[prefix] = namespace
-        # Only pnames depend on the prefixes; in place, as the statement loop holds the memo.
+        # Only pnames depend on the prefixes; in place, as the statement loop holds the memo. A query binds
+        # before its first term, so no variable's Var is ever dropped.
         for tok in [tok for tok in self.terms if tok[0] not in "_<"]:
             del self.terms[tok]
 
@@ -409,6 +414,8 @@ class _StatementParser:
         while True:
             tok = tokens[i]
             predicate = RDF.type if tok == "a" else terms.get(tok)
+            if predicate is None and tok[:1] in _INLINE_SIGILS and "\\" not in tok:
+                predicate = terms[tok] = iri(tok[1:-1]) if tok[0] == "<" else self.var(tok[1:])
             if predicate is None or tok[0] == "_":  # a blank node is no predicate
                 self.at = i
                 predicate = self.parse_term("predicate")
@@ -422,6 +429,9 @@ class _StatementParser:
                     i += 1
                 elif tok[:1] == '"' and "\\" not in tok and tokens[i + 1][:1] not in _SUFFIX_STARTS:
                     obj = literal(tok[1:-1])
+                    i += 1
+                elif tok[:1] in _INLINE_SIGILS and "\\" not in tok:
+                    obj = terms[tok] = iri(tok[1:-1]) if tok[0] == "<" else self.var(tok[1:])
                     i += 1
                 else:
                     self.at = i

@@ -732,3 +732,23 @@ def test_unreadable_input_without_strerror_shows_the_error_itself(capsys, monkey
 
     monkeypatch.setattr(cli, "open", refuse, raising=False)
     assert run(capsys, "validate", "kg.ttl") == (2, "", "ontobot: cannot read kg.ttl: the volume is offline\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "a\x00b.ttl"],
+    ["cq", "3", "-k", "a\x00b.ttl"],
+    ["query", "-k", "a.ttl", "-f", "a\x00b.rq"],
+])
+def test_path_holding_a_nul_byte_is_an_unreadable_file(capsys, argv):
+    # open() refuses such a path with a ValueError, not an OSError: a bad input, exit 2, not an internal error.
+    path = next(arg for arg in argv if "\x00" in arg)
+    assert run(capsys, *argv) == (2, "", f"ontobot: cannot read {path}: embedded null byte\n")
+
+
+def test_interrupt_while_a_file_opens_is_not_an_unreadable_file(capsys, monkeypatch):
+    # Only an OSError or a ValueError from open() names the file: Ctrl-C still ends the command as an interrupt.
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "open", interrupted, raising=False)
+    assert run(capsys, "validate", "kg.ttl") == (130, "", "ontobot: interrupted\n")

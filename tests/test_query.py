@@ -11,8 +11,10 @@ from ontobot.fixtures import query_path
 from ontobot.graph import BLANK, IRI, Graph, Term, Triple, iri, literal
 from ontobot.namespaces import EX, OBOT, RDF, SOMA
 from ontobot.query import (
+    PatternTerm,
     Query,
     _order_patterns,
+    _QueryParser,
     QueryParseError,
     TriplePattern,
     UnsupportedFeatureError,
@@ -517,3 +519,108 @@ def test_query_output_does_not_depend_on_memory_addresses(union):
     assert len(outputs) == 1
     rows = evaluate(parse_query(path.read_text(encoding="utf-8")), union)
     assert len(next(iter(outputs)).splitlines()) == 1 + len(rows)
+
+
+# -- the parser against queries written with their parse -----------------------
+
+WRITER_PREFIXES = {"ex": "https://e.org/", "v": "https://v.org/ns#", "": "https://empty.org/"}
+
+
+def _written_query(rng: random.Random) -> tuple[str, list[TriplePattern], list[str], bool]:
+    """A random query text, with the patterns, projection and DISTINCT flag it was written from.
+
+    Each term is drawn as a (text, term) pair, so the expectation never comes
+    from the parser: full IRIs (one in eight with a ``\\u`` escape), pnames
+    under ``PREFIX``, variables with either sigil drawn from a few names, so
+    they repeat across subject, predicate and object, ``a``, and plain,
+    ``@lang`` and ``^^`` literals (one in eight with a ``\\"`` escape).
+    """
+    names = ["x", "y", "z", "w"][: rng.randint(1, 4)]
+
+    def variable() -> tuple[str, PatternTerm]:
+        name = rng.choice(names)
+        return rng.choice("?$") + name, Var(name)
+
+    def named() -> tuple[str, Term]:
+        local = rng.choice(["a1", "b", "c_2", "node-9"])
+        if rng.random() < 0.5:
+            prefix = rng.choice(list(WRITER_PREFIXES))
+            return f"{prefix}:{local}", iri(WRITER_PREFIXES[prefix] + local)
+        if rng.random() < 0.125:
+            return f"<https://e.org/\\u0041{local}>", iri(f"https://e.org/A{local}")
+        return f"<https://e.org/{local}>", iri(f"https://e.org/{local}")
+
+    def obj() -> tuple[str, PatternTerm]:
+        r = rng.random()
+        if r < 0.4:
+            return variable()
+        if r < 0.7:
+            return named()
+        text, value = ('"say \\"hi\\""', 'say "hi"') if rng.random() < 0.125 else ('"cup"', "cup")
+        if r < 0.8:
+            return text, literal(value)
+        if r < 0.9:
+            return f"{text}@en-GB", literal(value, lang="en-GB")
+        datatype_text, datatype = named()
+        return f"{text}^^{datatype_text}", literal(value, datatype=datatype.value)
+
+    def predicate() -> tuple[str, PatternTerm]:
+        r = rng.random()
+        return ("a", RDF.type) if r < 0.2 else variable() if r < 0.5 else named()
+
+    pattern: list[TriplePattern] = []
+    statements = []
+    for _ in range(rng.randint(1, 3)):
+        s_text, s = variable() if rng.random() < 0.6 else named()
+        lists = []
+        for _ in range(rng.randint(1, 3)):
+            p_text, p = predicate()
+            objects = [obj() for _ in range(rng.randint(1, 3))]
+            pattern += [TriplePattern(s, p, o) for _, o in objects]
+            lists.append(f"{p_text} {' , '.join(text for text, _ in objects)}")
+        statements.append(f"{s_text} {' ; '.join(lists)}" + rng.choice(["", " ;"]))
+    used = list(dict.fromkeys(t.name for pat in pattern for t in pat if isinstance(t, Var)))
+    if not used:  # a pattern of constants only: one variable to project
+        s_text, s = variable()
+        pattern.append(TriplePattern(s, RDF.type, iri("https://e.org/b")))
+        statements.append(f"{s_text} a <https://e.org/b>")
+        used = [s.name]
+    projection = rng.sample(used, rng.randint(1, len(used)))
+    distinct = rng.random() < 0.5
+    prologue = "".join(
+        rng.choice([f"PREFIX {name}: <{ns}>\n", f"prefix {name}: <{ns}> .\n", f"@prefix {name}: <{ns}> .\n"])
+        for name, ns in WRITER_PREFIXES.items()
+    )
+    select = rng.choice(["SELECT", "select", "Select"]) + (" " + rng.choice(["DISTINCT", "distinct"]) if distinct else "")
+    where = rng.choice(["WHERE ", "where ", ""])
+    body = " .\n  ".join(statements) + rng.choice(["", " ."])
+    text = f"{prologue}{select} {' '.join(rng.choice('?$') + n for n in projection)}\n{where}{{\n  {body}\n}}\n"
+    return text, pattern, projection, distinct
+
+
+def test_parse_matches_the_written_pattern_projection_and_distinct_flag():
+    rng = random.Random(4401)
+    for _ in range(300):
+        text, pattern, projection, distinct = _written_query(rng)
+        q = parse_query(text)
+        assert (q.pattern, q.projection, q.distinct) == (pattern, projection, distinct), text
+        assert q.prefixes == WRITER_PREFIXES
+
+
+def test_parse_term_reached_at_most_once_per_distinct_term_token(monkeypatch):
+    # A query of full IRIs and variables: the statement loop resolves each on first sight and keeps it,
+    # so parse_term is reached at most once per distinct term token however often a token repeats.
+    reached: list[str] = []
+    parse_term = _QueryParser.parse_term
+
+    def counting(self, position):
+        reached.append(self.tokens[self.at])
+        return parse_term(self, position)
+
+    monkeypatch.setattr(_QueryParser, "parse_term", counting)
+    terms = ["?x", "$y", "?z", "<https://e.org/a>", "<https://e.org/p>", "<https://e.org/\\u0062>"]
+    rng = random.Random(4402)
+    patterns = [" ".join(rng.choice(terms) for _ in range(3)) for _ in range(40)]
+    q = parse_query(f"SELECT ?x WHERE {{ ?x ?x ?x . {' . '.join(patterns)} }}")
+    assert len(q.pattern) == 41
+    assert len(reached) == len(set(reached)) <= len(terms)
