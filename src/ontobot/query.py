@@ -34,17 +34,20 @@ Patterns are greedily ordered by bound-term count, preferring patterns
 connected to already bound variables. Every variable and constant gets a
 slot of the row, slot 0 holding ``None`` for unbound positions, and each
 pattern becomes one step: a ``Graph.lookup`` of its three slots, which picks
-the access path, plus the slots it fills. A step with a constant predicate
-and one other bound position fetches that predicate's group once, when the
-query compiles. A variable repeated within a pattern becomes an identity
-check. The join walks the steps depth first over an explicit stack of
-candidate iterators, writing into the row; the next-to-last level runs the
-last step in an inner loop, emitting the projected slots per candidate.
-Results are deduplicated on the projected terms when DISTINCT is set and
-returned as plain dicts sorted by ``Term.sort_key``: kind (IRI, blank node,
-literal), then lexical form, language tag and datatype. Each distinct term's
-key is built once and ranked; rows sort by their rank tuples, built column
-by column, and rows with equal keys keep the order they were found in.
+the access path, plus the slots it fills. Compiling reads each term's slot
+once: a new variable takes its slot and becomes one of the step's fills
+there, a variable repeated within a pattern becomes an identity check, and
+a step whose bound positions are all constants finds its candidates once, at
+compile time. A step with a constant predicate and one other bound position
+fetches that predicate's group once, when the query compiles. The join walks
+the steps depth first over an explicit stack of candidate iterators, writing
+into the row; the next-to-last level runs the last step in an inner loop,
+emitting the projected slots per candidate. Results are deduplicated on the
+projected terms when DISTINCT is set and returned as plain dicts sorted by
+``Term.sort_key``: kind (IRI, blank node, literal), then lexical form,
+language tag and datatype. Each distinct term's key is built once and
+ranked; a list of row indexes takes one stable sort per column by its ranks,
+last column first, so rows with equal keys keep the order they were found in.
 """
 
 from __future__ import annotations
@@ -220,19 +223,20 @@ def _order_patterns(patterns: list[TriplePattern]) -> list[TriplePattern]:
     (true for every pattern in the first round). Ranks only rise, so binding a
     variable pushes a fresh ``(-rank, index)`` entry onto one heap for each
     waiting pattern that uses it; a popped entry whose rank no longer matches
-    its pattern's is stale, and skipped.
+    its pattern's is stale, and skipped. Fewer than two patterns come back as given.
     """
+    if len(patterns) < 2:
+        return patterns
     rank = [3] * len(patterns)  # the bound positions, and 4 more once connected; -1 once placed
-    uses: dict[str, list[int]] = {}  # one entry per occurrence
+    uses: dict[Var, list[int]] = {}  # one entry per occurrence, popped when the variable is first bound
     for index, pat in enumerate(patterns):
         for t in pat:
-            if isinstance(t, Var):
+            if type(t) is Var:
                 rank[index] -= 1
-                uses.setdefault(t.name, []).append(index)
+                uses.setdefault(t, []).append(index)
     heap = [(-r, index) for index, r in enumerate(rank)]
     heapify(heap)
     ordered: list[TriplePattern] = []
-    bound: set[str] = set()
     while heap:
         negated, index = heappop(heap)
         if -negated != rank[index]:
@@ -240,12 +244,10 @@ def _order_patterns(patterns: list[TriplePattern]) -> list[TriplePattern]:
         rank[index] = -1
         ordered.append(patterns[index])
         for t in patterns[index]:
-            if isinstance(t, Var) and t.name not in bound:
-                bound.add(t.name)
-                for other in uses[t.name]:
-                    if rank[other] >= 0:  # not placed yet
-                        rank[other] = 4 + rank[other] % 4 + 1  # connected, one more bound
-                        heappush(heap, (-rank[other], other))
+            for other in uses.pop(t, ()):  # a constant, or a variable bound already, releases nothing
+                if rank[other] >= 0:  # not placed yet
+                    rank[other] = 4 + rank[other] % 4 + 1  # connected, one more bound
+                    heappush(heap, (-rank[other], other))
     return ordered
 
 
@@ -258,28 +260,40 @@ def evaluate(query: Query, graph: Graph) -> list[dict[str, Term]]:
     # Compile: each variable and constant gets a slot of one flat row, and each
     # pattern a step: a probe from the row to its candidate triples, and the
     # (slot, position) pairs it fills. Step 0 is a root with one candidate
-    # that binds nothing, so an empty pattern has one solution.
+    # that binds nothing, so an empty pattern has one solution. Each term's
+    # slot is read once: a constant's slot holds the constant, a variable's
+    # holds None until the join writes it, so slots at or past `first` that
+    # hold None are the variables this step fills.
     slots: dict[PatternTerm, int] = {}
+    names: dict[str, int] = {}  # each variable's slot, by name, for the projection
     row: list = [None]  # slot 0: the wildcard of every unbound position
     lookup = graph.lookup
     probes: list[Callable[[list], Collection]] = [lambda _: (None,)]
-    fills: list[tuple[tuple[int, int], ...]] = [()]
+    fills: list[list[tuple[int, int]]] = [[]]
     for pat in _order_patterns(query.pattern):
-        at = [0, 0, 0]  # each position's slot, 0 while unbound
+        at = [0, 0, 0]  # each bound position's slot, 0 where this step fills it
+        fill: list[tuple[int, int]] = []
         same: list[tuple[int, int]] = []
-        first: dict[Var, int] = {}
+        first = len(row)
+        constants = True  # no bound position holds a variable, so the candidates do not depend on the row
         for position, term in enumerate(pat):
-            if term in first:
-                same.append((first[term], position))
-            elif isinstance(term, Var) and term not in slots:
-                first[term] = position
-            else:
-                if term not in slots:
-                    slots[term] = len(row)
-                    row.append(term)
-                at[position] = slots[term]
+            slot = slots.get(term)
+            if slot is None:
+                slot = slots[term] = len(row)
+                if type(term) is Var:
+                    names[term.name] = slot
+                    row.append(None)
+                    fill.append((slot, position))
+                    continue
+                row.append(term)
+            elif row[slot] is None:
+                if slot >= first:  # repeated within this pattern: an identity check on its first position
+                    same.append((dict(fill)[slot], position))
+                    continue
+                constants = False
+            at[position] = slot
         a, b, c = at
-        if b and not isinstance(pat.p, Var) and bool(a) != bool(c):
+        if b and row[b] is not None and bool(a) != bool(c):
             # A constant predicate: its group, fetched once, answers each probe in one lookup.
             get, slot = graph.group(row[b], 0 if a else 2).get, a or c
             probe = lambda row, get=get, slot=slot: get(row[slot], ())  # noqa: E731
@@ -289,18 +303,15 @@ def evaluate(query: Query, graph: Graph) -> list[dict[str, Term]]:
             probe = lambda row, unfiltered=probe, same=same: [  # noqa: E731
                 t for t in unfiltered(row) if all(t[x] is t[y] for x, y in same)
             ]
-        if all(row[slot] is not None for slot in at if slot):  # constants only: find the candidates once
+        if constants:  # find the candidates once
             fixed = probe(row)
             if not fixed:  # no row can match this step
                 return []
             probe = lambda _, fixed=fixed: fixed  # noqa: E731
         probes.append(probe)
-        for var in first:
-            slots[var] = len(row)
-            row.append(None)
-        fills.append(tuple((slots[var], position) for var, position in first.items()))
+        fills.append(fill)
 
-    project = [slots[Var(name)] for name in query.projection]
+    project = [names[name] for name in query.projection]
     key = itemgetter(*project) if project else lambda _: ()  # a term, not a 1-tuple, for one variable
     # Rows in first-found order, which the stable sort keeps among equal keys.
     found: dict | list = {} if query.distinct else []
@@ -343,9 +354,11 @@ def evaluate(query: Query, graph: Graph) -> list[dict[str, Term]]:
         rank = dict(zip(terms, map(dict(zip(sorted(keys), count())).__getitem__, keys)))
         if len(columns) == 1:
             rows.sort(key=rank.__getitem__)
-        else:  # each row's tuple of ranks, built column by column, then a stable argsort
-            rowkeys = list(zip(*[map(rank.__getitem__, column) for column in columns]))
-            rows = [rows[i] for i in sorted(range(len(rows)), key=rowkeys.__getitem__)]
+        else:  # row indexes, in one stable sort per column by its ranks, last column first
+            order = list(range(len(rows)))
+            for column in reversed(columns):
+                order.sort(key=list(map(rank.__getitem__, column)).__getitem__)
+            rows = [rows[i] for i in order]
     if len(project) == 1:
         return [{query.projection[0]: term} for term in rows]
     return [dict(zip(query.projection, row)) for row in rows]
