@@ -223,10 +223,8 @@ def _order_patterns(patterns: list[TriplePattern]) -> list[TriplePattern]:
     (true for every pattern in the first round). Ranks only rise, so binding a
     variable pushes a fresh ``(-rank, index)`` entry onto one heap for each
     waiting pattern that uses it; a popped entry whose rank no longer matches
-    its pattern's is stale, and skipped. Fewer than two patterns come back as given.
+    its pattern's is stale, and skipped.
     """
-    if len(patterns) < 2:
-        return patterns
     rank = [3] * len(patterns)  # the bound positions, and 4 more once connected; -1 once placed
     uses: dict[Var, list[int]] = {}  # one entry per occurrence, popped when the variable is first bound
     for index, pat in enumerate(patterns):
@@ -265,7 +263,6 @@ def evaluate(query: Query, graph: Graph) -> list[dict[str, Term]]:
     # holds None until the join writes it, so slots at or past `first` that
     # hold None are the variables this step fills.
     slots: dict[PatternTerm, int] = {}
-    names: dict[str, int] = {}  # each variable's slot, by name, for the projection
     row: list = [None]  # slot 0: the wildcard of every unbound position
     lookup = graph.lookup
     probes: list[Callable[[list], Collection]] = [lambda _: (None,)]
@@ -281,7 +278,6 @@ def evaluate(query: Query, graph: Graph) -> list[dict[str, Term]]:
             if slot is None:
                 slot = slots[term] = len(row)
                 if type(term) is Var:
-                    names[term.name] = slot
                     row.append(None)
                     fill.append((slot, position))
                     continue
@@ -311,7 +307,7 @@ def evaluate(query: Query, graph: Graph) -> list[dict[str, Term]]:
         probes.append(probe)
         fills.append(fill)
 
-    project = [names[name] for name in query.projection]
+    project = [slots[Var(name)] for name in query.projection]
     key = itemgetter(*project) if project else lambda _: ()  # a term, not a 1-tuple, for one variable
     # Rows in first-found order, which the stable sort keeps among equal keys.
     found: dict | list = {} if query.distinct else []

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from helpers import outputs_across_memory_layouts, oracle_evaluate, random_graph, random_query, record_calls, row_key
-from ontobot.fixtures import queries_dir, query_path
+from ontobot.fixtures import query_path
 from ontobot.graph import BLANK, IRI, Graph, Term, Triple, iri, literal
 from ontobot.namespaces import EX, OBOT, RDF, SOMA
 from ontobot.query import (
@@ -453,18 +453,6 @@ def test_evaluate_reads_the_graph_at_most_once_per_pattern(union, monkeypatch):
         rows = evaluate(query, union)
     assert len(rows) > len(query.pattern)
     assert len(calls) <= len(query.pattern), [name for name, _ in calls]
-
-
-def test_evaluate_builds_no_var(union, monkeypatch):
-    # Compiling reads each variable's slot by the parsed Var, and the projection by name: no Var is built.
-    new = Var.__new__
-    for path in sorted(queries_dir().glob("*.rq")):
-        query = parse_query(path.read_text(encoding="utf-8"))
-        built: list[tuple] = []
-        with monkeypatch.context() as patch:
-            patch.setattr(Var, "__new__", lambda cls, *args: built.append(args) or new(cls, *args))
-            rows = evaluate(query, union)
-        assert rows and not built, (path.stem, built)
 
 
 def _order_oracle(patterns: list[TriplePattern]) -> list[TriplePattern]:
