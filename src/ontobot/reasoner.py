@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from ontobot.graph import Graph, Term, Triple, blank_minter
 from ontobot.namespaces import OBOT, PKO, PROV, RDF, ROS
-from ontobot.schema import ORDER_CHAINS, ValidationReport, add_inferred_types, literal_labels, validate
+from ontobot.schema import ORDER_CHAINS, ValidationReport, _chain_order, add_inferred_types, literal_labels, validate
 from ontobot.turtle import TurtleParseError, parse_turtle_into
 
 
@@ -131,38 +131,6 @@ class FeasibilityMatrix(namedtuple("FeasibilityMatrix", "robots steps cells")):
 
     def achievable(self, robot: Term, step: Term) -> bool:
         return self.cells[(robot, step)]
-
-
-def _chain_order(items: list[Term], links: Iterable[Triple]) -> list[Term] | str:
-    """Topologically order ``items`` along ``links``, distinct triples of one predicate; else the first fault's reason.
-
-    The chain must be a single path over the items: no forks, no joins, no
-    cycles, and no disconnected pieces; a member's second link is a fork.
-    """
-    if not items:
-        return items
-    members = set(items)
-    succ: dict[Term, Term] = {}
-    incoming: set[Term] = set()
-    for t in links:
-        if t.s not in members or t.o not in members:
-            continue
-        if t.s in succ:
-            return f"fork at {t.s.n3()}"
-        if t.o in incoming:
-            return f"join at {t.o.n3()}"
-        succ[t.s] = t.o
-        incoming.add(t.o)
-    heads = [x for x in items if x not in incoming]
-    if len(heads) != 1:
-        return "chain contains a cycle" if not heads else f"{len(heads)} chain heads (incomplete chain)"
-    # No node has two successors or two predecessors, and the head has none, so the walk never revisits a node.
-    ordered = [heads[0]]
-    while ordered[-1] in succ:
-        ordered.append(succ[ordered[-1]])
-    if len(ordered) != len(items):
-        return "chain does not connect all elements"
-    return ordered
 
 
 class _Names(dict):

@@ -14,8 +14,9 @@ copy) the RDFS consequence that an instance of a class is an instance of
 every superclass, using ``SUBCLASS_AXIOMS`` and the graph's own axioms.
 
 ``validate`` runs four advisory rule groups (R1 domain/range, R2 order chains,
-R3 action connectivity, R4 labels, read from ``literal_labels``, the one rule
-for a node's name) and reports violations as data; an invalid graph is still
+each owner's members checked by ``_chain_order``, the rule CQ2 orders by, R3
+action connectivity, R4 labels, read from ``literal_labels``, the one rule for
+a node's name) and reports violations as data; an invalid graph is still
 readable and queryable. It groups no triples itself: R2-R4 read the graph's
 own groups (``Graph.group``), the one grouping of triples by position, and
 leave them built and kept exact, so a later insert shows in the next report.
@@ -24,7 +25,7 @@ leave them built and kept exact, so a later insert shows in the next report.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Mapping, Sequence
+from typing import Iterable
 
 from ontobot.graph import IRI, LITERAL, Graph, Term, Triple
 from ontobot.namespaces import DUL, FOAF, OBOT, PKO, PPLAN, PROV, RDF, RDFS, ROS, SOMA
@@ -45,6 +46,38 @@ SUBCLASS_AXIOMS: frozenset[tuple[Term, Term]] = frozenset(
 ORDER_CHAINS: dict[Term, str] = {PKO.nextStep: "pko:nextStep", OBOT.nextAction: "obot:nextAction"}
 #: Each order chain's member predicate: the chain orders the members an owner has under it.
 _CHAIN_MEMBERS: dict[Term, Term] = {PKO.nextStep: PKO.hasStep, OBOT.nextAction: PKO.requiresAction}
+
+
+def _chain_order(items: list[Term], links: Iterable[Triple]) -> list[Term] | str:
+    """Topologically order ``items`` along ``links``, distinct triples of one predicate; else the first fault's reason.
+
+    The chain must be a single path over the items: no forks, no joins, no
+    cycles, and no disconnected pieces; a member's second link is a fork.
+    """
+    if not items:
+        return items
+    members = set(items)
+    succ: dict[Term, Term] = {}
+    incoming: set[Term] = set()
+    for t in links:
+        if t.s not in members or t.o not in members:
+            continue
+        if t.s in succ:
+            return f"fork at {t.s.n3()}"
+        if t.o in incoming:
+            return f"join at {t.o.n3()}"
+        succ[t.s] = t.o
+        incoming.add(t.o)
+    heads = [x for x in items if x not in incoming]
+    if len(heads) != 1:
+        return "chain contains a cycle" if not heads else f"{len(heads)} chain heads (incomplete chain)"
+    # No node has two successors or two predecessors, and the head has none, so the walk never revisits a node.
+    ordered = [heads[0]]
+    while ordered[-1] in succ:
+        ordered.append(succ[ordered[-1]])
+    if len(ordered) != len(items):
+        return "chain does not connect all elements"
+    return ordered
 
 
 def literal_labels(g: Graph) -> dict[Term, str]:
@@ -170,21 +203,9 @@ def _check_order_chains(g: Graph, out: ValidationReport) -> None:
                     path.add(link.o)
                     stack.append((link.o, iter(succ[link.o])))
         for owner, members in g.group(_CHAIN_MEMBERS[prop], 0).items():
-            if not _one_path({o for _, _, o in members}, succ):
+            items = [o for _, _, o in members]
+            if isinstance(_chain_order(items, [t for m in items for t in succ.get(m, ())]), str):
                 out.violations.append(Violation("R2", owner, f"{label} chain: its {len(members)} members do not form one path"))
-
-
-def _one_path(members: set[Term], succ: Mapping[Term, Sequence[Triple]]) -> bool:
-    """Whether the chain links between ``members`` order them all as one path; ``succ`` groups the links by subject."""
-    links = [(s, o) for m in members for s, _, o in succ.get(m, ()) if o in members]
-    after = dict(links)  # a fork keeps one link here, so it leaves a second head below
-    heads = members.difference(after.values())
-    if len(links) != len(members) - 1 or len(heads) != 1:
-        return False  # so no member has two predecessors, and the walk below never revisits one
-    node, walked = heads.pop(), 1
-    while node in after:
-        node, walked = after[node], walked + 1
-    return walked == len(members)
 
 
 def _check_action_connectivity(g: Graph, out: ValidationReport) -> None:
