@@ -1,15 +1,20 @@
-"""Metamorphic relations of the query output over the packaged knowledge graphs.
+"""Metamorphic relations of the query and ``cq`` output over the packaged knowledge graphs.
 
 An RDF graph is a set of triples, and an IRI names a node without ordering it,
 so neither the order of a file's statements nor the spelling of its IRIs is data
 that an answer may depend on beyond what README documents. Each relation here
-rewrites both fixture files, runs every packaged query through
-``ontobot query -o csv``, and compares with the output over the files as shipped:
+rewrites both fixture files, runs commands on them, and compares with the output
+over the files as shipped:
 
 - shuffling the triple statements, the ``@prefix`` lines kept first, leaves
-  every output byte-identical;
-- renaming every ``https://example.org/`` IRI changes the rows only by the
-  renaming. A renaming may change the sort order, so rows compare as multisets.
+  every packaged query's ``ontobot query -o csv`` output byte-identical;
+- renaming every ``https://example.org/`` IRI changes those rows only by the
+  renaming. A renaming may change the sort order, so rows compare as multisets;
+- shuffling the statements leaves byte-identical ``cq 1``-``cq 4`` of each
+  activity and ``cq 6`` of each robot and activity. The outputs README puts
+  in load order, which the shuffle changes, keep what they say but not its
+  order: the rows of ``cq 3`` over every activity, the activity list of
+  ``cq 5`` and the cells of ``cq 6 --matrix`` compare as multisets.
 
 The statement splitter and the IRI renamer read the Turtle text themselves:
 they share no code with the parser or the serializer whose output they check.
@@ -19,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import random
 import re
 from collections import Counter
@@ -96,6 +102,40 @@ def query_outputs(capsys, paths: list[Path]) -> dict[str, str]:
     return outputs
 
 
+def cq_commands(activities: list[str], robots: list[str]) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
+    """The ``cq`` commands whose output is in no load order, and the JSON ones whose output is."""
+    fixed = [("cq", cq, "--activity", activity) for activity in activities for cq in "1234"]
+    fixed += [("cq", "6", "--robot", robot, "--activity", activity) for activity in activities for robot in robots]
+    loaded = [("cq", "3", "-o", "json"), ("cq", "6", "--matrix", "-o", "json")]
+    loaded += [("cq", "5", "--robot", robot, "-o", "json") for robot in robots]
+    return fixed, loaded
+
+
+def cq_outputs(capsys, paths: list[Path], commands: list[tuple[str, ...]]) -> dict[tuple[str, ...], str]:
+    """Each command's output over the given files."""
+    outputs = {}
+    kg = [arg for path in paths for arg in ("-k", str(path))]
+    for command in commands:
+        assert main([*command[:2], *kg, *command[2:]]) == 0, command
+        captured = capsys.readouterr()
+        assert not captured.err
+        outputs[command] = captured.out
+    return outputs
+
+
+def unordered(command: tuple[str, ...], output: str) -> tuple[object, ...]:
+    """What a load-order JSON output says, its order left out: cq 3's rows, cq 5's activities, the matrix's cells."""
+    payload = json.loads(output)
+    if command[1] == "5":
+        (robot, activities, achievable), = payload["rows"]
+        return robot, Counter(activities), achievable
+    if command[1] == "3":
+        return tuple(payload["columns"]), Counter(map(tuple, payload["rows"]))
+    robots = payload["columns"][2:]
+    return Counter(robots), Counter((activity, step, robot, cell) for activity, step, *cells in payload["rows"]
+                                    for robot, cell in zip(robots, cells))
+
+
 def rows(output: str) -> list[tuple[str, ...]]:
     return [tuple(row) for row in csv.reader(io.StringIO(output))]
 
@@ -152,3 +192,24 @@ def test_query_output_keeps_to_statement_order_and_iri_renaming(capsys, tmp_path
                 reordered.add(name)
     # The renaming reorders some answers, so a byte comparison would not hold for it.
     assert reordered
+
+
+def test_cq_output_keeps_to_statement_order_except_in_load_order(capsys, tmp_path, fixture_texts, kb):
+    fixed, loaded = cq_commands([label for _, label in kb.activities()], [label for _, label in kb.agents()])
+    assert len(fixed) == 16 and len(loaded) == 6
+    expected = cq_outputs(capsys, [activities_path(), robots_path()], fixed + loaded)
+    paths = [tmp_path / "activities.ttl", tmp_path / "robots.ttl"]
+    reordered = set()
+    for seed in range(10):
+        rng = random.Random(seed)
+        for path, text in zip(paths, fixture_texts):
+            path.write_text(shuffled(text, rng), encoding="utf-8")
+        outputs = cq_outputs(capsys, paths, fixed + loaded)
+        for command in fixed:
+            assert outputs[command] == expected[command], (command, seed)
+        for command in loaded:
+            assert unordered(command, outputs[command]) == unordered(command, expected[command]), (command, seed)
+            if outputs[command] != expected[command]:
+                reordered.add(command)
+    # The shuffle reorders the matrix, so a byte comparison would not hold for it.
+    assert ("cq", "6", "--matrix", "-o", "json") in reordered

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import branch_coverage
+import line_coverage
 from ontobot.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,3 +57,10 @@ def test_cli_example_prints_what_readme_shows(monkeypatch, capsys, command, expe
     if "-o csv" in argv:
         expected = expected.replace("\n", "\r\n")  # the csv module ends each row with CRLF, shown as a line end
     assert out == expected
+
+
+def test_readme_states_how_many_entries_each_coverage_allowlist_has():
+    numbers = "zero one two three four five six seven eight nine ten eleven twelve".split()
+    stated = re.findall(r"its allowlist names (\w+)\s+(groups of lines|branches)", README)
+    assert stated == [(numbers[len(line_coverage.ALLOWED)], "groups of lines"),
+                      (numbers[len(branch_coverage.ALLOWED)], "branches")]

@@ -1,5 +1,8 @@
 """``validate`` against an oracle written from README's "Validation rules", on the fixtures and on seeded faults.
 
+On the seeded faults, ``validate`` and CQ2 must also agree on chains: a task plan fails exactly when R2 finds that
+the members of one of its owners do not form one path.
+
 The oracle reads the graph's triple set and nothing else: no index, no group and no ``ontobot.schema`` name.
 R2 reports a cycle once, at a node that depends on the walk, so a cycle report is checked by where it lies
 (on a cycle) and by what it covers (every cyclic component of the successor graph), not by its node.
@@ -13,6 +16,7 @@ import re
 from helpers import random_ontobot_graph
 from ontobot.graph import IRI, LITERAL, Graph, Term, Triple, blank, literal
 from ontobot.namespaces import DUL, EX, OBOT, PKO, PPLAN, PROV, RDF, RDFS, ROS, SOMA
+from ontobot.reasoner import ChainError, KnowledgeBase
 from ontobot.schema import validate
 
 CHAINS = {PKO.nextStep: "pko:nextStep", OBOT.nextAction: "obot:nextAction"}
@@ -153,6 +157,28 @@ def assert_validate_agrees(g: Graph) -> list[Report]:
     return got + warned
 
 
+def assert_cq2_agrees(g: Graph, reports: list[Report]) -> tuple[int, int]:
+    """Fail unless each activity's task plan raises ``ChainError`` exactly when R2 finds that one of its procedures'
+    steps, or one of those steps' actions, form no one path; return how many activities there are and raised."""
+    broken = {(node, message.split(" chain: ")[0]) for rule, node, message in reports
+              if rule == "R2" and message.endswith(" members do not form one path")}
+    kb = KnowledgeBase(g)
+    raised = 0
+    for activity, _ in kb.activities():
+        procedures = {o for _, _, o in g.lookup(activity, PKO.executesProcedure, None)}
+        steps = {o for procedure in procedures for _, _, o in g.lookup(procedure, PKO.hasStep, None)}
+        expected = any((x, "pko:nextStep") in broken for x in procedures) or any(
+            (x, "obot:nextAction") in broken for x in steps)
+        try:
+            kb.task_plan(activity)
+        except ChainError:
+            raised += 1
+            assert expected, f"CQ2 cannot order {activity}, but R2 reports none of its owners"
+        else:
+            assert not expected, f"CQ2 orders {activity}, but R2 reports one of its owners"
+    return len(kb.activities()), raised
+
+
 # -- seeded faults ------------------------------------------------------------
 
 
@@ -257,14 +283,23 @@ def test_validate_agrees_with_the_oracle_on_the_fixtures(activities, robots, uni
 
 
 def test_validate_agrees_with_the_oracle_on_the_fixtures_with_seeded_faults(union):
+    activities = raised = 0
     for seed in range(20):
-        assert_validate_agrees(faulty(random.Random(seed), union, 3))
+        g = faulty(random.Random(seed), union, 3)
+        counts = assert_cq2_agrees(g, assert_validate_agrees(g))
+        activities, raised = activities + counts[0], raised + counts[1]
+    assert 0 < raised < activities, (raised, activities)
 
 
 def test_validate_agrees_with_the_oracle_on_random_graphs_with_seeded_faults():
     seen: set[str] = set()
+    activities = raised = 0
     for seed in range(300):
         rng = random.Random(seed)
         g = faulty(rng, random_ontobot_graph(rng), rng.randint(0, 4))
-        seen |= {f"{rule} {re.sub(r'[0-9]+', 'N', message)}" for rule, _, message in assert_validate_agrees(g)}
+        reports = assert_validate_agrees(g)
+        seen |= {f"{rule} {re.sub(r'[0-9]+', 'N', message)}" for rule, _, message in reports}
+        counts = assert_cq2_agrees(g, reports)
+        activities, raised = activities + counts[0], raised + counts[1]
     assert seen == TEMPLATES
+    assert 0 < raised < activities, (raised, activities)
