@@ -157,13 +157,13 @@ def assert_validate_agrees(g: Graph) -> list[Report]:
     return got + warned
 
 
-def assert_cq2_agrees(g: Graph, reports: list[Report]) -> tuple[int, int]:
+def assert_cq2_agrees(g: Graph, reports: list[Report]) -> list[bool]:
     """Fail unless each activity's task plan raises ``ChainError`` exactly when R2 finds that one of its procedures'
-    steps, or one of those steps' actions, form no one path; return how many activities there are and raised."""
+    steps, or one of those steps' actions, form no one path; return, per activity, whether its plan raised."""
     broken = {(node, message.split(" chain: ")[0]) for rule, node, message in reports
               if rule == "R2" and message.endswith(" members do not form one path")}
     kb = KnowledgeBase(g)
-    raised = 0
+    raised = []
     for activity, _ in kb.activities():
         procedures = {o for _, _, o in g.lookup(activity, PKO.executesProcedure, None)}
         steps = {o for procedure in procedures for _, _, o in g.lookup(procedure, PKO.hasStep, None)}
@@ -172,11 +172,12 @@ def assert_cq2_agrees(g: Graph, reports: list[Report]) -> tuple[int, int]:
         try:
             kb.task_plan(activity)
         except ChainError:
-            raised += 1
             assert expected, f"CQ2 cannot order {activity}, but R2 reports none of its owners"
+            raised.append(True)
         else:
             assert not expected, f"CQ2 orders {activity}, but R2 reports one of its owners"
-    return len(kb.activities()), raised
+            raised.append(False)
+    return raised
 
 
 # -- seeded faults ------------------------------------------------------------
@@ -283,23 +284,21 @@ def test_validate_agrees_with_the_oracle_on_the_fixtures(activities, robots, uni
 
 
 def test_validate_agrees_with_the_oracle_on_the_fixtures_with_seeded_faults(union):
-    activities = raised = 0
+    raised: list[bool] = []
     for seed in range(20):
         g = faulty(random.Random(seed), union, 3)
-        counts = assert_cq2_agrees(g, assert_validate_agrees(g))
-        activities, raised = activities + counts[0], raised + counts[1]
-    assert 0 < raised < activities, (raised, activities)
+        raised += assert_cq2_agrees(g, assert_validate_agrees(g))
+    assert any(raised) and not all(raised)
 
 
 def test_validate_agrees_with_the_oracle_on_random_graphs_with_seeded_faults():
     seen: set[str] = set()
-    activities = raised = 0
+    raised: list[bool] = []
     for seed in range(300):
         rng = random.Random(seed)
         g = faulty(rng, random_ontobot_graph(rng), rng.randint(0, 4))
         reports = assert_validate_agrees(g)
         seen |= {f"{rule} {re.sub(r'[0-9]+', 'N', message)}" for rule, _, message in reports}
-        counts = assert_cq2_agrees(g, reports)
-        activities, raised = activities + counts[0], raised + counts[1]
+        raised += assert_cq2_agrees(g, reports)
     assert seen == TEMPLATES
-    assert 0 < raised < activities, (raised, activities)
+    assert any(raised) and not all(raised)
